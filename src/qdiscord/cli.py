@@ -30,6 +30,7 @@ from .discord import (
 from .errors import InvalidInputError
 from .experiments import Fig1Config, Fig2Config, write_fig1, write_fig2, write_fig4
 from .metrology import (
+    identity_sweep,
     negativity,
     qfi_fidelity_estimate,
     qfi_noon_closed,
@@ -39,6 +40,7 @@ from .states import (
     NoonChannelParams,
     load_density,
     load_matrix,
+    noon_family,
     noon_lossy_density,
     validation_report,
 )
@@ -77,12 +79,14 @@ def _parse_noon(tokens) -> NoonChannelParams:
 
 def _parse_float_list(text) -> tuple:
     try:
-        values = tuple(float(p) for p in str(text).split(","))
+        return tuple(float(p) for p in str(text).split(","))
     except ValueError as exc:
         raise InvalidInputError(f"expected comma-separated numbers, got '{text}'") from exc
-    if not values:
-        raise InvalidInputError("empty number list")
-    return values
+
+
+def _parse_spectrum(text):
+    """A ``--spectrum`` value as a MeasurementSpectrum, or None if not given."""
+    return MeasurementSpectrum(_parse_float_list(text)) if text else None
 
 
 def _state_from_args(args):
@@ -99,9 +103,7 @@ def _cmd_discord(args) -> int:
         print(f"LQU = {_fmt(lqu)}")
         print(f"GQD = {_fmt(0.5 * lqu)}")
         return 0
-    spectrum = None
-    if args.spectrum:
-        spectrum = MeasurementSpectrum(_parse_float_list(args.spectrum))
+    spectrum = _parse_spectrum(args.spectrum)
     bounds = minimize_uncertainty(rho, spectrum, args.samples, args.seed)
     name = "U" if spectrum is not None else "Q"
     print(f"{name} min = {_fmt(bounds.minimum)}  (basis seed {bounds.argmin_seed})")
@@ -112,17 +114,11 @@ def _cmd_discord(args) -> int:
 
 def _cmd_qfi(args) -> int:
     params = _parse_noon(args.noon)
-
-    def rho_of_phi(phi):
-        return noon_lossy_density(
-            NoonChannelParams(params.n, params.t, params.r, phi)
-        )
-
     if args.grid is None:
         tol = 1e-10 if args.tol is None else args.tol
         f_closed = qfi_noon_closed(params)
         f_spectral = qfi_noon_spectral(params)
-        f_oracle = qfi_fidelity_estimate(rho_of_phi, params.phi, args.delta)
+        f_oracle = qfi_fidelity_estimate(noon_family(params), params.phi, args.delta)
         residual = abs(f_closed - f_spectral)
         print(f"F_closed = {_fmt(f_closed)}")
         print(f"F_spectral = {_fmt(f_spectral)}")
@@ -133,20 +129,11 @@ def _cmd_qfi(args) -> int:
     if not args.out:
         raise InvalidInputError("--grid needs --out for the CSV")
     tol = 1e-9 if args.tol is None else args.tol
-    rows = []
-    for t2 in np.linspace(0.0, 1.0, args.grid):
-        point = NoonChannelParams.from_transmittance(params.n, float(t2), params.phi)
-
-        def point_rho(phi, point=point):
-            return noon_lossy_density(
-                NoonChannelParams(point.n, point.t, point.r, phi)
-            )
-
-        f_closed = qfi_noon_closed(point)
-        f_oracle = qfi_fidelity_estimate(point_rho, point.phi, args.delta)
-        dg = local_quantum_uncertainty(noon_lossy_density(point))
-        residual = abs(f_closed - dg * point.n * point.n)
-        rows.append((float(t2), f_closed, f_oracle, dg, residual))
+    sweep = identity_sweep(params.n, np.linspace(0.0, 1.0, args.grid), params.phi)
+    rows = [
+        (t2, f, qfi_fidelity_estimate(noon_family(point), point.phi, args.delta), dg, residual)
+        for t2, point, _, f, dg, residual in sweep
+    ]
     write_csv(args.out, ("t2", "F_closed", "F_oracle", "DG", "residual"), rows)
     max_residual = max(row[4] for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -161,14 +148,11 @@ def _cmd_negativity(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    spectrum = None
-    if args.spectrum:
-        spectrum = MeasurementSpectrum(_parse_float_list(args.spectrum))
     config = Fig1Config(
         dim_a=args.dimA,
         s1_grid=_parse_float_list(args.s1),
         s2=args.s2,
-        spectrum=spectrum,
+        spectrum=_parse_spectrum(args.spectrum),
         samples=args.samples,
         seed=args.seed,
     )
@@ -179,7 +163,7 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_fig2(args) -> int:
     config = Fig2Config(
-        spectrum=MeasurementSpectrum(_parse_float_list(args.spectrum)),
+        spectrum=_parse_spectrum(args.spectrum),
         resolution=args.resolution,
     )
     rows = write_fig2(config, args.out)
@@ -302,3 +286,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -13,18 +13,14 @@ import numpy as np
 
 from .discord import (
     MeasurementSpectrum,
+    _as_spectrum,
     derive_child_seeds,
     min_uncertainty_assignment,
     scan_uncertainty,
 )
-from .errors import DimensionMismatchError, InvalidInputError
-from .metrology import local_quantum_uncertainty, negativity, qfi_noon_closed
-from .states import (
-    DensityMatrix,
-    NoonChannelParams,
-    PureBipartiteState,
-    noon_lossy_density,
-)
+from .errors import InvalidInputError
+from .metrology import identity_sweep, negativity
+from .states import DensityMatrix, PureBipartiteState
 from .tables import write_csv, write_sidecar
 from .version import __version__
 
@@ -76,12 +72,7 @@ class Fig1Config:
         spectrum = self.spectrum
         if spectrum is None:
             spectrum = MeasurementSpectrum.default(dim_a)
-        elif not isinstance(spectrum, MeasurementSpectrum):
-            spectrum = MeasurementSpectrum(tuple(spectrum))
-        if spectrum.size != dim_a:
-            raise DimensionMismatchError(
-                f"spectrum has {spectrum.size} values for dim_a = {dim_a}"
-            )
+        spectrum = _as_spectrum(spectrum, dim_a)
         if int(self.samples) < 1:
             raise InvalidInputError(f"samples must be >= 1, got {self.samples}")
         object.__setattr__(self, "dim_a", dim_a)
@@ -148,13 +139,7 @@ class Fig2Config:
     resolution: int = 200
 
     def __post_init__(self):
-        spectrum = self.spectrum
-        if not isinstance(spectrum, MeasurementSpectrum):
-            spectrum = MeasurementSpectrum(tuple(spectrum))
-        if spectrum.size != 3:
-            raise DimensionMismatchError(
-                f"region map needs a 3-value spectrum, got {spectrum.size}"
-            )
+        spectrum = _as_spectrum(self.spectrum, 3)
         if int(self.resolution) < 2:
             raise InvalidInputError(
                 f"resolution must be >= 2, got {self.resolution}"
@@ -215,21 +200,16 @@ def run_fig4(n: int, t2_grid) -> Fig4Result:
     F = DG * n^2 holds; ``max_residual`` is the largest pointwise deviation
     from it on the grid.
     """
-    grid = [float(t2) for t2 in np.asarray(t2_grid, dtype=float).ravel()]
-    if len(grid) < 2:
+    grid = np.asarray(t2_grid, dtype=float).ravel()
+    if grid.size < 2:
         raise InvalidInputError("t2 grid needs at least two points")
-    rows = []
-    for t2 in grid:
-        params = NoonChannelParams.from_transmittance(n, t2)
-        rho = noon_lossy_density(params)
-        f = qfi_noon_closed(params)
-        dg = local_quantum_uncertainty(rho)
-        rows.append((t2, f, dg, negativity(rho)))
-    dg_values = np.array([row[2] for row in rows])
-    f_values = np.array([row[1] for row in rows])
+    points = [
+        (t2, f, dg, negativity(rho), residual)
+        for t2, _, rho, f, dg, residual in identity_sweep(n, grid)
+    ]
+    _, f_values, dg_values, _, residuals = zip(*points)
     slope = float(np.polyfit(dg_values, f_values, 1)[0])
-    max_residual = float(np.max(np.abs(f_values - dg_values * n * n)))
-    return Fig4Result(rows, slope, max_residual)
+    return Fig4Result([point[:4] for point in points], slope, max(residuals))
 
 
 def write_fig4(n: int, t2_grid, path) -> Fig4Result:

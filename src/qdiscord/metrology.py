@@ -175,20 +175,34 @@ class IdentityReport:
         return max(self.rows, key=lambda r: r.residual)
 
 
-def qfi_discord_identity_check(n_values, t2_values, tol: float = 1e-9) -> IdentityReport:
-    """Compare closed-form Fisher information with discord * n^2 on a grid.
+def identity_sweep(n: int, t2_grid, phi: float = 0.0):
+    """Yield (t2, params, rho, F, DG, |F - DG * n^2|) over a transmittance grid.
 
-    The discord factor is the computed local quantum uncertainty of the
-    lossy state (not the closed-form candidate), so the check is a real
-    cross-route comparison.
+    F is the closed-form Fisher information and DG the computed local
+    quantum uncertainty of the lossy state (not the closed-form candidate),
+    so each residual is a real cross-route comparison. Each state is built
+    and validated once; callers that need more from it (negativity, the
+    fidelity oracle) take ``params`` or ``rho`` from the yielded point.
     """
-    rows = []
-    for n in n_values:
-        for t2 in t2_values:
-            params = NoonChannelParams.from_transmittance(int(n), float(t2))
-            f = qfi_noon_closed(params)
-            dg = local_quantum_uncertainty(noon_lossy_density(params))
-            rows.append(IdentityRow(int(n), float(t2), f, dg, abs(f - dg * n * n)))
+    grid = np.asarray(t2_grid, dtype=float).ravel()
+    if grid.size == 0:
+        raise InvalidInputError("the t2 grid is empty")
+    for t2 in grid.tolist():
+        params = NoonChannelParams.from_transmittance(n, t2, phi)
+        rho = noon_lossy_density(params)
+        f = qfi_noon_closed(params)
+        dg = local_quantum_uncertainty(rho)
+        yield t2, params, rho, f, dg, abs(f - dg * params.n * params.n)
+
+
+def qfi_discord_identity_check(n_values, t2_values, tol: float = 1e-9) -> IdentityReport:
+    """Compare closed-form Fisher information with discord * n^2 on a grid,
+    one :func:`identity_sweep` per photon number."""
+    rows = [
+        IdentityRow(params.n, t2, f, dg, residual)
+        for n in n_values
+        for t2, params, _, f, dg, residual in identity_sweep(n, t2_values)
+    ]
     if not rows:
         raise InvalidInputError("identity check needs at least one grid point")
     max_residual = max(r.residual for r in rows)

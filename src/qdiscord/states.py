@@ -7,7 +7,7 @@ The density-matrix JSON interchange format is
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, sqrt
 
 import numpy as np
@@ -317,6 +317,15 @@ def noon_lossy_density(params: NoonChannelParams) -> DensityMatrix:
     for k in range(n):
         rho[idx(0, k), idx(0, k)] += 0.5 * comb(n, k) * (tt ** k) * (rr ** (n - k))
     return DensityMatrix(rho, 2, dim_b)
+
+
+def noon_family(params: NoonChannelParams):
+    """The map phi -> lossy density matrix at ``params`` with only phi replaced.
+
+    This is the one-parameter family that :func:`qfi_fidelity_estimate`
+    differentiates.
+    """
+    return lambda phi: noon_lossy_density(replace(params, phi=phi))
 
 
 def noon_eigenvalues(params: NoonChannelParams) -> np.ndarray:

@@ -44,11 +44,4 @@ def noon_state(n, t2, phi=0.0):
 
 def noon_family(n, t2):
     """phi -> DensityMatrix for the fidelity-based Fisher estimate."""
-    params = qd.NoonChannelParams.from_transmittance(n, t2)
-
-    def rho_of_phi(phi):
-        return qd.noon_lossy_density(
-            qd.NoonChannelParams(params.n, params.t, params.r, phi)
-        )
-
-    return rho_of_phi
+    return qd.noon_family(qd.NoonChannelParams.from_transmittance(n, t2))

@@ -1,11 +1,15 @@
+import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qdiscord as qd
 from qdiscord.cli import main
+from qdiscord.tables import format_number
 
 from helpers import bell_state
 
@@ -111,6 +115,36 @@ class TestQfiCommand:
         )
         assert code == 3
         assert value_after(out, "max |F - DG*n^2| = ") > 0.2
+
+    def test_empty_grid_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, _, err = invoke(
+            capsys, "qfi", "--noon", "N=3", "t2=0", "--grid", "0", "--out", str(path)
+        )
+        assert code == 2
+        assert err == "error: the t2 grid is empty\n"
+
+    def test_grid_agrees_with_fig4_and_identity_check(self, capsys, tmp_path):
+        n, points = 3, 11
+        grid = np.linspace(0.0, 1.0, points)
+        path = tmp_path / "sweep.csv"
+        code, _, _ = invoke(
+            capsys, "qfi", "--noon", f"N={n}", "t2=0", "--grid", str(points),
+            "--out", str(path),
+        )
+        assert code == 0
+        with open(path, newline="") as fh:
+            cells = [(r["t2"], r["F_closed"], r["DG"], r["residual"]) for r in csv.DictReader(fh)]
+        fig4 = qd.run_fig4(n, grid)
+        report = qd.qfi_discord_identity_check([n], grid)
+        assert [row[:3] for row in fig4.rows] == [
+            (row.t2, row.qfi, row.discord) for row in report.rows
+        ]
+        assert fig4.max_residual == report.max_residual
+        assert cells == [
+            tuple(format_number(x) for x in (row.t2, row.qfi, row.discord, row.residual))
+            for row in report.rows
+        ]
 
     def test_missing_required_key(self, capsys):
         code, _, err = invoke(capsys, "qfi", "--noon", "N=2")
@@ -218,6 +252,16 @@ class TestEntryPoint:
     def test_installed_script(self):
         result = subprocess.run(
             ["qdiscord", "--version"], capture_output=True, text=True
+        )
+        assert result.returncode == 0
+        assert result.stdout.strip() == qd.__version__
+
+    def test_module_entry_point(self):
+        src = Path(qd.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-m", "qdiscord.cli", "--version"],
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert result.stdout.strip() == qd.__version__

@@ -384,3 +384,75 @@ class TestUncertaintyScan:
     def test_rejects_raw_arrays(self):
         with pytest.raises(InvalidInputError, match="DensityMatrix"):
             qd.scan_uncertainty(np.eye(4) / 4, samples=2)
+
+
+# ---------------------------------------------------------------------------
+# Block-trace kernels against the dense constructions they replace
+# ---------------------------------------------------------------------------
+
+#: Absolute agreement required of the block-trace kernels, fixed in advance.
+REFERENCE_TOL = 1e-13
+
+PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def kron_correlation_matrix(rho):
+    """Tr[sqrt(rho) (s_i x I) sqrt(rho) (s_j x I)] from dense Kronecker operators."""
+    s = qd.psd_sqrt(rho.matrix)
+    ops = [np.kron(p, np.eye(rho.dim_b, dtype=complex)) for p in PAULIS]
+    mid = [s @ op @ s for op in ops]
+    w = np.array([[np.trace(mid[i] @ ops[j]).real for j in range(3)] for i in range(3)])
+    return 0.5 * (w + w.T)
+
+
+def tensordot_pair_traces(rho, u):
+    """Tr[B_jk B_kj] from the blocks of sqrt(rho) rotated by two tensordots."""
+    s4 = qd.psd_sqrt(rho.matrix).reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    t1 = np.tensordot(u.conj().T, s4, axes=(1, 0))
+    t2 = np.tensordot(t1, u, axes=(2, 0))
+    blocks = t2.transpose(0, 1, 3, 2)
+    v = np.einsum("jbkd,kdjb->jk", blocks, blocks).real
+    np.fill_diagonal(v, 0.0)
+    return v
+
+
+def reference_states(dim_a, rng):
+    """Random dim_a x B states for B in {2, 3, 5}, full rank and rank deficient."""
+    for dim_b in (2, 3, 5):
+        for rank in (None, 1, dim_b):
+            yield random_state(dim_a, dim_b, rng, rank)
+
+
+class TestBlockTraceKernels:
+    def test_lqu_matches_kron_correlation_matrix(self):
+        rng = np.random.default_rng(60)
+        for rho in reference_states(2, rng):
+            w = np.linalg.eigvalsh(kron_correlation_matrix(rho))
+            expected = max(1.0 - w[-1], 0.0)
+            assert abs(qd.local_quantum_uncertainty(rho) - expected) < REFERENCE_TOL
+
+    def test_q_and_u_match_tensordot_kernel(self):
+        rng = np.random.default_rng(61)
+        spectrum = qd.MeasurementSpectrum((4.0, 3.0, 2.0))
+        for rho in reference_states(3, rng):
+            basis = qd.VonNeumannBasis.haar_random(3, rng)
+            v = tensordot_pair_traces(rho, basis.unitary)
+            u_ref = 0.5 * float((spectrum.gap_squared_matrix() * v).sum())
+            q = qd.measurement_uncertainty(rho, basis)
+            u = qd.observable_uncertainty(rho, basis, spectrum)
+            assert abs(q - float(v.sum())) < REFERENCE_TOL
+            assert abs(u - u_ref) < REFERENCE_TOL
+
+    def test_scan_rows_match_tensordot_kernel(self):
+        rng = np.random.default_rng(62)
+        rho = random_state(3, 4, rng, rank=2)
+        scan = qd.scan_uncertainty(rho, (4.0, 3.0, 2.0), samples=20, master_seed=5)
+        gaps = scan.spectrum.gap_squared_matrix()
+        for seed, q, u in zip(scan.seeds, scan.q_values, scan.u_values):
+            v = tensordot_pair_traces(rho, qd.VonNeumannBasis.from_seed(3, seed).unitary)
+            assert abs(q - float(v.sum())) < REFERENCE_TOL
+            assert abs(u - 0.5 * float((gaps * v).sum())) < REFERENCE_TOL
