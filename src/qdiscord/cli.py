@@ -104,10 +104,10 @@ def _cmd_discord(args) -> int:
         print(f"GQD = {_fmt(0.5 * lqu)}")
         return 0
     spectrum = _parse_spectrum(args.spectrum)
-    bounds = minimize_uncertainty(rho, spectrum, args.samples, args.seed)
+    scan = minimize_uncertainty(rho, spectrum, args.samples, args.seed)
     name = "U" if spectrum is not None else "Q"
-    print(f"{name} min = {_fmt(bounds.minimum)}  (basis seed {bounds.argmin_seed})")
-    print(f"{name} max = {_fmt(bounds.maximum)}")
+    print(f"{name} min = {_fmt(scan.minimum)}  (basis seed {scan.argmin_seed})")
+    print(f"{name} max = {_fmt(scan.maximum)}")
     print(f"samples = {args.samples}  master seed = {args.seed}")
     return 0
 

@@ -12,7 +12,7 @@ quantum correlations.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from math import sqrt
 from typing import NamedTuple
 
@@ -55,7 +55,7 @@ _PAULIS = np.array(
 
 
 def _clamp_uncertainty(value: float, what: str = "uncertainty") -> float:
-    if value < -NEGATIVE_UNCERTAINTY_TOL:
+    if not value >= -NEGATIVE_UNCERTAINTY_TOL:
         raise NotPSDError(
             f"{what} evaluated to {value:.3e}, beyond roundoff tolerance"
         )
@@ -72,8 +72,9 @@ class MeasurementSpectrum:
         vals = tuple(float(v) for v in np.asarray(self.values, dtype=float).ravel())
         if len(vals) < 2:
             raise InvalidInputError("spectrum needs at least two eigenvalues")
-        if not all(np.isfinite(vals)):
-            raise InvalidInputError("spectrum contains non-finite values")
+        spread = float(np.ptp(vals))
+        if not np.isfinite(spread * spread):
+            raise InvalidInputError("spectrum values and their squared gaps must be finite")
         for j in range(len(vals)):
             for k in range(j + 1, len(vals)):
                 if abs(vals[j] - vals[k]) <= MIN_SPECTRUM_GAP:
@@ -310,6 +311,8 @@ def _as_probabilities(state) -> np.ndarray:
         raise InvalidInputError(
             "expected Schmidt data or a 1-D probability sequence of length >= 2"
         )
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError(f"probabilities must be finite, got {p.tolist()}")
     if np.any(p < -NEGATIVE_UNCERTAINTY_TOL):
         raise InvalidInputError(f"probabilities must be nonnegative, got {p.tolist()}")
     if abs(p.sum() - 1.0) > 1e-9:
@@ -341,6 +344,22 @@ class AssignmentResult(NamedTuple):
     assignment: tuple
 
 
+def _assignment_costs(p: np.ndarray, spectrum: MeasurementSpectrum):
+    """Orderings ``perms`` of the spectrum, in itertools.permutations order,
+    and ``cost[i, r]``, the pure-state U of ``perms[i]`` at weight row p[r].
+
+    Pairs are added in the order (0, 1), (0, 2), ..., (m-2, m-1), each term
+    as (gap^2 * p_j) * p_k: at exact ties roundoff picks the minimum, so the
+    order fixes the labels and must not change.
+    """
+    perms = np.array(list(permutations(range(spectrum.size))))
+    gaps = spectrum.gap_squared_matrix()
+    cost = np.zeros((len(perms), len(p)))
+    for j, k in combinations(range(spectrum.size), 2):
+        cost += gaps[perms[:, j], perms[:, k]][:, None] * p[:, j] * p[:, k]
+    return perms, cost
+
+
 def min_uncertainty_assignment(state, spectrum) -> AssignmentResult:
     """Minimize the pure-state observable uncertainty over eigenvalue orderings.
 
@@ -351,20 +370,9 @@ def min_uncertainty_assignment(state, spectrum) -> AssignmentResult:
     labels on probability grids deterministic.
     """
     p = _as_probabilities(state)
-    spectrum = _as_spectrum(spectrum, p.size)
-    vals = spectrum.values
-    best_cost = np.inf
-    best_perm = None
-    for perm in permutations(range(spectrum.size)):
-        cost = 0.0
-        for j in range(p.size):
-            for k in range(j + 1, p.size):
-                gap = vals[perm[j]] - vals[perm[k]]
-                cost += gap * gap * p[j] * p[k]
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm
-    return AssignmentResult(float(best_cost), best_perm)
+    perms, cost = _assignment_costs(p[None, :], _as_spectrum(spectrum, p.size))
+    best = int(np.argmin(cost[:, 0]))
+    return AssignmentResult(float(cost[best, 0]), tuple(perms[best].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +515,13 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     )
 
 
-class UncertaintyBounds(NamedTuple):
-    """Sampled bounds on an uncertainty minimization."""
-
-    minimum: float
-    maximum: float
-    argmin_seed: int
-
-
-def minimize_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int = 0) -> UncertaintyBounds:
+def minimize_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int = 0) -> UncertaintyScan:
     """Sampled minimum and maximum of Q (or U with a spectrum) over bases.
 
-    Returns the bounds plus the child seed of the best basis, which
+    Returns the scan, whose ``minimum``, ``maximum`` and ``argmin_seed``
+    are the bounds and the child seed of the best basis, which
     :meth:`VonNeumannBasis.from_seed` turns back into the measurement. No
-    convergence claim is made for dim_a >= 3; the result is an upper bound
+    convergence claim is made for dim_a >= 3; the minimum is an upper bound
     on the true minimum that improves with ``samples``.
     """
-    scan = scan_uncertainty(rho, spectrum, samples, master_seed)
-    return UncertaintyBounds(scan.minimum, scan.maximum, scan.argmin_seed)
+    return scan_uncertainty(rho, spectrum, samples, master_seed)

@@ -14,8 +14,8 @@ import numpy as np
 from .discord import (
     MeasurementSpectrum,
     _as_spectrum,
+    _assignment_costs,
     derive_child_seeds,
-    min_uncertainty_assignment,
     scan_uncertainty,
 )
 from .errors import InvalidInputError
@@ -163,18 +163,14 @@ def run_fig2(config: Fig2Config) -> list:
     e.g. "021" places values (v0, v2, v1) on (s1, s2, s3).
     """
     grid = np.linspace(0.0, 1.0, config.resolution)
-    rows = []
-    for s1 in grid:
-        for s2 in grid:
-            if s1 + s2 > 1.0 + _SIMPLEX_TOL:
-                continue
-            s3 = max(1.0 - s1 - s2, 0.0)
-            result = min_uncertainty_assignment(
-                np.array([s1, s2, s3]), config.spectrum
-            )
-            label = "".join(str(i) for i in result.assignment)
-            rows.append((float(s1), float(s2), label))
-    return rows
+    s1, s2 = np.meshgrid(grid, grid, indexing="ij")
+    inside = s1 + s2 <= 1.0 + _SIMPLEX_TOL
+    s1, s2 = s1[inside], s2[inside]
+    p = np.stack([s1, s2, np.maximum(1.0 - s1 - s2, 0.0)], axis=1)
+    perms, cost = _assignment_costs(p, config.spectrum)
+    labels = ["".join(str(i) for i in perm) for perm in perms.tolist()]
+    best = np.argmin(cost, axis=0).tolist()
+    return list(zip(s1.tolist(), s2.tolist(), (labels[b] for b in best)))
 
 
 def write_fig2(config: Fig2Config, path) -> list:

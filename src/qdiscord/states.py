@@ -246,8 +246,9 @@ class NoonChannelParams:
         if int(self.n) != self.n or self.n < 1:
             raise InvalidInputError(f"photon number must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        t = complex(self.t)
-        r = complex(self.r)
+        t, r, phi = complex(self.t), complex(self.r), float(self.phi)
+        if not np.all(np.isfinite((t, r, phi))):
+            raise InvalidInputError(f"t, r and phi must be finite, got {t}, {r}, {phi}")
         total = abs(t) ** 2 + abs(r) ** 2
         if abs(total - 1.0) > NORM_TOL:
             raise InvalidInputError(
@@ -255,7 +256,7 @@ class NoonChannelParams:
             )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "phi", phi)
 
     @classmethod
     def from_transmittance(cls, n: int, t2: float, phi: float = 0.0):

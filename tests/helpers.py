@@ -1,4 +1,6 @@
-"""Shared state builders for the test suite."""
+"""Shared state builders and loop references for the test suite."""
+
+from itertools import permutations
 
 import numpy as np
 
@@ -54,3 +56,39 @@ def single_photon_lqu(transmittance):
     one, so this sits below the paper's 2T / (1 + T) at interior T.
     """
     return 1.0 - np.sqrt((1.0 - transmittance) / (1.0 + transmittance))
+
+
+def loop_assignment(p, values):
+    """Cheapest eigenvalue ordering by a pure-Python loop over orderings.
+
+    The reference for the vectorised assignment costs: pairs are summed in
+    the order (0, 1), (0, 2), ..., each term as gap * gap * p_j * p_k, and
+    only a strictly smaller cost replaces the best, so ties keep the
+    lexicographically first ordering. Returns (cost, ordering).
+    """
+    best_cost = np.inf
+    best_perm = None
+    for perm in permutations(range(len(values))):
+        cost = 0.0
+        for j in range(p.size):
+            for k in range(j + 1, p.size):
+                gap = values[perm[j]] - values[perm[k]]
+                cost += gap * gap * p[j] * p[k]
+        if cost < best_cost:
+            best_cost = cost
+            best_perm = perm
+    return best_cost, best_perm
+
+
+def loop_region_map(values, resolution):
+    """fig2 rows (s1, s2, label) from one loop_assignment call per simplex cell."""
+    grid = np.linspace(0.0, 1.0, resolution)
+    rows = []
+    for s1 in grid:
+        for s2 in grid:
+            if s1 + s2 > 1.0 + 1e-12:
+                continue
+            s3 = max(1.0 - s1 - s2, 0.0)
+            _, perm = loop_assignment(np.array([s1, s2, s3]), values)
+            rows.append((float(s1), float(s2), "".join(str(i) for i in perm)))
+    return rows

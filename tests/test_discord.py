@@ -8,9 +8,17 @@ from qdiscord.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     InvalidInputError,
+    NotPSDError,
 )
+from qdiscord.discord import _clamp_uncertainty
 
-from helpers import bell_state, classical_quantum_state, random_pure, random_state
+from helpers import (
+    bell_state,
+    classical_quantum_state,
+    loop_assignment,
+    random_pure,
+    random_state,
+)
 
 
 def pure_density(probabilities, dim_b=None):
@@ -38,8 +46,9 @@ class TestMeasurementSpectrum:
             qd.MeasurementSpectrum((1.0, 1.0 + 1e-10, 3.0))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            qd.MeasurementSpectrum((1.0, np.inf))
+        for values in ((1.0, np.inf), (np.nan, 1.0), (1.0, np.nan), (1e200, -1e200)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                qd.MeasurementSpectrum(values)
 
     def test_defaults(self):
         qubit = qd.MeasurementSpectrum.default(2)
@@ -232,6 +241,33 @@ class TestPureClosedForms:
         with pytest.raises(InvalidInputError):
             qd.geometric_discord_pure([[0.5, 0.5]])
 
+    def test_rejects_non_finite_weights(self):
+        for bad in ([np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]):
+            with pytest.raises(InvalidInputError, match="finite"):
+                qd.geometric_discord_pure(bad)
+        with pytest.raises(InvalidInputError, match="finite"):
+            qd.min_uncertainty_assignment([np.nan, 0.5, 0.5], (2, 4, 1))
+
+    def test_clamp_rejects_nan(self):
+        with pytest.raises(NotPSDError):
+            _clamp_uncertainty(float("nan"))
+        assert _clamp_uncertainty(-1e-13) == 0.0
+
+    def test_assignment_equals_loop_reference(self):
+        # exact equality of value and ordering, including all-equal weights
+        # where several orderings tie and roundoff picks the minimum
+        rng = np.random.default_rng(57)
+        for m in (2, 3, 4):
+            for trial in range(60):
+                if trial % 3 == 0:
+                    p = np.full(m, 1.0 / m)
+                else:
+                    p = rng.dirichlet(np.ones(m))
+                spectrum = qd.MeasurementSpectrum(3.0 * rng.standard_normal(m))
+                result = qd.min_uncertainty_assignment(p, spectrum)
+                expected = loop_assignment(p, spectrum.values)
+                assert (result.value, result.assignment) == expected
+
     def test_assignment_frozen_example(self):
         result = qd.min_uncertainty_assignment([0.7, 0.2, 0.1], (2, 4, 1))
         assert abs(result.value - 0.60) < 1e-12
@@ -374,8 +410,12 @@ class TestUncertaintyScan:
         rng = np.random.default_rng(56)
         rho = random_state(2, 2, rng)
         scan = qd.scan_uncertainty(rho, samples=16, master_seed=8)
-        bounds = qd.minimize_uncertainty(rho, samples=16, master_seed=8)
-        assert bounds == (scan.minimum, scan.maximum, scan.argmin_seed)
+        result = qd.minimize_uncertainty(rho, samples=16, master_seed=8)
+        assert (result.minimum, result.maximum, result.argmin_seed) == (
+            scan.minimum,
+            scan.maximum,
+            scan.argmin_seed,
+        )
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(InvalidInputError):

@@ -6,6 +6,8 @@ import pytest
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
 
+from helpers import loop_region_map
+
 
 class TestFig1Config:
     def test_defaults(self):
@@ -125,6 +127,14 @@ class TestRunFig2:
         # the identity labeling
         assert rows[(1.0, 0.0)] == "012"
         assert rows[(0.0, 0.0)] == "012"
+
+    @pytest.mark.parametrize("spectrum", [(2, 4, 1), (4, 3, 2), (1, 2, 3)])
+    def test_rows_equal_loop_reference(self, spectrum):
+        # (1, 2, 3) ties along whole lines of the simplex, where roundoff
+        # in the summed costs decides the label
+        values = qd.MeasurementSpectrum(spectrum).values
+        rows = qd.run_fig2(qd.Fig2Config(spectrum, 200))
+        assert rows == loop_region_map(values, 200)
 
     def test_frozen_interior_label(self):
         rows = dict(((round(s1, 3), round(s2, 3)), label) for s1, s2, label in

@@ -154,6 +154,15 @@ class TestNoonChannelParams:
         with pytest.raises(InvalidInputError):
             qd.NoonChannelParams.from_transmittance(2, 1.5)
 
+    def test_rejects_non_finite_values(self):
+        for args in ((2, np.nan, 0.5), (2, complex(0.6, np.nan), 0.8), (2, 0.6, 0.8, np.nan)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                qd.NoonChannelParams(*args)
+        with pytest.raises(InvalidInputError, match="finite"):
+            qd.NoonChannelParams.from_transmittance(2, 0.5, phi=np.nan)
+        with pytest.raises(InvalidInputError):
+            qd.NoonChannelParams.from_transmittance(2, np.nan)
+
 
 class TestNoonTripartite:
     def test_lossless_limit(self):
