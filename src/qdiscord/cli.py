@@ -44,12 +44,12 @@ from .states import (
     noon_lossy_density,
     validation_report,
 )
-from .tables import write_csv
+from .tables import format_number, write_csv
 from .version import __version__
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".12g")
+    return format_number(float(x))
 
 
 def _parse_noon(tokens) -> NoonChannelParams:
@@ -198,13 +198,7 @@ def _cmd_validate(args) -> int:
     return 2
 
 
-def _add_state_source(parser, noon_only: bool = False) -> None:
-    if noon_only:
-        parser.add_argument(
-            "--noon", nargs="+", required=True, metavar="KEY=VALUE",
-            help="lossy n-photon state, e.g. --noon N=10 t2=0.5",
-        )
-        return
+def _add_state_source(parser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--noon", nargs="+", metavar="KEY=VALUE",
@@ -230,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_discord)
 
     p = sub.add_parser("qfi", help="Fisher-information routes for the lossy family")
-    _add_state_source(p, noon_only=True)
+    p.add_argument("--noon", nargs="+", required=True, metavar="KEY=VALUE",
+                   help="lossy n-photon state, e.g. --noon N=10 t2=0.5")
     p.add_argument("--delta", type=float, default=1e-3,
                    help="finite-difference step of the fidelity oracle")
     p.add_argument("--tol", type=float, default=None,

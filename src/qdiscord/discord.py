@@ -24,11 +24,12 @@ from .errors import (
     InvalidInputError,
     NotPSDError,
 )
-from .linalg import haar_unitary, hermitian_eig, psd_sqrt, require_hermitian
+from .linalg import as_count, haar_unitary, hermitian_eig, psd_sqrt, require_hermitian
 from .states import (
     DensityMatrix,
     PureBipartiteState,
     SchmidtDecomposition,
+    _schmidt_weights,
     schmidt_decompose,
 )
 from .tables import write_csv
@@ -156,7 +157,7 @@ class VonNeumannBasis:
 
     @classmethod
     def computational(cls, dim: int):
-        return cls(np.eye(int(dim), dtype=complex))
+        return cls(np.eye(as_count(dim, "dim"), dtype=complex))
 
     @classmethod
     def haar_random(cls, dim: int, rng: np.random.Generator):
@@ -169,7 +170,7 @@ class VonNeumannBasis:
         This is the inverse of the seed bookkeeping in the scan routines: a
         recorded seed rebuilds exactly the basis that produced a scan row.
         """
-        return cls(haar_unitary(dim, np.random.default_rng(int(seed))))
+        return cls(haar_unitary(dim, np.random.default_rng(as_count(seed, "seed", 0))))
 
 
 def _require_state(rho) -> DensityMatrix:
@@ -311,13 +312,7 @@ def _as_probabilities(state) -> np.ndarray:
         raise InvalidInputError(
             "expected Schmidt data or a 1-D probability sequence of length >= 2"
         )
-    if not np.all(np.isfinite(p)):
-        raise InvalidInputError(f"probabilities must be finite, got {p.tolist()}")
-    if np.any(p < -NEGATIVE_UNCERTAINTY_TOL):
-        raise InvalidInputError(f"probabilities must be nonnegative, got {p.tolist()}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidInputError(f"probabilities must sum to 1, got {p.sum():.12g}")
-    return np.clip(p, 0.0, None)
+    return _schmidt_weights(p)
 
 
 def geometric_discord_pure(state) -> float:
@@ -427,10 +422,8 @@ def derive_child_seeds(master_seed: int, count: int) -> np.ndarray:
     same seed no matter how the scan is chunked, so recorded seeds
     reproduce their basis via :meth:`VonNeumannBasis.from_seed`.
     """
-    if count < 1:
-        raise InvalidInputError(f"count must be >= 1, got {count}")
-    ss = np.random.SeedSequence(int(master_seed))
-    return ss.generate_state(int(count), dtype=np.uint64)
+    ss = np.random.SeedSequence(as_count(master_seed, "master_seed", 0))
+    return ss.generate_state(as_count(count, "count"), dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -452,7 +445,7 @@ class UncertaintyScan:
 
     @property
     def samples(self) -> int:
-        return int(self.seeds.size)
+        return self.seeds.size
 
     @property
     def values(self) -> np.ndarray:
@@ -469,7 +462,7 @@ class UncertaintyScan:
 
     @property
     def argmin_seed(self) -> int:
-        return int(self.seeds[int(np.argmin(self.values))])
+        return self.seeds[np.argmin(self.values)].item()
 
     def to_csv(self, path) -> None:
         """Write one row per sample: seed,Q[,U]."""
@@ -492,8 +485,8 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     independent of evaluation order.
     """
     rho = _require_state(rho)
-    if samples < 1:
-        raise InvalidInputError(f"samples must be >= 1, got {samples}")
+    samples = as_count(samples, "samples")
+    master_seed = as_count(master_seed, "master_seed", 0)
     gaps = None
     if spectrum is not None:
         spectrum = _as_spectrum(spectrum, rho.dim_a)
@@ -502,8 +495,8 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     seeds = derive_child_seeds(master_seed, samples)
     q_values = np.empty(samples)
     u_values = np.empty(samples) if gaps is not None else None
-    for i, seed in enumerate(seeds):
-        u = haar_unitary(rho.dim_a, np.random.default_rng(int(seed)))
+    for i, seed in enumerate(seeds.tolist()):
+        u = haar_unitary(rho.dim_a, np.random.default_rng(seed))
         v = _pair_trace_matrix(t, u)
         q_values[i] = _clamp_uncertainty(float(v.sum()), "measurement uncertainty")
         if gaps is not None:
@@ -511,7 +504,7 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
                 0.5 * float((gaps * v).sum()), "observable uncertainty"
             )
     return UncertaintyScan(
-        rho.dim_a, rho.dim_b, int(master_seed), spectrum, seeds, q_values, u_values
+        rho.dim_a, rho.dim_b, master_seed, spectrum, seeds, q_values, u_values
     )
 
 

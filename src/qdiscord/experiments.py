@@ -19,8 +19,9 @@ from .discord import (
     scan_uncertainty,
 )
 from .errors import InvalidInputError
+from .linalg import as_count
 from .metrology import identity_sweep, negativity
-from .states import DensityMatrix, PureBipartiteState
+from .states import DensityMatrix, PureBipartiteState, _schmidt_weights
 from .tables import write_csv, write_sidecar
 from .version import __version__
 
@@ -45,49 +46,33 @@ class Fig1Config:
     seed: int = 0
 
     def __post_init__(self):
-        dim_a = int(self.dim_a)
+        dim_a = as_count(self.dim_a, "dim_a")
         if dim_a not in (2, 3):
             raise InvalidInputError(f"dim_a must be 2 or 3, got {dim_a}")
+        if dim_a == 2 and self.s2 is not None:
+            raise InvalidInputError("s2 only applies to dim_a = 3")
+        if dim_a == 3 and self.s2 is None:
+            raise InvalidInputError("dim_a = 3 needs a fixed s2")
         grid = tuple(float(s) for s in self.s1_grid)
         if not grid:
             raise InvalidInputError("s1_grid must be non-empty")
-        for s1 in grid:
-            if not 0.0 <= s1 <= 1.0:
-                raise InvalidInputError(f"s1 values must lie in [0, 1], got {s1}")
-        s2 = self.s2
-        if dim_a == 2:
-            if s2 is not None:
-                raise InvalidInputError("s2 only applies to dim_a = 3")
-        else:
-            if s2 is None:
-                raise InvalidInputError("dim_a = 3 needs a fixed s2")
-            s2 = float(s2)
-            if not 0.0 <= s2 <= 1.0:
-                raise InvalidInputError(f"s2 must lie in [0, 1], got {s2}")
-            for s1 in grid:
-                if s1 + s2 > 1.0 + _SIMPLEX_TOL:
-                    raise InvalidInputError(
-                        f"s1 + s2 = {s1 + s2:.12g} exceeds 1 at s1 = {s1}"
-                    )
-        spectrum = self.spectrum
-        if spectrum is None:
-            spectrum = MeasurementSpectrum.default(dim_a)
-        spectrum = _as_spectrum(spectrum, dim_a)
-        if int(self.samples) < 1:
-            raise InvalidInputError(f"samples must be >= 1, got {self.samples}")
+        spectrum = MeasurementSpectrum.default(dim_a) if self.spectrum is None else self.spectrum
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "s1_grid", grid)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "s2", None if self.s2 is None else float(self.s2))
+        object.__setattr__(self, "spectrum", _as_spectrum(spectrum, dim_a))
+        object.__setattr__(self, "samples", as_count(self.samples, "samples"))
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
+        for s1 in grid:
+            self.probabilities(s1)  # raises for weights off the simplex
 
     def probabilities(self, s1: float) -> np.ndarray:
+        """Schmidt weights at grid value s1, through the shared weight check."""
         if self.dim_a == 2:
-            p = np.array([s1, 1.0 - s1])
+            p = (s1, 1.0 - s1)
         else:
-            p = np.array([s1, self.s2, 1.0 - s1 - self.s2])
-        return np.clip(p, 0.0, None)
+            p = (s1, self.s2, 1.0 - s1 - self.s2)
+        return _schmidt_weights(p, f"weights at s1 = {s1}")
 
     def to_dict(self) -> dict:
         return {
@@ -106,12 +91,10 @@ def run_fig1(config: Fig1Config) -> list:
     """Rows (s1, basis seed, Q, U), one per sampled measurement."""
     point_seeds = derive_child_seeds(config.seed, len(config.s1_grid))
     rows = []
-    for s1, point_seed in zip(config.s1_grid, point_seeds):
+    for s1, point_seed in zip(config.s1_grid, point_seeds.tolist()):
         state = PureBipartiteState.from_probabilities(config.probabilities(s1))
         rho = DensityMatrix.from_pure(state)
-        scan = scan_uncertainty(
-            rho, config.spectrum, config.samples, int(point_seed)
-        )
+        scan = scan_uncertainty(rho, config.spectrum, config.samples, point_seed)
         for seed, q, u in zip(
             scan.seeds.tolist(), scan.q_values.tolist(), scan.u_values.tolist()
         ):
@@ -139,13 +122,8 @@ class Fig2Config:
     resolution: int = 200
 
     def __post_init__(self):
-        spectrum = _as_spectrum(self.spectrum, 3)
-        if int(self.resolution) < 2:
-            raise InvalidInputError(
-                f"resolution must be >= 2, got {self.resolution}"
-            )
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "resolution", int(self.resolution))
+        object.__setattr__(self, "spectrum", _as_spectrum(self.spectrum, 3))
+        object.__setattr__(self, "resolution", as_count(self.resolution, "resolution", 2))
 
     def to_dict(self) -> dict:
         return {
@@ -215,7 +193,7 @@ def write_fig4(n: int, t2_grid, path) -> Fig4Result:
         path,
         {
             "command": "fig4",
-            "n": int(n),
+            "n": as_count(n, "photon number"),
             "t2_grid": [row[0] for row in result.rows],
             "version": __version__,
         },

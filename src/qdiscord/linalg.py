@@ -6,6 +6,7 @@ to a few dozen). Shared numerical tolerances live here so the rest of
 the library agrees on what "Hermitian" or "positive" means.
 """
 
+from math import prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +47,23 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_count(value, name: str, minimum: int = 1) -> int:
+    """Coerce a count, dimension or seed to a Python int >= ``minimum``.
+
+    Python and numpy integers and integral floats (2.0) are accepted;
+    bools, strings, non-integral or non-finite numbers and values below
+    ``minimum`` raise :class:`InvalidInputError` naming the input.
+    """
+    if type(value) is not int:  # plain ints skip the type checks
+        number = isinstance(value, (int, float, np.integer, np.floating))
+        if isinstance(value, bool) or not number or not float(value).is_integer():
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def hermiticity_deviation(m: np.ndarray) -> float:
@@ -109,16 +127,9 @@ def psd_sqrt(m, name: str = "matrix") -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with complex coercion."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise InvalidInputError(f"subsystem dimensions must be >= 1, got {dims}")
-    total = int(np.prod(dims))
+    dims = tuple(as_count(d, "subsystem dimension") for d in dims)
+    total = prod(dims)
     if total != m.shape[0]:
         raise DimensionMismatchError(
             f"subsystem dimensions {dims} give total {total}, matrix has {m.shape[0]}"
@@ -155,7 +166,7 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     # Contract each traced subsystem's row index with its column index.
     for k in sorted(set(range(n)) - set(keep), reverse=True):
         t = np.trace(t, axis1=k, axis2=k + (t.ndim // 2))
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = prod(dims[k] for k in keep)
     out = t.reshape(d_keep, d_keep)
     if keep != tuple(sorted(keep)):
         # Reorder retained subsystems to the requested order.
@@ -201,9 +212,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     QR of a complex Ginibre matrix with the R diagonal phases divided out,
     which corrects the raw QR distribution to the uniform one.
     """
-    if int(dim) < 1:
-        raise InvalidInputError(f"dimension must be >= 1, got {dim}")
-    dim = int(dim)
+    dim = as_count(dim, "dimension")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discord import _clamp_uncertainty, local_quantum_uncertainty
+from .discord import _clamp_uncertainty, _require_state, local_quantum_uncertainty
 from .errors import InvalidInputError
 from .linalg import as_matrix, partial_transpose, psd_sqrt, trace_norm
 from .states import (
@@ -157,8 +157,7 @@ def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> 
 
 def negativity(rho: DensityMatrix, subsystem: int = 0) -> float:
     """Entanglement negativity, (||partial transpose||_1 - 1) / 2."""
-    if not isinstance(rho, DensityMatrix):
-        raise InvalidInputError("negativity needs a DensityMatrix to know the split")
+    rho = _require_state(rho)
     pt = partial_transpose(rho.matrix, (rho.dim_a, rho.dim_b), subsystem)
     return _clamp_uncertainty(0.5 * (trace_norm(pt) - 1.0), "negativity")
 

@@ -16,6 +16,7 @@ from .errors import DimensionMismatchError, InvalidInputError
 from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
+    as_count,
     as_matrix,
     hermiticity_deviation,
     partial_trace,
@@ -25,11 +26,31 @@ from .linalg import (
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
 
+#: Schmidt weights in [-WEIGHT_NEGATIVE_TOL, 0) are roundoff and clipped to
+#: zero; the weights must sum to 1 within WEIGHT_SUM_TOL.
+WEIGHT_NEGATIVE_TOL = 1e-12
+WEIGHT_SUM_TOL = 1e-9
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _schmidt_weights(probabilities, name: str = "probabilities") -> np.ndarray:
+    """Schmidt probability weights as a float array: a non-empty 1-D sequence
+    of finite, nonnegative numbers summing to 1, to the tolerances above."""
+    p = np.asarray(probabilities, dtype=float)
+    if p.ndim != 1 or p.size < 1:
+        raise InvalidInputError(f"{name} must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError(f"{name} must be finite, got {p.tolist()}")
+    if np.any(p < -WEIGHT_NEGATIVE_TOL):
+        raise InvalidInputError(f"{name} must be nonnegative, got {p.tolist()}")
+    if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
+        raise InvalidInputError(f"{name} must sum to 1, got {p.sum():.12g}")
+    return np.clip(p, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -74,23 +95,17 @@ class PureBipartiteState:
     def from_probabilities(cls, probabilities, dim_b: int | None = None):
         """Build a Schmidt-diagonal state with the given probability weights.
 
-        ``probabilities`` must be nonnegative and sum to 1. The state is
+        ``probabilities`` must be finite, nonnegative and sum to 1. The state is
         sum_j sqrt(p_j) |j>|j> on an A x B space with dim_a = len(p) and
         dim_b = max(dim_b, dim_a).
         """
-        p = np.asarray(probabilities, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise InvalidInputError("probabilities must be a non-empty 1-D sequence")
-        if np.any(p < -NORM_TOL):
-            raise InvalidInputError(f"probabilities must be nonnegative, got {p.tolist()}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise InvalidInputError(f"probabilities must sum to 1, got {p.sum():.12g}")
+        p = _schmidt_weights(probabilities)
         da = p.size
-        db = da if dim_b is None else int(dim_b)
+        db = da if dim_b is None else as_count(dim_b, "dim_b")
         if db < da:
             raise DimensionMismatchError(f"dim_b = {db} cannot hold {da} Schmidt terms")
         c = np.zeros((da, db), dtype=complex)
-        amp = np.sqrt(np.clip(p, 0.0, None))
+        amp = np.sqrt(p)
         amp /= np.linalg.norm(amp)
         c[np.arange(da), np.arange(da)] = amp
         return cls(c)
@@ -163,9 +178,7 @@ def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
     report so a caller can show all of them at once.
     """
     m = as_matrix(matrix, "density matrix")
-    dim_a, dim_b = int(dim_a), int(dim_b)
-    if dim_a < 1 or dim_b < 1:
-        raise InvalidInputError(f"dimensions must be >= 1, got ({dim_a}, {dim_b})")
+    dim_a, dim_b = as_count(dim_a, "dim_a"), as_count(dim_b, "dim_b")
     if m.shape[0] != dim_a * dim_b:
         raise DimensionMismatchError(
             f"matrix of size {m.shape[0]} does not match dimA*dimB = {dim_a * dim_b}"
@@ -201,8 +214,8 @@ class DensityMatrix:
         report = validation_report(self.matrix, self.dim_a, self.dim_b)
         if not report.ok:
             raise InvalidInputError("; ".join(report.violations))
-        object.__setattr__(self, "dim_a", int(self.dim_a))
-        object.__setattr__(self, "dim_b", int(self.dim_b))
+        object.__setattr__(self, "dim_a", report.dim_a)
+        object.__setattr__(self, "dim_b", report.dim_b)
         object.__setattr__(self, "matrix", _readonly(self.matrix))
 
     @property
@@ -243,9 +256,7 @@ class NoonChannelParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidInputError(f"photon number must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", as_count(self.n, "photon number"))
         t, r, phi = complex(self.t), complex(self.r), float(self.phi)
         if not np.all(np.isfinite((t, r, phi))):
             raise InvalidInputError(f"t, r and phi must be finite, got {t}, {r}, {phi}")
@@ -271,6 +282,17 @@ class NoonChannelParams:
         return abs(self.t) ** 2
 
 
+def _binomials(n: int) -> list:
+    """C(n, k) for k = 0..n as floats; from n = 1030 on the middle ones pass
+    the largest double and the lossy-family builders cannot be evaluated."""
+    try:
+        return [float(comb(n, k)) for k in range(n + 1)]
+    except OverflowError:
+        raise InvalidInputError(
+            f"photon number {n} is too large: C(n, k) overflows a double"
+        ) from None
+
+
 def noon_tripartite(params: NoonChannelParams) -> np.ndarray:
     """Amplitude tensor of the purified lossy state, shape (2, n+1, n+1).
 
@@ -282,13 +304,14 @@ def noon_tripartite(params: NoonChannelParams) -> np.ndarray:
     the phase entering once per photon that survives the lossy arm.
     """
     n = params.n
+    binom = _binomials(n)
     t, r = params.t, params.r
     amp = np.zeros((2, n + 1, n + 1), dtype=complex)
     amp[1, 0, 0] = 1.0 / sqrt(2.0)
     for k in range(n + 1):
         amp[0, k, n - k] = (
             np.exp(1j * k * params.phi)
-            * sqrt(comb(n, k)) * (t ** k) * (r ** (n - k)) / sqrt(2.0)
+            * sqrt(binom[k]) * (t ** k) * (r ** (n - k)) / sqrt(2.0)
         )
     return amp
 
@@ -302,6 +325,7 @@ def noon_lossy_density(params: NoonChannelParams) -> DensityMatrix:
     of :func:`noon_tripartite` over the environment.
     """
     n = params.n
+    binom = _binomials(n)
     dim_b = n + 1
     tt = abs(params.t) ** 2
     rr = abs(params.r) ** 2
@@ -316,7 +340,7 @@ def noon_lossy_density(params: NoonChannelParams) -> DensityMatrix:
     v[idx(0, n)] = coh
     rho = 0.5 * np.outer(v, v.conj())
     for k in range(n):
-        rho[idx(0, k), idx(0, k)] += 0.5 * comb(n, k) * (tt ** k) * (rr ** (n - k))
+        rho[idx(0, k), idx(0, k)] += 0.5 * binom[k] * (tt ** k) * (rr ** (n - k))
     return DensityMatrix(rho, 2, dim_b)
 
 
@@ -337,10 +361,11 @@ def noon_eigenvalues(params: NoonChannelParams) -> np.ndarray:
     the full matrix are exact zeros and are not listed here.
     """
     n = params.n
+    binom = _binomials(n)
     tt = abs(params.t) ** 2
     rr = abs(params.r) ** 2
     vals = [0.5 * (1.0 + tt ** n)]
-    vals += [0.5 * comb(n, k) * (tt ** k) * (rr ** (n - k)) for k in range(n)]
+    vals += [0.5 * binom[k] * (tt ** k) * (rr ** (n - k)) for k in range(n)]
     return np.sort(np.asarray(vals, dtype=float))[::-1]
 
 
@@ -371,11 +396,8 @@ def matrix_from_json(data: dict) -> tuple:
     for key in ("dimA", "dimB", "re", "im"):
         if key not in data:
             raise InvalidInputError(f"density JSON missing key '{key}'")
-    try:
-        dim_a = int(data["dimA"])
-        dim_b = int(data["dimB"])
-    except (TypeError, ValueError):
-        raise InvalidInputError("dimA and dimB must be integers")
+    dim_a = as_count(data["dimA"], "dimA")
+    dim_b = as_count(data["dimB"], "dimB")
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data["im"], dtype=float)
     if re.shape != im.shape:

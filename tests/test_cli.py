@@ -79,6 +79,21 @@ class TestDiscordCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_negative_seed_is_invalid_input(self, capsys, tmp_path):
+        state = qd.PureBipartiteState.from_probabilities([0.5, 0.3, 0.2])
+        path = tmp_path / "qutrit.json"
+        qd.save_density(qd.DensityMatrix.from_pure(state), path)
+        code, _, err = invoke(capsys, "discord", "--file", str(path), "--seed", "-1")
+        assert code == 2
+        assert err == "error: master_seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["discord", "qfi"])
+    def test_large_photon_number_is_invalid_input(self, capsys, command):
+        code, out, err = invoke(capsys, command, "--noon", "N=1100", "t2=0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: photon number 1100 is too large")
+
     def test_sources_are_mutually_exclusive(self, bell_file):
         with pytest.raises(SystemExit):
             main(["discord", "--noon", "N=2", "t2=0.5", "--file", bell_file])
@@ -184,6 +199,15 @@ class TestFigureCommands:
         )
         assert code == 0
         assert "wrote 3 rows" in out
+
+    def test_fig1_negative_seed_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "fig1.csv"
+        code, _, err = invoke(
+            capsys, "fig1", "--dimA", "2", "--s1", "0.5", "--seed", "-1", "--out", str(path),
+        )
+        assert code == 2
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not path.exists()
 
     def test_fig2(self, capsys, tmp_path):
         path = tmp_path / "fig2.csv"

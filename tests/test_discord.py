@@ -92,6 +92,20 @@ class TestVonNeumannBasis:
         assert np.array_equal(a.unitary, b.unitary)
         assert not np.allclose(a.unitary, c.unitary)
 
+    def test_seeds_and_dimensions_are_counts(self):
+        child = qd.derive_child_seeds(3, 2)[1]  # a numpy uint64
+        assert child > 2**63
+        assert np.array_equal(
+            qd.VonNeumannBasis.from_seed(np.int64(3), child).unitary,
+            qd.VonNeumannBasis.from_seed(3, int(child)).unitary,
+        )
+        assert qd.VonNeumannBasis.computational(np.int64(2)).dim == 2
+        for bad in ((3, -1), (3, 1.5), (2.5, 1)):
+            with pytest.raises(InvalidInputError):
+                qd.VonNeumannBasis.from_seed(*bad)
+        with pytest.raises(InvalidInputError, match="dim"):
+            qd.VonNeumannBasis.computational(2.5)
+
 
 class TestSkewInformation:
     def test_zero_when_commuting(self):
@@ -418,8 +432,21 @@ class TestUncertaintyScan:
         )
 
     def test_rejects_bad_sample_count(self):
-        with pytest.raises(InvalidInputError):
-            qd.scan_uncertainty(bell_state(), samples=0)
+        for samples in (0, 2.5, True):
+            with pytest.raises(InvalidInputError, match="samples"):
+                qd.scan_uncertainty(bell_state(), samples=samples)
+        with pytest.raises(InvalidInputError, match="master_seed"):
+            qd.scan_uncertainty(bell_state(), None, 2, -1)
+        scan = qd.scan_uncertainty(bell_state(), None, np.int64(3), 4.0)
+        assert (scan.samples, scan.master_seed) == (3, 4)
+        assert type(scan.master_seed) is int and type(scan.argmin_seed) is int
+
+    def test_derive_child_seeds_rejects_bad_input(self):
+        for args in ((-1, 2), (0, 0), (0.5, 2), (0, 2.5)):
+            with pytest.raises(InvalidInputError):
+                qd.derive_child_seeds(*args)
+        same = qd.derive_child_seeds(np.uint64(5), 3.0)
+        assert np.array_equal(same, qd.derive_child_seeds(5, 3))
 
     def test_rejects_raw_arrays(self):
         with pytest.raises(InvalidInputError, match="DensityMatrix"):

@@ -43,11 +43,19 @@ class TestFig1Config:
             qd.Fig1Config(3, (0.9,), s2=0.2)
         with pytest.raises(DimensionMismatchError):
             qd.Fig1Config(2, (0.5,), spectrum=(1.0, 2.0, 3.0))
-        with pytest.raises(InvalidInputError):
-            qd.Fig1Config(2, (0.5,), samples=0)
+        for kwargs in ({"samples": 0}, {"samples": 2.5}, {"seed": -1}, {"seed": 0.5}):
+            with pytest.raises(InvalidInputError, match="samples|seed"):
+                qd.Fig1Config(2, (0.5,), **kwargs)
+        with pytest.raises(InvalidInputError, match="dim_a"):
+            qd.Fig1Config(2.5, (0.5,))
+        for grid in ((np.nan,), (-0.5,)):
+            with pytest.raises(InvalidInputError, match="weights at s1"):
+                qd.Fig1Config(2, grid)
+        with pytest.raises(InvalidInputError, match="weights at s1"):
+            qd.Fig1Config(3, (0.5,), s2=-0.1)
 
     def test_to_dict_is_json_ready(self):
-        config = qd.Fig1Config(3, (0.4,), s2=0.3, samples=5, seed=7)
+        config = qd.Fig1Config(np.int64(3), (0.4,), s2=0.3, samples=np.int32(5), seed=7.0)
         data = json.loads(json.dumps(config.to_dict()))
         assert data["command"] == "fig1"
         assert data["dim_a"] == 3
@@ -108,8 +116,10 @@ class TestFig2Config:
     def test_validation(self):
         with pytest.raises(DimensionMismatchError):
             qd.Fig2Config((1.0, 2.0), resolution=5)
-        with pytest.raises(InvalidInputError):
-            qd.Fig2Config((2, 4, 1), resolution=1)
+        for resolution in (1, 2.7, True):
+            with pytest.raises(InvalidInputError, match="resolution"):
+                qd.Fig2Config((2, 4, 1), resolution=resolution)
+        assert qd.Fig2Config((2, 4, 1), resolution=np.int64(5)).resolution == 5
 
 
 class TestRunFig2:

@@ -8,7 +8,7 @@ from qdiscord.errors import (
     NotHermitianError,
     NotPSDError,
 )
-from qdiscord.linalg import as_matrix, hermiticity_deviation, require_hermitian
+from qdiscord.linalg import as_count, as_matrix, hermiticity_deviation, require_hermitian
 
 from helpers import random_density_array
 
@@ -75,25 +75,6 @@ class TestPsdSqrt:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPSDError):
             qd.psd_sqrt(np.diag([1.0, -1e-9]))
-
-
-class TestKron:
-    def test_identity_blocks(self):
-        assert np.allclose(qd.linalg.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_diagonal_expansion(self):
-        sz = np.diag([1.0, -1.0])
-        assert np.allclose(qd.linalg.kron(sz, np.eye(2)), np.diag([1, 1, -1, -1]))
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(5)
-        a, b, x, y = (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(4)
-        )
-        lhs = qd.linalg.kron(a, b) @ qd.linalg.kron(x, y)
-        rhs = qd.linalg.kron(a @ x, b @ y)
-        assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 class TestPartialTrace:
@@ -221,8 +202,26 @@ class TestHaarUnitary:
         assert np.array_equal(u1, u2)
 
     def test_bad_dim(self):
-        with pytest.raises(InvalidInputError):
-            qd.haar_unitary(0, np.random.default_rng(18))
+        for dim in (0, 2.5, True, "2"):
+            with pytest.raises(InvalidInputError, match="dimension"):
+                qd.haar_unitary(dim, np.random.default_rng(18))
+
+
+class TestAsCount:
+    def test_accepts_integers_and_integral_floats(self):
+        for value in (3, np.int32(3), np.int64(3), np.uint64(3), 3.0, np.float64(3.0)):
+            count = as_count(value, "count")
+            assert count == 3 and type(count) is int
+        assert as_count(np.uint64(2**64 - 1), "seed", 0) == 2**64 - 1
+        assert as_count(0, "seed", minimum=0) == 0
+
+    def test_rejects_non_integers_and_small_values(self):
+        bad = (True, np.bool_(True), "2", None, 2.5, np.nan, np.inf, 0, -1, np.int64(0))
+        for value in bad:
+            with pytest.raises(InvalidInputError, match="widgets"):
+                as_count(value, "widgets")
+        with pytest.raises(InvalidInputError, match="widgets must be >= 2, got 1"):
+            as_count(1, "widgets", minimum=2)
 
 
 def test_hermiticity_helpers():

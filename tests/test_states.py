@@ -29,8 +29,13 @@ class TestPureBipartiteState:
             qd.PureBipartiteState.from_probabilities([0.4, 0.4])
         with pytest.raises(InvalidInputError):
             qd.PureBipartiteState.from_probabilities([1.2, -0.2])
+        with pytest.raises(InvalidInputError, match="finite"):
+            qd.PureBipartiteState.from_probabilities([np.nan, 0.5, 0.5])
         with pytest.raises(DimensionMismatchError):
             qd.PureBipartiteState.from_probabilities([0.5, 0.3, 0.2], dim_b=2)
+        for dim_b in (2.5, True, "3"):
+            with pytest.raises(InvalidInputError, match="dim_b"):
+                qd.PureBipartiteState.from_probabilities([0.5, 0.5], dim_b=dim_b)
 
 
 class TestSchmidtDecomposition:
@@ -101,6 +106,13 @@ class TestDensityMatrix:
         with pytest.raises(InvalidInputError, match="PSD violated"):
             qd.DensityMatrix(m, 2, 2)
 
+    def test_dimensions_are_counts(self):
+        with pytest.raises(InvalidInputError, match="dim_a"):
+            qd.DensityMatrix(np.eye(4) / 4, 2.9, 2.1)
+        rho = qd.DensityMatrix(np.eye(4) / 4, np.int64(2), 2.0)
+        assert (rho.dim_a, rho.dim_b) == (2, 2)
+        assert type(rho.dim_a) is int and type(rho.dim_b) is int
+
     def test_matrix_is_read_only(self):
         rho = bell_state()
         with pytest.raises(ValueError):
@@ -143,8 +155,14 @@ class TestNoonChannelParams:
         assert abs(abs(p.t) ** 2 + abs(p.r) ** 2 - 1.0) < 1e-12
 
     def test_rejects_bad_photon_number(self):
-        with pytest.raises(InvalidInputError):
-            qd.NoonChannelParams.from_transmittance(0, 0.5)
+        for n in (0, 2.5, True, "2"):
+            with pytest.raises(InvalidInputError, match="photon number"):
+                qd.NoonChannelParams.from_transmittance(n, 0.5)
+
+    def test_integral_photon_numbers_are_accepted(self):
+        for n in (2.0, np.int64(2), np.uint8(2)):
+            p = qd.NoonChannelParams(n, 0.6, 0.8)
+            assert p.n == 2 and type(p.n) is int
 
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(InvalidInputError):
@@ -236,6 +254,16 @@ class TestNoonLossyDensity:
             lam = qd.noon_eigenvalues(params)
             assert abs(rho.purity() - np.sum(lam ** 2)) < 1e-12
 
+    def test_large_photon_number_is_invalid_input(self):
+        # C(n, n/2) passes the largest double from n = 1030 on
+        below = qd.NoonChannelParams.from_transmittance(1029, 0.5)
+        assert abs(qd.noon_eigenvalues(below).sum() - 1.0) < 1e-12
+        params = qd.NoonChannelParams.from_transmittance(1030, 0.5)
+        for builder in (qd.noon_lossy_density, qd.noon_eigenvalues, qd.noon_tripartite):
+            with pytest.raises(InvalidInputError, match="photon number 1030 is too large"):
+                builder(params)
+        assert qd.qfi_noon_closed(params) == pytest.approx(1030**2 * 2 * 0.5**1030)
+
     def test_validates_on_grid(self):
         for n in range(1, 11):
             for t2 in np.linspace(0, 1, 11):
@@ -261,6 +289,15 @@ class TestJsonInterchange:
     def test_missing_key(self):
         with pytest.raises(InvalidInputError, match="missing key"):
             qd.density_from_json({"dimA": 2, "dimB": 2, "re": [[1]]})
+
+    def test_dimensions_must_be_integers(self):
+        base = {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        for dims in ((2.9, 2.2), (True, 2), ("2", 2), (2, None), (0, 4)):
+            data = dict(base, dimA=dims[0], dimB=dims[1])
+            with pytest.raises(InvalidInputError, match="dimA|dimB"):
+                qd.density_from_json(data)
+        rho = qd.density_from_json(dict(base, dimA=2.0, dimB=2))
+        assert (rho.dim_a, rho.dim_b) == (2, 2)
 
     def test_mismatched_parts(self):
         with pytest.raises(DimensionMismatchError):
