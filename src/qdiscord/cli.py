@@ -29,6 +29,7 @@ from .discord import (
 )
 from .errors import InvalidInputError
 from .experiments import Fig1Config, Fig2Config, write_fig1, write_fig2, write_fig4
+from .linalg import as_count
 from .metrology import (
     identity_sweep,
     negativity,
@@ -112,6 +113,11 @@ def _cmd_discord(args) -> int:
     return 0
 
 
+def _t2_grid(points) -> np.ndarray:
+    """``--grid`` points spread evenly over t2 in [0, 1]."""
+    return np.linspace(0.0, 1.0, as_count(points, "grid", 0))
+
+
 def _cmd_qfi(args) -> int:
     params = _parse_noon(args.noon)
     if args.grid is None:
@@ -129,7 +135,7 @@ def _cmd_qfi(args) -> int:
     if not args.out:
         raise InvalidInputError("--grid needs --out for the CSV")
     tol = 1e-9 if args.tol is None else args.tol
-    sweep = identity_sweep(params.n, np.linspace(0.0, 1.0, args.grid), params.phi)
+    sweep = identity_sweep(params.n, _t2_grid(args.grid), params.phi)
     rows = [
         (t2, f, qfi_fidelity_estimate(noon_family(point), point.phi, args.delta), dg, residual)
         for t2, point, _, f, dg, residual in sweep
@@ -174,7 +180,7 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_fig4(args) -> int:
-    result = write_fig4(args.N, np.linspace(0.0, 1.0, args.grid), args.out)
+    result = write_fig4(args.N, _t2_grid(args.grid), args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     print(
         f"slope F vs DG = {_fmt(result.slope)}  "

@@ -206,14 +206,26 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(arr, compute_uv=False).sum())
 
 
+def _haar_stack(dim: int, rngs) -> np.ndarray:
+    """Stack (len(rngs), dim, dim) of Haar unitaries, one per generator.
+
+    QR of complex Ginibre matrices with the R diagonal phases divided out,
+    which corrects the raw QR distribution to the uniform one (Mezzadri,
+    Notices AMS 54, 2007). Each generator makes one (2, dim, dim) draw,
+    real parts then imaginary parts, and all matrices share one batched
+    QR, so each unitary is bitwise the one its generator gives alone.
+    """
+    dim = as_count(dim, "dimension")
+    g = np.stack([rng.standard_normal((2, dim, dim)) for rng in rngs])
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a dim x dim unitary from the Haar measure.
 
-    QR of a complex Ginibre matrix with the R diagonal phases divided out,
-    which corrects the raw QR distribution to the uniform one.
+    The one-generator case of :func:`_haar_stack`, so it is bitwise the
+    unitary a scan draws from the same generator.
     """
-    dim = as_count(dim, "dimension")
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_stack(dim, (rng,))[0]

@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 
 import qdiscord as qd
+from qdiscord.discord import _block_traces
 
 
 def random_density_array(dim, rng, rank=None):
@@ -92,3 +93,39 @@ def loop_region_map(values, resolution):
             _, perm = loop_assignment(np.array([s1, s2, s3]), values)
             rows.append((float(s1), float(s2), "".join(str(i) for i in perm)))
     return rows
+
+
+def loop_haar_unitary(dim, rng):
+    """Haar unitary from two (dim, dim) draws and one QR, per generator."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def loop_scan(rho, spectrum, samples, master_seed):
+    """Seeded scan by a per-sample loop: one generator, one QR and one
+    contraction with the block traces T per basis.
+
+    The reference for the batched scan. Returns (seeds, q_values, u_values),
+    with u_values None when no spectrum is given.
+    """
+    gaps = None
+    if spectrum is not None:
+        gaps = qd.MeasurementSpectrum(spectrum).gap_squared_matrix()
+    t = _block_traces(rho)
+    seeds = qd.derive_child_seeds(master_seed, samples)
+    q_values = np.empty(samples)
+    u_values = np.empty(samples) if gaps is not None else None
+    for i, seed in enumerate(seeds.tolist()):
+        u = loop_haar_unitary(rho.dim_a, np.random.default_rng(seed))
+        x = np.tensordot(u.conj(), t, axes=(0, 0))
+        y = np.einsum("jbcd,dj->jbc", x, u)
+        v = np.einsum("jbc,bk,ck->jk", y, u, u.conj()).real
+        np.fill_diagonal(v, 0.0)
+        q = float(v.sum())
+        q_values[i] = 0.0 if q < 0.0 else q
+        if gaps is not None:
+            w = 0.5 * float((gaps * v).sum())
+            u_values[i] = 0.0 if w < 0.0 else w
+    return seeds, q_values, u_values

@@ -140,6 +140,15 @@ class TestQfiCommand:
         assert code == 2
         assert err == "error: the t2 grid is empty\n"
 
+    def test_negative_grid_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, _, err = invoke(
+            capsys, "qfi", "--noon", "N=2", "t2=0.5", "--grid", "-1", "--out", str(path)
+        )
+        assert code == 2
+        assert err == "error: grid must be >= 0, got -1\n"
+        assert not path.exists()
+
     def test_grid_agrees_with_fig4_and_identity_check(self, capsys, tmp_path):
         n, points = 3, 11
         grid = np.linspace(0.0, 1.0, points)
@@ -227,6 +236,13 @@ class TestFigureCommands:
         )
         assert code == 0
         assert value_after(out, "slope F vs DG = ") == pytest.approx(9.0, abs=1e-6)
+
+    def test_fig4_negative_grid_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "fig4.csv"
+        code, _, err = invoke(capsys, "fig4", "--N", "2", "--grid", "-3", "--out", str(path))
+        assert code == 2
+        assert err == "error: grid must be >= 0, got -3\n"
+        assert not path.exists()
 
     def test_fig4_single_photon_flags_failure(self, capsys, tmp_path):
         path = tmp_path / "fig4.csv"

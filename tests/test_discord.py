@@ -16,6 +16,7 @@ from helpers import (
     bell_state,
     classical_quantum_state,
     loop_assignment,
+    loop_scan,
     random_pure,
     random_state,
 )
@@ -267,6 +268,16 @@ class TestPureClosedForms:
             _clamp_uncertainty(float("nan"))
         assert _clamp_uncertainty(-1e-13) == 0.0
 
+    def test_clamp_on_arrays_keeps_the_scalar_rule(self):
+        for bad in (np.nan, -2e-12):
+            with pytest.raises(NotPSDError, match="beyond roundoff"):
+                _clamp_uncertainty(np.array([0.5, bad, 0.1]))
+        out = _clamp_uncertainty(np.array([-1e-13, -0.0, 0.25, -1e-12]))
+        assert out.tolist() == [0.0, 0.0, 0.25, 0.0]
+        assert not np.signbit(out[0]) and np.signbit(out[1]) and not np.signbit(out[3])
+        scalar = _clamp_uncertainty(-0.0)
+        assert type(scalar) is float and np.signbit(scalar)
+
     def test_assignment_equals_loop_reference(self):
         # exact equality of value and ordering, including all-equal weights
         # where several orderings tie and roundoff picks the minimum
@@ -406,6 +417,34 @@ class TestUncertaintyScan:
         assert scan.maximum == scan.values.max()
         best = qd.VonNeumannBasis.from_seed(2, scan.argmin_seed)
         assert qd.measurement_uncertainty(rho, best) == scan.minimum
+
+    @pytest.mark.parametrize("dim_a, dim_b, spectrum", [
+        (2, 3, None), (3, 4, (4.0, 3.0, 2.0)), (4, 2, (0.0, 1.0, 3.0, 7.0)),
+    ])
+    def test_matches_loop_reference(self, dim_a, dim_b, spectrum):
+        rng = np.random.default_rng(56)
+        for rho in (random_state(dim_a, dim_b, rng), random_state(dim_a, dim_b, rng, rank=1)):
+            scan = qd.scan_uncertainty(rho, spectrum, samples=600, master_seed=8)
+            seeds, q_values, u_values = loop_scan(rho, spectrum, 600, 8)
+            assert np.array_equal(scan.seeds, seeds)
+            assert np.max(np.abs(scan.q_values - q_values)) <= 4.5e-16
+            values = q_values
+            if spectrum is not None:
+                assert np.max(np.abs(scan.u_values - u_values)) <= 4.5e-16
+                values = u_values
+            assert scan.argmin_seed == seeds[np.argmin(values)].item()
+
+    @pytest.mark.parametrize("dim_a, spectrum", [
+        (2, (1.0, -1.0)), (3, (4.0, 3.0, 2.0)), (4, (0.0, 1.0, 3.0, 7.0)),
+    ])
+    def test_rows_do_not_depend_on_chunking(self, dim_a, spectrum):
+        rho = random_state(dim_a, 3, np.random.default_rng(57))
+        full = qd.scan_uncertainty(rho, spectrum, samples=1000, master_seed=12)
+        for samples in (1, 255, 256, 257, 513):
+            prefix = qd.scan_uncertainty(rho, spectrum, samples=samples, master_seed=12)
+            assert np.array_equal(prefix.seeds, full.seeds[:samples])
+            assert np.array_equal(prefix.q_values, full.q_values[:samples])
+            assert np.array_equal(prefix.u_values, full.u_values[:samples])
 
     def test_csv_output(self, tmp_path):
         rng = np.random.default_rng(55)

@@ -8,9 +8,15 @@ from qdiscord.errors import (
     NotHermitianError,
     NotPSDError,
 )
-from qdiscord.linalg import as_count, as_matrix, hermiticity_deviation, require_hermitian
+from qdiscord.linalg import (
+    _haar_stack,
+    as_count,
+    as_matrix,
+    hermiticity_deviation,
+    require_hermitian,
+)
 
-from helpers import random_density_array
+from helpers import loop_haar_unitary, random_density_array
 
 
 class TestHermitianEig:
@@ -200,6 +206,15 @@ class TestHaarUnitary:
         u1 = qd.haar_unitary(3, np.random.default_rng(17))
         u2 = qd.haar_unitary(3, np.random.default_rng(17))
         assert np.array_equal(u1, u2)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stack_equals_per_seed_bases(self, dim):
+        seeds = qd.derive_child_seeds(19, 300).tolist()
+        stack = _haar_stack(dim, [np.random.default_rng(seed) for seed in seeds])
+        assert stack.shape == (300, dim, dim)
+        for seed, u in zip(seeds, stack):
+            assert np.array_equal(u, qd.VonNeumannBasis.from_seed(dim, seed).unitary)
+            assert np.array_equal(u, loop_haar_unitary(dim, np.random.default_rng(seed)))
 
     def test_bad_dim(self):
         for dim in (0, 2.5, True, "2"):
