@@ -31,6 +31,7 @@ from .errors import InvalidInputError
 from .experiments import Fig1Config, Fig2Config, write_fig1, write_fig2, write_fig4
 from .linalg import as_count
 from .metrology import (
+    _as_tolerance,
     identity_sweep,
     negativity,
     qfi_fidelity_estimate,
@@ -120,8 +121,9 @@ def _t2_grid(points) -> np.ndarray:
 
 def _cmd_qfi(args) -> int:
     params = _parse_noon(args.noon)
+    default_tol = 1e-10 if args.grid is None else 1e-9
+    tol = _as_tolerance(default_tol if args.tol is None else args.tol)
     if args.grid is None:
-        tol = 1e-10 if args.tol is None else args.tol
         f_closed = qfi_noon_closed(params)
         f_spectral = qfi_noon_spectral(params)
         f_oracle = qfi_fidelity_estimate(noon_family(params), params.phi, args.delta)
@@ -134,7 +136,6 @@ def _cmd_qfi(args) -> int:
 
     if not args.out:
         raise InvalidInputError("--grid needs --out for the CSV")
-    tol = 1e-9 if args.tol is None else args.tol
     sweep = identity_sweep(params.n, _t2_grid(args.grid), params.phi)
     rows = [
         (t2, f, qfi_fidelity_estimate(noon_family(point), point.phi, args.delta), dg, residual)
@@ -180,13 +181,14 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_fig4(args) -> int:
+    tol = _as_tolerance(args.tol)
     result = write_fig4(args.N, _t2_grid(args.grid), args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     print(
         f"slope F vs DG = {_fmt(result.slope)}  "
         f"max |F - DG*n^2| = {_fmt(result.max_residual)}"
     )
-    return 0 if result.max_residual <= args.tol else 3
+    return 0 if result.max_residual <= tol else 3
 
 
 def _cmd_validate(args) -> int:

@@ -27,6 +27,7 @@ from .errors import (
 from .linalg import (
     _haar_stack,
     as_count,
+    as_matrix,
     haar_unitary,
     hermitian_eig,
     psd_sqrt,
@@ -147,11 +148,9 @@ class VonNeumannBasis:
     unitary: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise DimensionMismatchError(f"basis must be square, got shape {u.shape}")
+        u = as_matrix(self.unitary, "basis")
         dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:
             raise InvalidInputError(
                 f"basis is not unitary: max |U^dagger U - I| = {dev:.3e}"
             )

@@ -152,31 +152,21 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     arr = as_matrix(m, "matrix")
     dims = _check_dims(arr, dims)
     n = len(dims)
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    else:
-        keep = tuple(int(k) for k in keep)
+    keep = (keep,) if isinstance(keep, (int, np.integer)) else keep
+    keep = tuple(int(k) for k in keep)
     for k in keep:
         if not 0 <= k < n:
             raise IndexError(f"keep index {k} out of range for {n} subsystems")
     if len(set(keep)) != len(keep):
         raise InvalidInputError(f"keep indices must be distinct, got {keep}")
 
-    t = arr.reshape(dims + dims)
-    # Contract each traced subsystem's row index with its column index.
-    for k in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=k, axis2=k + (t.ndim // 2))
+    # Row labels 0..n-1, column labels n..2n-1; a traced subsystem's column
+    # takes its row label, so einsum sums that pair.
+    cols = [n + i if i in keep else i for i in range(n)]
+    out = np.einsum(arr.reshape(dims + dims), list(range(n)) + cols,
+                    list(keep) + [n + k for k in keep])
     d_keep = prod(dims[k] for k in keep)
-    out = t.reshape(d_keep, d_keep)
-    if keep != tuple(sorted(keep)):
-        # Reorder retained subsystems to the requested order.
-        kept_sorted = sorted(keep)
-        perm = [kept_sorted.index(k) for k in keep]
-        shape = [dims[k] for k in kept_sorted]
-        t = out.reshape(shape + shape)
-        t = t.transpose(perm + [p + len(shape) for p in perm])
-        out = t.reshape(d_keep, d_keep)
-    return out
+    return out.reshape(d_keep, d_keep)
 
 
 def partial_transpose(m, dims: Sequence[int], subsystem: int = 0) -> np.ndarray:

@@ -18,6 +18,7 @@ from .linalg import as_matrix, partial_transpose, psd_sqrt, trace_norm
 from .states import (
     DensityMatrix,
     NoonChannelParams,
+    _coherent_branch,
     noon_eigenvalues,
     noon_lossy_density,
 )
@@ -47,17 +48,12 @@ def qfi_noon_spectral(params: NoonChannelParams) -> float:
     information of that eigenvector. Both factors are evaluated
     numerically from the construction rather than from the closed form.
     """
-    n = params.n
-    dim_b = n + 1
-    c = (params.t ** n) * np.exp(1j * n * params.phi)
-    v = np.zeros(2 * dim_b, dtype=complex)
-    v[dim_b] = 1.0                  # |n>_A |0>_B, the intact branch
-    v[n] = c                        # |0>_A |n>_B, all photons survived
-    norm2 = np.vdot(v, v).real
     lam1 = float(noon_eigenvalues(params)[0])
-    u = v / np.sqrt(norm2)
-    du = np.zeros_like(v)
-    du[n] = 1j * n * c / np.sqrt(norm2)
+    v = _coherent_branch(params)
+    n_b = np.tile(np.arange(params.n + 1), 2)  # photon number in arm B
+    norm = np.sqrt(np.vdot(v, v).real)
+    u = v / norm
+    du = 1j * n_b * v / norm  # d/dphi of e^(i n_B phi) u
     overlap = np.vdot(u, du)
     f1 = 4.0 * (np.vdot(du, du).real - abs(overlap) ** 2)
     return lam1 * float(f1)
@@ -167,6 +163,14 @@ def negativity(rho: DensityMatrix, subsystem: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _as_tolerance(tol) -> float:
+    """An identity check's tolerance as a float; it must be finite and >= 0."""
+    tol = float(tol)
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInputError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 class IdentityRow(NamedTuple):
     """One grid point of the Fisher-vs-discord comparison."""
 
@@ -217,6 +221,7 @@ def identity_sweep(n: int, t2_grid, phi: float = 0.0):
 def qfi_discord_identity_check(n_values, t2_values, tol: float = 1e-9) -> IdentityReport:
     """Compare closed-form Fisher information with discord * n^2 on a grid,
     one :func:`identity_sweep` per photon number."""
+    tol = _as_tolerance(tol)
     rows = [
         IdentityRow(params.n, t2, f, dg, residual)
         for n in n_values
@@ -225,4 +230,4 @@ def qfi_discord_identity_check(n_values, t2_values, tol: float = 1e-9) -> Identi
     if not rows:
         raise InvalidInputError("identity check needs at least one grid point")
     max_residual = max(r.residual for r in rows)
-    return IdentityReport(tuple(rows), max_residual, float(tol))
+    return IdentityReport(tuple(rows), max_residual, tol)

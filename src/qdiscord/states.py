@@ -282,15 +282,30 @@ class NoonChannelParams:
         return abs(self.t) ** 2
 
 
-def _binomials(n: int) -> list:
-    """C(n, k) for k = 0..n as floats; from n = 1030 on the middle ones pass
-    the largest double and the lossy-family builders cannot be evaluated."""
+def _loss_weights(params: NoonChannelParams) -> np.ndarray:
+    """Half-weights 0.5 C(n, k) T^k (1 - T)^(n - k) of k = 0..n photons
+    surviving the lossy arm. C(n, k) overflows a double from n = 1030 on,
+    which raises here, before any state of that size is allocated."""
+    n = params.n
+    tt, rr = abs(params.t) ** 2, abs(params.r) ** 2
     try:
-        return [float(comb(n, k)) for k in range(n + 1)]
+        return np.array(
+            [0.5 * float(comb(n, k)) * tt ** k * rr ** (n - k) for k in range(n + 1)]
+        )
     except OverflowError:
         raise InvalidInputError(
             f"photon number {n} is too large: C(n, k) overflows a double"
         ) from None
+
+
+def _coherent_branch(params: NoonChannelParams) -> np.ndarray:
+    """Unnormalised |n>_A |0>_B + t^n e^(i n phi) |0>_A |n>_B on the 2 x (n+1)
+    system, A outer: the part of the state that keeps the phase."""
+    n = params.n
+    v = np.zeros(2 * (n + 1), dtype=complex)
+    v[n + 1] = 1.0
+    v[n] = (params.t ** n) * np.exp(1j * n * params.phi)
+    return v
 
 
 def noon_tripartite(params: NoonChannelParams) -> np.ndarray:
@@ -304,44 +319,30 @@ def noon_tripartite(params: NoonChannelParams) -> np.ndarray:
     the phase entering once per photon that survives the lossy arm.
     """
     n = params.n
-    binom = _binomials(n)
-    t, r = params.t, params.r
+    weights = _loss_weights(params)
+    k = np.arange(n + 1)
+    phase = k * (params.phi + np.angle(params.t)) + (n - k) * np.angle(params.r)
     amp = np.zeros((2, n + 1, n + 1), dtype=complex)
     amp[1, 0, 0] = 1.0 / sqrt(2.0)
-    for k in range(n + 1):
-        amp[0, k, n - k] = (
-            np.exp(1j * k * params.phi)
-            * sqrt(binom[k]) * (t ** k) * (r ** (n - k)) / sqrt(2.0)
-        )
+    amp[0, k, n - k] = np.sqrt(weights) * np.exp(1j * phase)
     return amp
 
 
 def noon_lossy_density(params: NoonChannelParams) -> DensityMatrix:
     """System density matrix after the environment is discarded.
 
-    Built directly as a coherent rank-1 block on span{|n>_A |0>_B,
-    |0>_A |n>_B} with off-diagonal weight t^n e^(i n phi) / 2, plus the
-    photon-loss mixture on |0>_A |k>_B for k < n; equals the partial trace
-    of :func:`noon_tripartite` over the environment.
+    Half the projector on :func:`_coherent_branch` (off-diagonal weight
+    t^n e^(i n phi) / 2) plus the photon-loss mixture on |0>_A |k>_B for
+    k < n; equals the partial trace of :func:`noon_tripartite` over the
+    environment.
     """
     n = params.n
-    binom = _binomials(n)
-    dim_b = n + 1
-    tt = abs(params.t) ** 2
-    rr = abs(params.r) ** 2
-    coh = (params.t ** n) * np.exp(1j * n * params.phi)
-
-    def idx(a, k):
-        return a * dim_b + k
-
-    dim = 2 * dim_b
-    v = np.zeros(dim, dtype=complex)
-    v[idx(1, 0)] = 1.0
-    v[idx(0, n)] = coh
+    weights = _loss_weights(params)
+    v = _coherent_branch(params)
     rho = 0.5 * np.outer(v, v.conj())
-    for k in range(n):
-        rho[idx(0, k), idx(0, k)] += 0.5 * binom[k] * (tt ** k) * (rr ** (n - k))
-    return DensityMatrix(rho, 2, dim_b)
+    k = np.arange(n)
+    rho[k, k] += weights[:n]
+    return DensityMatrix(rho, 2, n + 1)
 
 
 def noon_family(params: NoonChannelParams):
@@ -360,13 +361,9 @@ def noon_eigenvalues(params: NoonChannelParams) -> np.ndarray:
     weight per lost-photon count; the remaining dim - (n+1) eigenvalues of
     the full matrix are exact zeros and are not listed here.
     """
-    n = params.n
-    binom = _binomials(n)
-    tt = abs(params.t) ** 2
-    rr = abs(params.r) ** 2
-    vals = [0.5 * (1.0 + tt ** n)]
-    vals += [0.5 * binom[k] * (tt ** k) * (rr ** (n - k)) for k in range(n)]
-    return np.sort(np.asarray(vals, dtype=float))[::-1]
+    weights = _loss_weights(params)
+    weights[-1] += 0.5  # the k = n weight joins the intact branch's 1/2
+    return np.sort(weights)[::-1]
 
 
 # ---------------------------------------------------------------------------

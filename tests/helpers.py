@@ -1,6 +1,7 @@
 """Shared state builders and loop references for the test suite."""
 
 from itertools import permutations
+from math import comb
 
 import numpy as np
 
@@ -129,3 +130,79 @@ def loop_scan(rho, spectrum, samples, master_seed):
             w = 0.5 * float((gaps * v).sum())
             u_values[i] = 0.0 if w < 0.0 else w
     return seeds, q_values, u_values
+
+
+def loop_lossy_density(params):
+    """Lossy-probe density matrix, as a raw array, built entry by entry:
+    the coherent pair at index (dim_b, n) and one binomial loss weight per
+    k < n on the diagonal. The reference for the table-based builder."""
+    n = params.n
+    dim_b = n + 1
+    tt = abs(params.t) ** 2
+    rr = abs(params.r) ** 2
+    v = np.zeros(2 * dim_b, dtype=complex)
+    v[dim_b] = 1.0
+    v[n] = (params.t ** n) * np.exp(1j * n * params.phi)
+    rho = 0.5 * np.outer(v, v.conj())
+    for k in range(n):
+        rho[k, k] += 0.5 * float(comb(n, k)) * (tt ** k) * (rr ** (n - k))
+    return rho
+
+
+def loop_eigenvalues(params):
+    """Coherent eigenvalue (1 + T^n)/2 and the n loss weights, descending,
+    one weight per loop pass."""
+    n = params.n
+    tt = abs(params.t) ** 2
+    rr = abs(params.r) ** 2
+    vals = [0.5 * (1.0 + tt ** n)]
+    vals += [0.5 * float(comb(n, k)) * (tt ** k) * (rr ** (n - k)) for k in range(n)]
+    return np.sort(np.asarray(vals, dtype=float))[::-1]
+
+
+def loop_tripartite(params):
+    """Purified lossy amplitudes (2, n+1, n+1), one complex amplitude
+    sqrt(C(n,k)) t^k r^(n-k) e^(i k phi) / sqrt(2) per loop pass."""
+    n = params.n
+    amp = np.zeros((2, n + 1, n + 1), dtype=complex)
+    amp[1, 0, 0] = 1.0 / np.sqrt(2.0)
+    for k in range(n + 1):
+        amp[0, k, n - k] = (
+            np.exp(1j * k * params.phi)
+            * np.sqrt(float(comb(n, k))) * (params.t ** k) * (params.r ** (n - k))
+            / np.sqrt(2.0)
+        )
+    return amp
+
+
+def loop_qfi_spectral(params):
+    """Spectral Fisher information with the coherent vector and its phase
+    derivative written index by index: |n>_A|0>_B at dim_b, |0>_A|n>_B at n."""
+    n = params.n
+    dim_b = n + 1
+    c = (params.t ** n) * np.exp(1j * n * params.phi)
+    v = np.zeros(2 * dim_b, dtype=complex)
+    v[dim_b] = 1.0
+    v[n] = c
+    norm2 = np.vdot(v, v).real
+    lam1 = float(loop_eigenvalues(params)[0])
+    u = v / np.sqrt(norm2)
+    du = np.zeros_like(v)
+    du[n] = 1j * n * c / np.sqrt(norm2)
+    overlap = np.vdot(u, du)
+    f1 = 4.0 * (np.vdot(du, du).real - abs(overlap) ** 2)
+    return lam1 * float(f1)
+
+
+def loop_partial_trace(m, dims, keep):
+    """Partial trace by one np.trace per traced subsystem, last first, then
+    a transpose of the kept subsystems into the requested order."""
+    n = len(dims)
+    t = np.asarray(m).reshape(tuple(dims) * 2)
+    for k in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=k, axis2=k + t.ndim // 2)
+    kept = sorted(keep)
+    perm = [kept.index(k) for k in keep]
+    t = t.transpose(perm + [p + len(kept) for p in perm])
+    d = int(np.prod([dims[k] for k in keep]))
+    return t.reshape(d, d)

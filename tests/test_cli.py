@@ -149,6 +149,18 @@ class TestQfiCommand:
         assert err == "error: grid must be >= 0, got -1\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("grid", [[], ["--grid", "3"]])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_is_invalid_input(self, capsys, tmp_path, grid, tol):
+        path = tmp_path / "sweep.csv"
+        code, out, err = invoke(
+            capsys, "qfi", "--noon", "N=2", "t2=0.5", "--tol", tol, *grid, "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite and >= 0")
+        assert not path.exists()
+
     def test_grid_agrees_with_fig4_and_identity_check(self, capsys, tmp_path):
         n, points = 3, 11
         grid = np.linspace(0.0, 1.0, points)
@@ -242,6 +254,17 @@ class TestFigureCommands:
         code, _, err = invoke(capsys, "fig4", "--N", "2", "--grid", "-3", "--out", str(path))
         assert code == 2
         assert err == "error: grid must be >= 0, got -3\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_fig4_bad_tolerance_is_invalid_input(self, capsys, tmp_path, tol):
+        path = tmp_path / "fig4.csv"
+        code, out, err = invoke(
+            capsys, "fig4", "--N", "2", "--grid", "5", "--tol", tol, "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite and >= 0")
         assert not path.exists()
 
     def test_fig4_single_photon_flags_failure(self, capsys, tmp_path):

@@ -70,6 +70,13 @@ class TestVonNeumannBasis:
         with pytest.raises(InvalidInputError, match="not unitary"):
             qd.VonNeumannBasis(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(InvalidInputError, match="basis contains non-finite"):
+            qd.VonNeumannBasis(u)
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             qd.VonNeumannBasis(np.ones((2, 3)))

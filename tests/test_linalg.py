@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qdiscord.linalg import (
     require_hermitian,
 )
 
-from helpers import loop_haar_unitary, random_density_array
+from helpers import loop_haar_unitary, loop_partial_trace, random_density_array
 
 
 class TestHermitianEig:
@@ -124,6 +126,18 @@ class TestPartialTrace:
         swapped = qd.partial_trace(full, (2, 3), (1, 0))
         assert np.allclose(swapped, np.kron(rb, ra), atol=1e-12)
 
+    def test_every_keep_order_matches_loop_reference(self):
+        rng = np.random.default_rng(10)
+        for dims in ((2, 3), (2, 3, 2), (2, 1, 3, 2)):
+            d = int(np.prod(dims))
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for r in range(len(dims) + 1):
+                for keep in permutations(range(len(dims)), r):
+                    out = qd.partial_trace(m, dims, keep)
+                    ref = loop_partial_trace(m, dims, keep)
+                    assert out.shape == ref.shape
+                    assert np.allclose(out, ref, rtol=0.0, atol=1e-13), (dims, keep)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             qd.partial_trace(np.eye(5), (2, 3), 0)
@@ -194,13 +208,11 @@ class TestHaarUnitary:
         assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
 
     def test_first_entry_moment(self):
-        # E|U_00|^2 = 1/dim under the Haar measure.
-        rng = np.random.default_rng(16)
-        acc = 0.0
+        # E|U_00|^2 = 1/dim under the Haar measure. One generator repeated
+        # n times reads the same stream as n haar_unitary calls on it.
         n = 100_000
-        for _ in range(n):
-            acc += abs(qd.haar_unitary(2, rng)[0, 0]) ** 2
-        assert abs(acc / n - 0.5) < 0.01
+        u = _haar_stack(2, [np.random.default_rng(16)] * n)
+        assert abs(np.mean(np.abs(u[:, 0, 0]) ** 2) - 0.5) < 0.01
 
     def test_deterministic_given_seed(self):
         u1 = qd.haar_unitary(3, np.random.default_rng(17))

@@ -9,6 +9,7 @@ from qdiscord.errors import InvalidInputError
 from helpers import (
     bell_state,
     classical_quantum_state,
+    loop_qfi_spectral,
     noon_family,
     noon_state,
     single_photon_lqu,
@@ -46,6 +47,17 @@ class TestClosedForms:
                 closed = qd.qfi_noon_closed(params)
                 spectral = qd.qfi_noon_spectral(params)
                 assert abs(closed - spectral) < 1e-10
+
+    def test_spectral_route_equals_loop_reference(self):
+        points = [qd.NoonChannelParams(3, 0.6 * np.exp(0.4j), 0.8 * np.exp(-1.1j), 0.25)]
+        points += [
+            qd.NoonChannelParams.from_transmittance(n, float(t2), phi)
+            for n in (1, 2, 5, 13, 40, 200)
+            for t2 in np.linspace(0.0, 1.0, 11)
+            for phi in (0.0, 0.3, -2.1)
+        ]
+        for params in points:
+            assert qd.qfi_noon_spectral(params) == loop_qfi_spectral(params), params
 
     def test_qubit_uncertainty_closed_form_from_two_photons_up(self):
         for n in range(2, 11):
@@ -220,6 +232,12 @@ class TestIdentityCheck:
         row = report.rows[0]
         assert abs(row.qfi - 2.0) < 1e-12
         assert abs(row.qfi - row.discord * 9.0) < 1e-9
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(InvalidInputError, match="tolerance"):
+            qd.qfi_discord_identity_check([2], [0.5], tol=tol)
+        assert qd.qfi_discord_identity_check([2], [0.5], tol=0.0).tolerance == 0.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError):

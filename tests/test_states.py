@@ -6,7 +6,23 @@ import pytest
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
 
-from helpers import bell_state, random_pure
+from helpers import (
+    bell_state,
+    loop_eigenvalues,
+    loop_lossy_density,
+    loop_tripartite,
+    random_pure,
+)
+
+#: Probe parameters on which the loss-table builders are compared with the
+#: per-k loop references; the first has complex t and r, whose phases the
+#: amplitudes carry.
+PROBE_POINTS = [qd.NoonChannelParams(3, 0.6 * np.exp(0.4j), 0.8 * np.exp(-1.1j), 0.25)] + [
+    qd.NoonChannelParams.from_transmittance(n, float(t2), phi)
+    for n in (1, 2, 3, 4, 7, 12, 30, 64)
+    for t2 in np.linspace(0.0, 1.0, 11)
+    for phi in (0.0, 0.3, -2.1)
+]
 
 
 class TestPureBipartiteState:
@@ -209,6 +225,11 @@ class TestNoonTripartite:
             amp = qd.noon_tripartite(p)
             assert abs(np.linalg.norm(amp.reshape(-1)) - 1.0) < 1e-12
 
+    def test_matches_loop_reference(self):
+        for params in PROBE_POINTS:
+            dev = np.max(np.abs(qd.noon_tripartite(params) - loop_tripartite(params)))
+            assert dev < 1e-15, params
+
 
 class TestNoonLossyDensity:
     def test_lossless_is_pure(self):
@@ -253,6 +274,12 @@ class TestNoonLossyDensity:
             params, rho = noon(n, t2)
             lam = qd.noon_eigenvalues(params)
             assert abs(rho.purity() - np.sum(lam ** 2)) < 1e-12
+
+    def test_density_and_eigenvalues_equal_loop_reference(self):
+        for params in PROBE_POINTS:
+            rho = qd.noon_lossy_density(params).matrix
+            assert np.array_equal(rho, loop_lossy_density(params)), params
+            assert np.array_equal(qd.noon_eigenvalues(params), loop_eigenvalues(params)), params
 
     def test_large_photon_number_is_invalid_input(self):
         # C(n, n/2) passes the largest double from n = 1030 on
