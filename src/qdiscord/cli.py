@@ -70,8 +70,11 @@ def _parse_noon(tokens) -> NoonChannelParams:
     for key in ("N", "t2"):
         if key not in seen:
             raise InvalidInputError(f"--noon needs {key}=...")
-    try:
+    try:  # count text is an integer literal, as for argparse type=int
         n = int(seen["N"])
+    except ValueError:
+        raise InvalidInputError(f"N must be an integer, got '{seen['N']}'") from None
+    try:
         t2 = float(seen["t2"])
         phi = float(seen.get("phi", 0.0))
     except ValueError as exc:

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .linalg import (
     _haar_stack,
+    _seeded_normals,
     as_count,
     as_matrix,
     haar_unitary,
@@ -149,6 +150,8 @@ class VonNeumannBasis:
 
     def __post_init__(self):
         u = as_matrix(self.unitary, "basis")
+        if u.size == 0:
+            raise InvalidInputError("basis must be at least 1 x 1")
         dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
         if not dev <= UNITARITY_TOL:
             raise InvalidInputError(
@@ -183,6 +186,9 @@ class VonNeumannBasis:
 
         This is the inverse of the seed bookkeeping in the scan routines: a
         recorded seed rebuilds exactly the basis that produced a scan row.
+        It is also the reference definition of that basis: the scan seeds
+        its draws without building this per-seed generator, and the tests
+        hold it bitwise to this one.
         """
         return cls(haar_unitary(dim, np.random.default_rng(as_count(seed, "seed", 0))))
 
@@ -434,7 +440,8 @@ def geometric_discord_qubit(rho) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: Bases per batch of a scan: one QR and one contraction with T per chunk.
+#: Bases per batch of a scan: one seed-hash pass, one QR and one
+#: contraction with T per chunk.
 #: Larger chunks run no faster and grow the k x dim_a^4 intermediate.
 _SCAN_CHUNK = 256
 
@@ -524,8 +531,8 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     u_values = np.empty(samples) if gaps is not None else None
     for start in range(0, samples, _SCAN_CHUNK):
         chunk = slice(start, start + _SCAN_CHUNK)
-        rngs = [np.random.default_rng(seed) for seed in seeds[chunk].tolist()]
-        v = _pair_trace_matrix(t, _haar_stack(rho.dim_a, rngs))
+        draws = _seeded_normals(seeds[chunk], (2, rho.dim_a, rho.dim_a))
+        v = _pair_trace_matrix(t, _haar_stack(draws))
         q_values[chunk] = v.sum(axis=(1, 2))
         if gaps is not None:
             u_values[chunk] = 0.5 * (gaps * v).sum(axis=(1, 2))

@@ -94,6 +94,13 @@ class TestDiscordCommand:
         assert out == ""
         assert err.startswith("error: photon number 1100 is too large")
 
+    @pytest.mark.parametrize("text", ["2.0", "2.5"])
+    def test_photon_number_must_be_an_integer_literal(self, capsys, text):
+        code, out, err = invoke(capsys, "discord", "--noon", f"N={text}", "t2=0.5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: N must be an integer, got '{text}'\n"
+
     def test_sources_are_mutually_exclusive(self, bell_file):
         with pytest.raises(SystemExit):
             main(["discord", "--noon", "N=2", "t2=0.5", "--file", bell_file])

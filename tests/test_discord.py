@@ -81,6 +81,10 @@ class TestVonNeumannBasis:
         with pytest.raises(DimensionMismatchError):
             qd.VonNeumannBasis(np.ones((2, 3)))
 
+    def test_rejects_empty_basis(self):
+        with pytest.raises(InvalidInputError, match="basis must be at least 1 x 1"):
+            qd.VonNeumannBasis(np.zeros((0, 0)))
+
     def test_projectors_resolve_identity(self):
         b = qd.VonNeumannBasis.from_seed(4, 99)
         total = sum(b.projector(j) for j in range(4))

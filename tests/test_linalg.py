@@ -12,6 +12,8 @@ from qdiscord.errors import (
 )
 from qdiscord.linalg import (
     _haar_stack,
+    _pcg64_states,
+    _seeded_normals,
     as_count,
     as_matrix,
     hermiticity_deviation,
@@ -208,10 +210,10 @@ class TestHaarUnitary:
         assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
 
     def test_first_entry_moment(self):
-        # E|U_00|^2 = 1/dim under the Haar measure. One generator repeated
-        # n times reads the same stream as n haar_unitary calls on it.
+        # E|U_00|^2 = 1/dim under the Haar measure. One (n, 2, 2, 2) draw
+        # reads the same stream as n haar_unitary calls on the generator.
         n = 100_000
-        u = _haar_stack(2, [np.random.default_rng(16)] * n)
+        u = _haar_stack(np.random.default_rng(16).standard_normal((n, 2, 2, 2)))
         assert abs(np.mean(np.abs(u[:, 0, 0]) ** 2) - 0.5) < 0.01
 
     def test_deterministic_given_seed(self):
@@ -222,7 +224,7 @@ class TestHaarUnitary:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_stack_equals_per_seed_bases(self, dim):
         seeds = qd.derive_child_seeds(19, 300).tolist()
-        stack = _haar_stack(dim, [np.random.default_rng(seed) for seed in seeds])
+        stack = _haar_stack(_seeded_normals(seeds, (2, dim, dim)))
         assert stack.shape == (300, dim, dim)
         for seed, u in zip(seeds, stack):
             assert np.array_equal(u, qd.VonNeumannBasis.from_seed(dim, seed).unitary)
@@ -232,6 +234,32 @@ class TestHaarUnitary:
         for dim in (0, 2.5, True, "2"):
             with pytest.raises(InvalidInputError, match="dimension"):
                 qd.haar_unitary(dim, np.random.default_rng(18))
+
+
+# Seeds at the word boundaries of the SeedSequence hash.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestSeededNormals:
+    def test_states_equal_default_rng(self):
+        children = qd.derive_child_seeds(23, 2000)  # uint64, as the scan passes them
+        for seeds in (EDGE_SEEDS, children):
+            expected = [np.random.default_rng(s).bit_generator.state for s in seeds]
+            assert _pcg64_states(seeds) == expected
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_draws_equal_per_seed_generators(self, dim):
+        seeds = EDGE_SEEDS + qd.derive_child_seeds(29, 200).tolist()
+        draws = _seeded_normals(seeds, (2, dim, dim))
+        assert draws.shape == (len(seeds), 2, dim, dim)
+        for seed, draw in zip(seeds, draws):
+            assert np.array_equal(draw, np.random.default_rng(seed).standard_normal((2, dim, dim)))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_from_seed_rebuilds_edge_seed_bases(self, dim):
+        stack = _haar_stack(_seeded_normals(EDGE_SEEDS, (2, dim, dim)))
+        for seed, u in zip(EDGE_SEEDS, stack):
+            assert np.array_equal(u, qd.VonNeumannBasis.from_seed(dim, seed).unitary)
 
 
 class TestAsCount:
