@@ -31,7 +31,6 @@ from .linalg import (
     as_matrix,
     haar_unitary,
     hermitian_eig,
-    psd_sqrt,
     require_hermitian,
 )
 from .states import (
@@ -203,8 +202,7 @@ def _require_state(rho) -> DensityMatrix:
 
 def _sqrt_blocks(rho: DensityMatrix) -> np.ndarray:
     """sqrt(rho) reshaped to (dim_a, dim_b, dim_a, dim_b)."""
-    s = psd_sqrt(rho.matrix, "rho")
-    return s.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    return rho.sqrt.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
 
 
 def _block_traces(rho: DensityMatrix) -> np.ndarray:
@@ -259,7 +257,7 @@ def skew_information(rho, observable) -> float:
         raise DimensionMismatchError(
             f"observable dimension {m.shape[0]} does not match state dimension {rho.dim}"
         )
-    s = psd_sqrt(rho.matrix, "rho")
+    s = rho.sqrt
     sm = s @ m
     val = np.trace(rho.matrix @ m @ m).real - np.trace(sm @ sm).real
     return _clamp_uncertainty(float(val), "skew information")

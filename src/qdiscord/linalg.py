@@ -107,24 +107,29 @@ def hermitian_eig(m, name: str = "matrix") -> HermitianEig:
     return HermitianEig(w, v)
 
 
-def psd_sqrt(m, name: str = "matrix") -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix.
+def _psd_root(eig: HermitianEig, name: str) -> np.ndarray:
+    """V sqrt(W) V^dagger from an eigendecomposition, clamping roundoff.
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; a value below -PSD_TOL
     raises :class:`NotPSDError`. Tiny positive eigenvalues below
     ``ZERO_EIGENVALUE_CUTOFF`` relative to the largest one are also clamped,
-    see the constant's note. The result S satisfies S @ S = m to
-    RECONSTRUCT_TOL in relative Frobenius norm.
+    see the constant's note. An empty spectrum gives the 0 x 0 root.
     """
-    w, v = hermitian_eig(m, name=name)
-    lo = float(w[0])
+    w, v = eig
+    lo = float(w.min(initial=0.0))
     if lo < -PSD_TOL:
         raise NotPSDError(
             f"{name} is not positive semidefinite: min eigenvalue {lo:.3e}"
         )
-    cut = ZERO_EIGENVALUE_CUTOFF * max(float(w[-1]), 0.0)
-    w = np.where(w < cut, 0.0, w)
+    w = np.where(w < ZERO_EIGENVALUE_CUTOFF * float(w.max(initial=0.0)), 0.0, w)
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def psd_sqrt(m, name: str = "matrix") -> np.ndarray:
+    """Principal square root S of a raw PSD Hermitian array, clamped as in
+    :func:`_psd_root`; S @ S = m to RECONSTRUCT_TOL in relative Frobenius
+    norm. A DensityMatrix carries its own root as ``sqrt``."""
+    return _psd_root(hermitian_eig(m, name=name), name)
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

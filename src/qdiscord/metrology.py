@@ -77,57 +77,43 @@ def lqu_noon_closed(params: NoonChannelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _density_array(x, name: str) -> np.ndarray:
+def _density_root(x, name: str) -> np.ndarray:
+    """sqrt of a fidelity input: a DensityMatrix's own root, or the root of
+    a raw array with unit trace to _FIDELITY_TRACE_TOL."""
     if isinstance(x, DensityMatrix):
-        return x.matrix
+        return x.sqrt
     arr = as_matrix(x, name)
     tr = float(np.trace(arr).real)
     if abs(tr - 1.0) > _FIDELITY_TRACE_TOL:
         raise InvalidInputError(f"{name} must have unit trace, got {tr:.12g}")
-    return arr
+    return psd_sqrt(arr, name)
 
 
-def _sqrt_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """sqrt of the Uhlmann fidelity, as the nuclear norm of sqrt(a) sqrt(b).
+def _uhlmann_overlap(sa: np.ndarray, sb: np.ndarray) -> tuple:
+    """(sqrt F, D^2) of two states from their roots, by one SVD.
 
-    The nuclear-norm form resolves small singular values at absolute
-    machine precision, unlike eigenvalues of sqrt(a) b sqrt(a), whose
-    squaring floors small weights at sqrt(eps). Identical inputs
-    short-circuit to exactly 1, which keeps finite differences of constant
-    families at exactly zero instead of a one-ulp artifact. Values a few
-    ulps above 1 are clamped down to 1.
+    With sqrt(b) sqrt(a) = U Sigma V^dagger, sqrt F = Tr Sigma, the nuclear
+    norm, which resolves small singular values at absolute machine
+    precision, unlike eigenvalues of sqrt(a) b sqrt(a), whose squaring
+    floors small weights at sqrt(eps); values a few ulps above 1 are
+    clamped down to 1. The squared Bures distance 2 (1 - sqrt F) is taken
+    as D^2 = ||sqrt(a) - sqrt(b) W||_F^2 with W = U V^dagger the polar
+    factor (Uhlmann's optimal purification overlap): the Frobenius norm sums
+    the differences themselves, so D^2 keeps its relative precision when
+    sqrt F rounds to 1. Identical roots short-circuit to exactly (1, 0),
+    which keeps finite differences of constant families at exactly zero.
     """
-    if a is b or np.array_equal(a, b):
-        return 1.0
-    sa = psd_sqrt(a, "rho")
-    sb = psd_sqrt(b, "sigma")
-    nuclear = float(np.linalg.svd(sa @ sb, compute_uv=False).sum())
-    return min(nuclear, 1.0)
+    if sa is sb or np.array_equal(sa, sb):
+        return 1.0, 0.0
+    u, sigma, vh = np.linalg.svd(sb @ sa)
+    diff = sa - sb @ (u @ vh)
+    return min(float(sigma.sum()), 1.0), float(np.vdot(diff, diff).real)
 
 
 def uhlmann_fidelity(rho, sigma) -> float:
     """Uhlmann fidelity F(rho, sigma) = (Tr |sqrt(rho) sqrt(sigma)|)^2 in [0, 1]."""
-    a = _density_array(rho, "rho")
-    b = _density_array(sigma, "sigma")
-    return _sqrt_fidelity(a, b) ** 2
-
-
-def _bures_distance_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Bures distance D^2 = 2 (1 - sqrt(F)), without subtracting from 1.
-
-    D^2 = ||sqrt(a) - sqrt(b) W||_F^2 with W = U V^dagger the unitary polar
-    factor of sqrt(b) sqrt(a) = U Sigma V^dagger (Uhlmann's optimal
-    purification overlap). The Frobenius norm sums the differences
-    themselves, so D^2 keeps its relative precision when sqrt(F) rounds
-    to 1. Identical inputs short-circuit to exactly 0.
-    """
-    if a is b or np.array_equal(a, b):
-        return 0.0
-    sa = psd_sqrt(a, "rho")
-    sb = psd_sqrt(b, "sigma")
-    u, _, vh = np.linalg.svd(sb @ sa)
-    diff = sa - sb @ (u @ vh)
-    return float(np.vdot(diff, diff).real)
+    root_f, _ = _uhlmann_overlap(_density_root(rho, "rho"), _density_root(sigma, "sigma"))
+    return root_f ** 2
 
 
 def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> float:
@@ -146,9 +132,9 @@ def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> 
     if not 0.0 < delta <= 0.1:
         raise InvalidInputError(f"delta must lie in (0, 0.1], got {delta}")
     phi = float(phi)
-    a = _density_array(rho_of_phi(phi), "rho(phi)")
-    b = _density_array(rho_of_phi(phi + delta), "rho(phi + delta)")
-    return 4.0 * _bures_distance_sq(a, b) / (delta * delta)
+    sa = _density_root(rho_of_phi(phi), "rho(phi)")
+    sb = _density_root(rho_of_phi(phi + delta), "rho(phi + delta)")
+    return 4.0 * _uhlmann_overlap(sa, sb)[1] / (delta * delta)
 
 
 def negativity(rho: DensityMatrix, subsystem: int = 0) -> float:

@@ -7,7 +7,7 @@ The density-matrix JSON interchange format is
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import comb, sqrt
 
 import numpy as np
@@ -16,8 +16,11 @@ from .errors import DimensionMismatchError, InvalidInputError
 from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
+    HermitianEig,
+    _psd_root,
     as_count,
     as_matrix,
+    hermitian_eig,
     hermiticity_deviation,
     partial_trace,
 )
@@ -164,6 +167,7 @@ class StateReport:
     trace: float
     min_eigenvalue: float
     violations: tuple = ()
+    eig: HermitianEig = field(default=None, repr=False, compare=False)  # of (m + m^dagger) / 2
 
     @property
     def ok(self) -> bool:
@@ -190,11 +194,11 @@ def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         violations.append(f"trace violated: trace = {tr:.12g}")
-    herm = 0.5 * (m + m.conj().T)
-    lo = float(np.linalg.eigvalsh(herm)[0])
+    eig = hermitian_eig(0.5 * (m + m.conj().T), "density matrix")
+    lo = float(eig.eigenvalues[0])
     if lo < -PSD_TOL:
         violations.append(f"PSD violated: min eigenvalue {lo:.12g}")
-    return StateReport(dim_a, dim_b, dev, tr, lo, tuple(violations))
+    return StateReport(dim_a, dim_b, dev, tr, lo, tuple(violations), eig)
 
 
 @dataclass(frozen=True)
@@ -203,12 +207,16 @@ class DensityMatrix:
 
     Construction rejects anything that is not Hermitian, unit trace, and
     positive semidefinite (eigenvalues in [-PSD_TOL, 0) are accepted as
-    roundoff). The stored array is read-only.
+    roundoff). ``matrix`` is stored as given; ``sqrt`` is the principal
+    root of its Hermitian part, built from the one eigendecomposition the
+    positivity check made, so every measure of the state reads the root
+    that check accepted. Both arrays are read-only.
     """
 
     matrix: np.ndarray
     dim_a: int
     dim_b: int
+    sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         report = validation_report(self.matrix, self.dim_a, self.dim_b)
@@ -217,6 +225,7 @@ class DensityMatrix:
         object.__setattr__(self, "dim_a", report.dim_a)
         object.__setattr__(self, "dim_b", report.dim_b)
         object.__setattr__(self, "matrix", _readonly(self.matrix))
+        object.__setattr__(self, "sqrt", _readonly(_psd_root(report.eig, "density matrix")))
 
     @property
     def dim(self) -> int:

@@ -359,6 +359,18 @@ class TestQubitClosedForms:
             lqu = qd.local_quantum_uncertainty(rho)
             assert 0.0 <= lqu <= 1.0 + 1e-12
 
+    def test_one_state_size_eigendecomposition(self, monkeypatch):
+        # The state's positivity check and every root read one eigh.
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append("eigvalsh"))
+        params = qd.NoonChannelParams.from_transmittance(4, 0.6)
+        rho = qd.noon_lossy_density(params)
+        qd.local_quantum_uncertainty(rho)
+        assert "eigvalsh" not in calls
+        assert calls.count((rho.dim, rho.dim)) == 1
+
     def test_requires_qubit_side(self):
         rng = np.random.default_rng(49)
         with pytest.raises(DimensionMismatchError):

@@ -86,6 +86,10 @@ class TestPsdSqrt:
         with pytest.raises(NotPSDError):
             qd.psd_sqrt(np.diag([1.0, -1e-9]))
 
+    def test_empty_matrix_gives_empty_root(self):
+        s = qd.psd_sqrt(np.zeros((0, 0)))
+        assert s.shape == (0, 0)
+
 
 class TestPartialTrace:
     def test_product_state_factorizes(self):

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from math import sqrt
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import (
     loop_eigenvalues,
     loop_lossy_density,
     loop_tripartite,
+    noon_state,
     random_pure,
 )
 
@@ -134,6 +136,23 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 
+    def test_sqrt_is_read_only_psd_sqrt_of_matrix(self):
+        # Real t makes the probe exactly Hermitian, so the root of its
+        # Hermitian part is bitwise the root of the matrix as given.
+        _, rho = noon_state(6, 0.7)
+        assert rho.sqrt.tobytes() == qd.psd_sqrt(rho.matrix).tobytes()
+        with pytest.raises(ValueError):
+            rho.sqrt[0, 0] = 2.0
+        with pytest.raises(FrozenInstanceError):
+            rho.sqrt = np.eye(rho.dim)
+
+    def test_matrix_is_kept_as_given(self):
+        m = np.array([[0.5, 0.5 + 4.1e-11], [0.5 + 1.39e-10, 0.5]])
+        rho = qd.DensityMatrix(m, 2, 1)
+        assert rho.matrix.tobytes() == m.astype(complex).tobytes()
+        herm = 0.5 * (m + m.T)
+        assert np.allclose(rho.sqrt @ rho.sqrt, herm, rtol=0.0, atol=1e-9)
+
     def test_reduced(self):
         rho = bell_state()
         assert np.allclose(rho.reduced(0), np.eye(2) / 2, atol=1e-12)
@@ -161,6 +180,13 @@ class TestValidationReport:
     def test_shape_errors_raise(self):
         with pytest.raises(DimensionMismatchError):
             qd.validation_report(np.eye(4) / 4, 2, 3)
+
+    def test_min_eigenvalue_is_of_the_hermitian_part(self):
+        m = np.array([[0.5, 0.5 + 4.1e-11], [0.5 + 1.39e-10, 0.5]])
+        report = qd.validation_report(m, 2, 1)
+        assert report.ok
+        assert report.min_eigenvalue == report.eig.eigenvalues[0]
+        assert abs(report.min_eigenvalue + 9.0e-11) < 1e-12
 
 
 class TestNoonChannelParams:
