@@ -200,11 +200,6 @@ def _require_state(rho) -> DensityMatrix:
     return rho
 
 
-def _sqrt_blocks(rho: DensityMatrix) -> np.ndarray:
-    """sqrt(rho) reshaped to (dim_a, dim_b, dim_a, dim_b)."""
-    return rho.sqrt.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-
-
 def _block_traces(rho: DensityMatrix) -> np.ndarray:
     """T[a, b, c, d] = Tr_B(S_ab S_cd) over the B-space blocks S_ab of sqrt(rho).
 
@@ -212,7 +207,7 @@ def _block_traces(rho: DensityMatrix) -> np.ndarray:
     matrix) is a contraction of T with operators on A alone, so B is traced
     out once per state, at O(dim_a^4 dim_b^2).
     """
-    s4 = _sqrt_blocks(rho)
+    s4 = rho.sqrt.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
     return np.tensordot(s4, s4, axes=([1, 3], [3, 1]))
 
 
@@ -250,6 +245,8 @@ def skew_information(rho, observable) -> float:
 
     Defined as Tr(rho M^2) - Tr(sqrt(rho) M sqrt(rho) M); zero exactly when
     the observable commutes with the state, and bounded by the variance.
+    Both terms read rho as sqrt(rho)^2, so the value is computed as
+    ||[sqrt(rho), M]||_F^2 / 2 and is >= 0 for every validated state.
     """
     rho = _require_state(rho)
     m = require_hermitian(observable, name="observable")
@@ -257,10 +254,9 @@ def skew_information(rho, observable) -> float:
         raise DimensionMismatchError(
             f"observable dimension {m.shape[0]} does not match state dimension {rho.dim}"
         )
-    s = rho.sqrt
-    sm = s @ m
-    val = np.trace(rho.matrix @ m @ m).real - np.trace(sm @ sm).real
-    return _clamp_uncertainty(float(val), "skew information")
+    sm = rho.sqrt @ m
+    c = sm - sm.conj().T  # [sqrt(rho), M], as M sqrt(rho) = (sqrt(rho) M)^dagger
+    return _clamp_uncertainty(0.5 * float(np.vdot(c, c).real), "skew information")
 
 
 def uncertainty_term(rho, basis: VonNeumannBasis, j: int, k: int) -> float:
@@ -268,7 +264,8 @@ def uncertainty_term(rho, basis: VonNeumannBasis, j: int, k: int) -> float:
 
     For j != k this is Tr_B[B_jk B_kj] with B_jk = <u_j|sqrt(rho)|u_k>.
     For j == k it is the per-projector quantity
-    Tr_B[<u_j|rho|u_j> - B_jj^2], which for a two-dimensional A equals the
+    Tr_B[<u_j|rho|u_j> - B_jj^2], with rho read as sqrt(rho)^2 like the
+    skew information, which for a two-dimensional A equals the
     off-diagonal term; that identity is what makes Q basis-block
     computable.
     """
@@ -278,7 +275,7 @@ def uncertainty_term(rho, basis: VonNeumannBasis, j: int, k: int) -> float:
     for idx in (j, k):
         if not 0 <= idx < da:
             raise IndexError(f"direction index {idx} out of range for dim_a = {da}")
-    s4 = _sqrt_blocks(rho)
+    s4 = rho.sqrt.reshape(da, db, da, db)
     uj = basis.unitary[:, j]
     uk = basis.unitary[:, k]
     b_jk = np.einsum("a,abcd,c->bd", uj.conj(), s4, uk)
@@ -286,7 +283,7 @@ def uncertainty_term(rho, basis: VonNeumannBasis, j: int, k: int) -> float:
         b_kj = np.einsum("a,abcd,c->bd", uk.conj(), s4, uj)
         val = np.trace(b_jk @ b_kj).real
     else:
-        r4 = rho.matrix.reshape(da, db, da, db)
+        r4 = (rho.sqrt @ rho.sqrt).reshape(da, db, da, db)
         rho_jj = np.einsum("a,abcd,c->bd", uj.conj(), r4, uj)
         val = np.trace(rho_jj - b_jk @ b_jk).real
     return _clamp_uncertainty(float(val), "uncertainty term")
@@ -398,28 +395,26 @@ def min_uncertainty_assignment(state, spectrum) -> AssignmentResult:
 # ---------------------------------------------------------------------------
 
 
-def _correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 real symmetric matrix Tr[sqrt(rho) (s_i x I) sqrt(rho) (s_j x I)]
-    over the Pauli operators on A, as W_ij = sum s_i[b,c] s_j[d,a] T_abcd
-    from the block traces T."""
-    w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, _block_traces(rho)).real
-    return 0.5 * (w + w.T)
-
-
 def local_quantum_uncertainty(rho) -> float:
     """Minimal observable uncertainty on a qubit A with a +/-1 spectrum.
 
-    Closed form: 1 - (largest eigenvalue of the 3x3 Pauli correlation
-    matrix). Only defined for dim_a = 2, where the measured observable is a
-    unit Bloch direction and the minimization is exact.
+    Closed form: Tr(sqrt(rho) sqrt(rho)) minus the largest eigenvalue of the
+    3x3 real symmetric Pauli correlation matrix
+    W_ij = Tr[sqrt(rho) (s_i x I) sqrt(rho) (s_j x I)], the skew information
+    of the best unit Bloch direction. From the block traces T, the trace is
+    sum T_abba and W_ij = sum s_i[b,c] s_j[d,a] T_abcd. Only defined for
+    dim_a = 2, where the minimization is exact.
     """
     rho = _require_state(rho)
     if rho.dim_a != 2:
         raise DimensionMismatchError(
             f"closed form requires dim_a = 2, got dim_a = {rho.dim_a}"
         )
-    w = hermitian_eig(_correlation_matrix(rho), "correlation matrix").eigenvalues
-    return _clamp_uncertainty(float(1.0 - w[-1]), "local quantum uncertainty")
+    t = _block_traces(rho)
+    w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, t).real
+    top = hermitian_eig(0.5 * (w + w.T), "correlation matrix").eigenvalues[-1]
+    val = float(np.einsum("abba->", t).real - top)
+    return _clamp_uncertainty(val, "local quantum uncertainty")
 
 
 def geometric_discord_qubit(rho) -> float:

@@ -138,10 +138,15 @@ def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> 
 
 
 def negativity(rho: DensityMatrix, subsystem: int = 0) -> float:
-    """Entanglement negativity, (||partial transpose||_1 - 1) / 2."""
+    """Entanglement negativity, (||partial transpose||_1 - Tr rho) / 2.
+
+    The state's own trace, not 1, so a trace within TRACE_TOL of 1 never
+    pushes the value below zero: ||X||_1 >= |Tr X| for every matrix X.
+    """
     rho = _require_state(rho)
     pt = partial_transpose(rho.matrix, (rho.dim_a, rho.dim_b), subsystem)
-    return _clamp_uncertainty(0.5 * (trace_norm(pt) - 1.0), "negativity")
+    val = 0.5 * (trace_norm(pt) - np.trace(rho.matrix).real)
+    return _clamp_uncertainty(val, "negativity")
 
 
 # ---------------------------------------------------------------------------
