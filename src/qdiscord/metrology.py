@@ -90,18 +90,15 @@ def _density_root(x, name: str) -> np.ndarray:
 
 
 def _uhlmann_overlap(sa: np.ndarray, sb: np.ndarray) -> tuple:
-    """(sqrt F, D^2) of two states from their roots, by one SVD.
+    """(sqrt F, D^2) of two states from their roots sa, sb, by one SVD
+    sb sa = U Sigma V^dagger.
 
-    With sqrt(b) sqrt(a) = U Sigma V^dagger, sqrt F = Tr Sigma, the nuclear
-    norm, which resolves small singular values at absolute machine
-    precision, unlike eigenvalues of sqrt(a) b sqrt(a), whose squaring
-    floors small weights at sqrt(eps); values a few ulps above 1 are
-    clamped down to 1. The squared Bures distance 2 (1 - sqrt F) is taken
-    as D^2 = ||sqrt(a) - sqrt(b) W||_F^2 with W = U V^dagger the polar
-    factor (Uhlmann's optimal purification overlap): the Frobenius norm sums
-    the differences themselves, so D^2 keeps its relative precision when
-    sqrt F rounds to 1. Identical roots short-circuit to exactly (1, 0),
-    which keeps finite differences of constant families at exactly zero.
+    sqrt F = Tr Sigma, clamped to 1, resolves small singular values at
+    machine precision, where eigenvalues of sa sb^2 sa floor them at sqrt(eps).
+    The squared Bures distance 2 (1 - sqrt F) is ||sa - sb W||_F^2 with the
+    polar factor W = U V^dagger (Uhlmann's optimal purification overlap),
+    which keeps its relative precision when sqrt F rounds to 1. Identical
+    roots give exactly (1, 0), so constant families difference to zero.
     """
     if sa is sb or np.array_equal(sa, sb):
         return 1.0, 0.0
