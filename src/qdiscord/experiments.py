@@ -7,6 +7,7 @@ version. Identical configs give byte-identical files.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -95,10 +96,9 @@ def run_fig1(config: Fig1Config) -> list:
         state = PureBipartiteState.from_probabilities(config.probabilities(s1))
         rho = DensityMatrix.from_pure(state)
         scan = scan_uncertainty(rho, config.spectrum, config.samples, point_seed)
-        for seed, q, u in zip(
-            scan.seeds.tolist(), scan.q_values.tolist(), scan.u_values.tolist()
-        ):
-            rows.append((s1, seed, q, u))
+        rows.extend(zip(
+            repeat(s1), scan.seeds.tolist(), scan.q_values.tolist(), scan.u_values.tolist()
+        ))
     return rows
 
 

@@ -128,8 +128,13 @@ def _psd_root(eig: HermitianEig, name: str) -> np.ndarray:
 def psd_sqrt(m, name: str = "matrix") -> np.ndarray:
     """Principal square root S of a raw PSD Hermitian array, clamped as in
     :func:`_psd_root`; S @ S = m to RECONSTRUCT_TOL in relative Frobenius
-    norm. A DensityMatrix carries its own root as ``sqrt``."""
-    return _psd_root(hermitian_eig(m, name=name), name)
+    norm. A DensityMatrix carries its own root as ``sqrt``.
+
+    The root is taken of the Hermitian part (m + m^dagger) / 2, the matrix
+    DensityMatrix validates, not of the one triangle ``eigh`` reads; for
+    exactly Hermitian ``m`` the two are bitwise equal."""
+    arr = require_hermitian(m, name=name)
+    return _psd_root(hermitian_eig(0.5 * (arr + arr.conj().T), name=name), name)
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

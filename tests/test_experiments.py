@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -159,6 +160,14 @@ class TestRunFig2:
         assert len(lines) == len(rows) + 1
         sidecar = json.loads((tmp_path / "fig2.csv.json").read_text())
         assert sidecar["resolution"] == 4
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # fig2 is elementwise arithmetic only, so its bytes do not depend on
+        # the BLAS build; a change to the CSV writer that moves a byte fails here.
+        path = tmp_path / "fig2.csv"
+        qd.write_fig2(qd.Fig2Config((2, 4, 1), resolution=50), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "dc91dd300177d5f41c6dd3f2fa3dc42d70ec5e4a49061c5ae0416fe1a20e5760"
 
 
 class TestRunFig4:

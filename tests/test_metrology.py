@@ -152,6 +152,15 @@ class TestUhlmannFidelity:
         with pytest.raises(InvalidInputError, match="unit trace"):
             qd.uhlmann_fidelity(np.eye(2), np.eye(2) / 2)
 
+    def test_raw_array_roots_the_validated_hermitian_part(self):
+        # Accepted state whose lower triangle alone has eigenvalue -1.39e-10:
+        # the raw array must give the same root as the DensityMatrix.
+        m = np.array([[0.5, 0.5 + 4.1e-11], [0.5 + 1.39e-10, 0.5]])
+        rho = qd.DensityMatrix(m, 2, 1)
+        assert np.array_equal(qd.psd_sqrt(rho.matrix), rho.sqrt)
+        assert qd.uhlmann_fidelity(rho, rho.matrix) == 1.0
+        assert qd.uhlmann_fidelity(rho.matrix, rho.matrix) == 1.0
+
 
 class TestFisherEstimate:
     def test_constant_family_is_exactly_zero(self):

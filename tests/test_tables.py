@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+
+from qdiscord.tables import format_number, write_csv
+
+
+def written(tmp_path, rows, header=("a", "b")):
+    path = tmp_path / "t.csv"
+    write_csv(path, header, rows)
+    return path.read_bytes().decode("utf-8")
+
+
+class TestCellRules:
+    @pytest.mark.parametrize("cell", [True, False])
+    def test_bool_cell_raises(self, tmp_path, cell):
+        with pytest.raises(TypeError, match="booleans"):
+            format_number(cell)
+        with pytest.raises(TypeError, match="booleans"):
+            written(tmp_path, [(1, cell)])
+
+    @pytest.mark.parametrize(
+        "cell, text",
+        [(0, "0"), (-7, "-7"), (2**64, "18446744073709551616"),
+         (12345678901234567, "12345678901234567"),
+         (np.int64(-9223372036854775808), "-9223372036854775808")],
+    )
+    def test_ints_print_verbatim(self, tmp_path, cell, text):
+        assert format_number(cell) == text
+        assert written(tmp_path, [(cell,)], ("a",)) == f"a\n{text}\n"
+
+    @pytest.mark.parametrize(
+        "cell, text",
+        [(0.1, "0.1"), (1 / 3, "0.333333333333"), (-0.0, "-0"), (0.0, "0"),
+         (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+         (5e-324, "4.94065645841e-324"), (1e22, "1e+22"),
+         (np.float64(2 / 3), "0.666666666667")],
+    )
+    def test_floats_print_at_twelve_digits(self, tmp_path, cell, text):
+        assert format_number(cell) == text
+        assert written(tmp_path, [(cell,)], ("a",)) == f"a\n{text}\n"
+
+    def test_other_cells_print_through_str(self, tmp_path):
+        cells = ("012", "a%sb", np.float32(0.1), None)
+        assert [format_number(c) for c in cells] == [str(c) for c in cells]
+        assert written(tmp_path, [cells], ("a", "b", "c", "d")) == "a,b,c,d\n" + ",".join(map(str, cells)) + "\n"
+
+
+class TestWriteCsv:
+    def test_row_containers(self, tmp_path):
+        expected = "a,b\n1,0.5\n2,0.25\n"
+        assert written(tmp_path, [[1, 0.5], [2, 0.25]]) == expected
+        assert written(tmp_path, ((1, 0.5), (2, 0.25))) == expected
+        assert written(tmp_path, zip([1, 2], [0.5, 0.25])) == expected
+
+    def test_empty_rows_write_only_the_header(self, tmp_path):
+        assert written(tmp_path, []) == "a,b\n"
+        assert written(tmp_path, iter(())) == "a,b\n"
+
+    def test_line_endings_are_lf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a",), [(1,), (2,)])
+        assert path.read_bytes() == b"a\n1\n2\n"
+
+    def test_mixed_column_types_match_per_cell_format(self, tmp_path):
+        rows = [(1, 2.5, "x"), (1.5, 2, "y"), (np.int64(3), np.float64(0.1), 4),
+                (2**70, -0.0, 1e-300), (1, 2.5, "z")]
+        lines = written(tmp_path, rows, ("a", "b", "c")).split("\n")
+        assert lines[0] == "a,b,c"
+        assert lines[1:] == [",".join(map(format_number, row)) for row in rows] + [""]
+
+    def test_rows_span_several_blocks(self, tmp_path):
+        rows = [(i, i / 7) for i in range(10_000)]
+        lines = written(tmp_path, rows).split("\n")
+        assert len(lines) == len(rows) + 2
+        assert lines[1:-1] == [",".join(map(format_number, row)) for row in rows]
