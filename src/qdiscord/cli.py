@@ -46,7 +46,7 @@ from .states import (
     noon_lossy_density,
     validation_report,
 )
-from .tables import format_number, write_csv
+from .tables import format_number, write_csv, write_sidecar
 from .version import __version__
 
 
@@ -145,6 +145,10 @@ def _cmd_qfi(args) -> int:
         for t2, point, _, f, dg, residual in sweep
     ]
     write_csv(args.out, ("t2", "F_closed", "F_oracle", "DG", "residual"), rows)
+    write_sidecar(args.out, {
+        "command": "qfi", "n": params.n, "phi": params.phi, "delta": args.delta,
+        "tolerance": tol, "t2_grid": [row[0] for row in rows], "version": __version__,
+    })
     max_residual = max(row[4] for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     print(f"max |F - DG*n^2| = {_fmt(max_residual)}")

@@ -26,11 +26,12 @@ from .errors import (
 )
 from .linalg import (
     _haar_stack,
+    _hermitian_part,
     _seeded_normals,
+    _split_eig,
     as_count,
     as_matrix,
     haar_unitary,
-    hermitian_eig,
     require_hermitian,
 )
 from .states import (
@@ -411,8 +412,9 @@ def local_quantum_uncertainty(rho) -> float:
             f"closed form requires dim_a = 2, got dim_a = {rho.dim_a}"
         )
     t = _block_traces(rho)
-    w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, t).real
-    top = hermitian_eig(0.5 * (w + w.T), "correlation matrix").eigenvalues[-1]
+    # Complex, so W takes the same zheevd as every other Hermitian matrix here.
+    w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, t).real.astype(complex)
+    top = _split_eig(_hermitian_part(w), "correlation matrix").highest
     val = float(np.einsum("abba->", t).real - top)
     return _clamp_uncertainty(val, "local quantum uncertainty")
 

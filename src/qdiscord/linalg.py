@@ -93,36 +93,105 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger) / 2 as ``0.5 m + 0.5 m^dagger``: exactly Hermitian and,
+    unlike the sum halved, finite for every finite ``m``. For normal entries
+    the two forms are bitwise equal."""
+    h = 0.5 * m
+    h += 0.5 * m.conj().T
+    return h
+
+
+class SplitEig(NamedTuple):
+    """Eigendecomposition of an exactly Hermitian matrix h in split form.
+
+    ``core`` lists the rows of h with a nonzero off-diagonal entry and
+    ``(w, v)`` is the ascending ``eigh`` of their principal submatrix. Each
+    other row, listed in ``rest``, is its own unit eigenvector with its
+    diagonal entry in ``d`` as eigenvalue.
+    """
+
+    core: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    rest: np.ndarray
+    d: np.ndarray
+
+    @property
+    def lowest(self) -> float:
+        """Smallest eigenvalue; +inf for the 0 x 0 matrix."""
+        return float(min(self.w.min(initial=np.inf), self.d.min(initial=np.inf)))
+
+    @property
+    def highest(self) -> float:
+        """Largest eigenvalue; -inf for the 0 x 0 matrix."""
+        return float(max(self.w.max(initial=-np.inf), self.d.max(initial=-np.inf)))
+
+    def full(self) -> HermitianEig:
+        """The whole decomposition, eigenvalues ascending. With every row in
+        the core it is bitwise the ``eigh`` of h."""
+        k, n = self.core.size, self.core.size + self.rest.size
+        values = np.concatenate([self.w, self.d])
+        vectors = np.zeros((n, n), dtype=self.v.dtype)
+        vectors[self.core[:, None], np.arange(k)] = self.v
+        vectors[self.rest, np.arange(k, n)] = 1.0
+        order = np.argsort(values, kind="stable")
+        return HermitianEig(values[order], vectors[:, order])
+
+
+def _split_eig(h: np.ndarray, name: str = "matrix") -> SplitEig:
+    """Eigendecompose an exactly Hermitian ``h``, running ``eigh`` only on
+    the rows that an exactly nonzero off-diagonal entry couples.
+
+    ``h`` is not checked: build it with :func:`_hermitian_part` from a
+    validated matrix. When every row is coupled the core is ``h`` itself and
+    the call is ``np.linalg.eigh(h)``. Convergence failures raise
+    :class:`EigensolverError`.
+    """
+    # A row is coupled when it has more nonzero entries than its diagonal one.
+    coupled = np.count_nonzero(h, axis=1) > (h.diagonal() != 0)
+    core, rest = coupled.nonzero()[0], (~coupled).nonzero()[0]
+    try:
+        w, v = np.linalg.eigh(h if rest.size == 0 else h[core[:, None], core])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+        raise EigensolverError(f"eigendecomposition of {name} failed: {exc}") from exc
+    return SplitEig(core, w, v, rest, h.real[rest, rest])
+
+
 def hermitian_eig(m, name: str = "matrix") -> HermitianEig:
     """Eigendecompose a Hermitian matrix.
 
-    Wraps :func:`numpy.linalg.eigh` with the package-wide Hermiticity check
-    and converts convergence failures into :class:`EigensolverError`.
+    Checks Hermiticity to the package tolerance and decomposes the Hermitian
+    part (m + m^dagger) / 2 through :func:`_split_eig`; convergence failures
+    raise :class:`EigensolverError`.
     """
     arr = require_hermitian(m, name=name)
-    try:
-        w, v = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise EigensolverError(f"eigendecomposition of {name} failed: {exc}") from exc
-    return HermitianEig(w, v)
+    return _split_eig(_hermitian_part(arr), name).full()
 
 
-def _psd_root(eig: HermitianEig, name: str) -> np.ndarray:
-    """V sqrt(W) V^dagger from an eigendecomposition, clamping roundoff.
+def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
+    """V sqrt(W) V^dagger from a split eigendecomposition, clamping roundoff.
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; a value below -PSD_TOL
     raises :class:`NotPSDError`. Tiny positive eigenvalues below
     ``ZERO_EIGENVALUE_CUTOFF`` relative to the largest one are also clamped,
-    see the constant's note. An empty spectrum gives the 0 x 0 root.
+    see the constant's note. Both bounds are taken over the whole spectrum.
+    The root is built block by block: sqrt(d) on the split-off diagonal and
+    V sqrt(W) V^dagger on the core. An empty spectrum gives the 0 x 0 root.
     """
-    w, v = eig
-    lo = float(w.min(initial=0.0))
+    lo = eig.lowest
     if lo < -PSD_TOL:
         raise NotPSDError(
             f"{name} is not positive semidefinite: min eigenvalue {lo:.3e}"
         )
-    w = np.where(w < ZERO_EIGENVALUE_CUTOFF * float(w.max(initial=0.0)), 0.0, w)
-    return (v * np.sqrt(w)) @ v.conj().T
+    cut = ZERO_EIGENVALUE_CUTOFF * max(eig.highest, 0.0)
+    w = np.where(eig.w < cut, 0.0, eig.w)
+    d = np.where(eig.d < cut, 0.0, eig.d)
+    n = eig.core.size + eig.rest.size
+    root = np.zeros((n, n), dtype=complex)
+    root[eig.rest, eig.rest] = np.sqrt(d)
+    root[eig.core[:, None], eig.core] = (eig.v * np.sqrt(w)) @ eig.v.conj().T
+    return root
 
 
 def psd_sqrt(m, name: str = "matrix") -> np.ndarray:
@@ -134,7 +203,7 @@ def psd_sqrt(m, name: str = "matrix") -> np.ndarray:
     DensityMatrix validates, not of the one triangle ``eigh`` reads; for
     exactly Hermitian ``m`` the two are bitwise equal."""
     arr = require_hermitian(m, name=name)
-    return _psd_root(hermitian_eig(0.5 * (arr + arr.conj().T), name=name), name)
+    return _psd_root(_split_eig(_hermitian_part(arr), name), name)
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

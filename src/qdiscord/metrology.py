@@ -14,7 +14,7 @@ import numpy as np
 
 from .discord import _clamp_uncertainty, _require_state, local_quantum_uncertainty
 from .errors import InvalidInputError
-from .linalg import as_matrix, partial_transpose, psd_sqrt, trace_norm
+from .linalg import _hermitian_part, _split_eig, as_matrix, partial_transpose, psd_sqrt
 from .states import (
     DensityMatrix,
     NoonChannelParams,
@@ -137,12 +137,17 @@ def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> 
 def negativity(rho: DensityMatrix, subsystem: int = 0) -> float:
     """Entanglement negativity, (||partial transpose||_1 - Tr rho) / 2.
 
-    The state's own trace, not 1, so a trace within TRACE_TOL of 1 never
-    pushes the value below zero: ||X||_1 >= |Tr X| for every matrix X.
+    The trace norm is the sum of |eigenvalue| of the Hermitian part of the
+    partial transpose, which :func:`_split_eig` takes on its coupled rows
+    only. The state's own trace, not 1, so a trace within TRACE_TOL of 1
+    never pushes the value below zero: ||X||_1 >= |Tr X| for every
+    Hermitian X.
     """
     rho = _require_state(rho)
     pt = partial_transpose(rho.matrix, (rho.dim_a, rho.dim_b), subsystem)
-    val = 0.5 * (trace_norm(pt) - np.trace(rho.matrix).real)
+    eig = _split_eig(_hermitian_part(pt), "partial transpose")
+    norm = np.abs(eig.w).sum() + np.abs(eig.d).sum()
+    val = 0.5 * (norm - np.trace(rho.matrix).real)
     return _clamp_uncertainty(val, "negativity")
 
 

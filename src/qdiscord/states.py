@@ -17,10 +17,12 @@ from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
     HermitianEig,
+    SplitEig,
+    _hermitian_part,
     _psd_root,
+    _split_eig,
     as_count,
     as_matrix,
-    hermitian_eig,
     hermiticity_deviation,
     partial_trace,
 )
@@ -167,11 +169,16 @@ class StateReport:
     trace: float
     min_eigenvalue: float
     violations: tuple = ()
-    eig: HermitianEig = field(default=None, repr=False, compare=False)  # of (m + m^dagger) / 2
+    split: SplitEig = field(default=None, repr=False, compare=False)  # of (m + m^dagger) / 2
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def eig(self) -> HermitianEig:
+        """Ascending eigendecomposition of the Hermitian part."""
+        return self.split.full()
 
 
 def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
@@ -194,11 +201,11 @@ def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         violations.append(f"trace violated: trace = {tr:.12g}")
-    eig = hermitian_eig(0.5 * (m + m.conj().T), "density matrix")
-    lo = float(eig.eigenvalues[0])
+    split = _split_eig(_hermitian_part(m), "density matrix")
+    lo = split.lowest
     if lo < -PSD_TOL:
         violations.append(f"PSD violated: min eigenvalue {lo:.12g}")
-    return StateReport(dim_a, dim_b, dev, tr, lo, tuple(violations), eig)
+    return StateReport(dim_a, dim_b, dev, tr, lo, tuple(violations), split)
 
 
 @dataclass(frozen=True)
@@ -225,7 +232,9 @@ class DensityMatrix:
         object.__setattr__(self, "dim_a", report.dim_a)
         object.__setattr__(self, "dim_b", report.dim_b)
         object.__setattr__(self, "matrix", _readonly(self.matrix))
-        object.__setattr__(self, "sqrt", _readonly(_psd_root(report.eig, "density matrix")))
+        root = _psd_root(report.split, "density matrix")
+        root.setflags(write=False)
+        object.__setattr__(self, "sqrt", root)
 
     @property
     def dim(self) -> int:

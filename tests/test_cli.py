@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import shutil
 import subprocess
@@ -125,6 +126,26 @@ class TestQfiCommand:
         lines = path.read_text().splitlines()
         assert lines[0] == "t2,F_closed,F_oracle,DG,residual"
         assert len(lines) == 6
+
+    def test_grid_writes_stable_sidecar(self, capsys, tmp_path):
+        runs = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            argv = ("qfi", "--noon", "N=3", "t2=0", "phi=0.25", "--grid", "5",
+                    "--delta", "0.002", "--tol", "1e-8", "--out", str(path))
+            assert invoke(capsys, *argv)[0] == 0
+            runs.append(Path(f"{path}.json").read_bytes())
+        assert runs[0] == runs[1]
+        meta = json.loads(runs[0])
+        assert meta == {
+            "command": "qfi",
+            "n": 3,
+            "phi": 0.25,
+            "delta": 0.002,
+            "tolerance": 1e-8,
+            "t2_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
+            "version": qd.__version__,
+        }
 
     def test_grid_requires_out(self, capsys):
         code, _, err = invoke(capsys, "qfi", "--noon", "N=3", "t2=0", "--grid", "5")

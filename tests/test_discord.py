@@ -360,7 +360,9 @@ class TestQubitClosedForms:
             assert 0.0 <= lqu <= 1.0 + 1e-12
 
     def test_one_state_size_eigendecomposition(self, monkeypatch):
-        # The state's positivity check and every root read one eigh.
+        # The state's positivity check and every root read one eigh, of the
+        # rows an off-diagonal entry couples: |0>|N> and |1>|0> for the
+        # lossy probe, every row for a dense state.
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
@@ -369,7 +371,13 @@ class TestQubitClosedForms:
         rho = qd.noon_lossy_density(params)
         qd.local_quantum_uncertainty(rho)
         assert "eigvalsh" not in calls
-        assert calls.count((rho.dim, rho.dim)) == 1
+        assert calls.count((2, 2)) == 1
+        assert (rho.dim, rho.dim) not in calls
+        calls.clear()
+        dense = random_state(2, 3, np.random.default_rng(48))
+        qd.local_quantum_uncertainty(dense)
+        assert "eigvalsh" not in calls
+        assert calls.count((dense.dim, dense.dim)) == 1
 
     def test_requires_qubit_side(self):
         rng = np.random.default_rng(49)

@@ -11,9 +11,12 @@ from qdiscord.errors import (
     NotPSDError,
 )
 from qdiscord.linalg import (
+    ZERO_EIGENVALUE_CUTOFF,
     _haar_stack,
+    _hermitian_part,
     _pcg64_states,
     _seeded_normals,
+    _split_eig,
     as_count,
     as_matrix,
     hermiticity_deviation,
@@ -51,6 +54,78 @@ class TestHermitianEig:
         m[0, 0] = np.nan
         with pytest.raises(InvalidInputError):
             qd.hermitian_eig(m)
+
+
+def block_hermitian(sizes, rng):
+    """Random Hermitian matrix with diagonal blocks of the given sizes,
+    rows shuffled by a random permutation; size-1 blocks are isolated rows."""
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        m[start:start + size, start:start + size] = g + g.conj().T
+        start += size
+    perm = rng.permutation(n)
+    return m[np.ix_(perm, perm)]
+
+
+class TestSplitEig:
+    def check_decomposition(self, m):
+        w, v = qd.hermitian_eig(m)
+        scale = max(np.linalg.norm(m), 1.0)
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(m))) <= 1e-14 * scale
+        assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-14
+        assert np.max(np.abs((v * w) @ v.conj().T - m)) <= 1e-14 * scale
+
+    def test_block_matrices(self):
+        rng = np.random.default_rng(101)
+        for sizes in ((1,), (3,), (1, 1, 1), (2, 1, 3), (1, 4, 1, 1, 2), (5, 5, 1)):
+            for _ in range(5):
+                self.check_decomposition(block_hermitian(sizes, rng))
+
+    def test_only_coupled_rows_reach_eigh(self):
+        rng = np.random.default_rng(102)
+        m = block_hermitian((2, 1, 3, 1), rng)
+        split = _split_eig(_hermitian_part(m))
+        rows = np.sort(np.concatenate([split.core, split.rest]))
+        assert np.array_equal(rows, np.arange(7))
+        assert split.core.size == 5 and split.w.shape == (5,)
+        assert np.array_equal(split.d, np.diag(m).real[split.rest])
+
+    def test_tiny_coupling_stays_in_core(self):
+        m = np.diag([0.3, 0.5, 0.2]).astype(complex)
+        m[0, 2] = m[2, 0] = 1e-300
+        split = _split_eig(_hermitian_part(m))
+        assert split.core.tolist() == [0, 2] and split.rest.tolist() == [1]
+        self.check_decomposition(m)
+
+    def test_zero_matrix(self):
+        w, v = qd.hermitian_eig(np.zeros((4, 4)))
+        assert np.array_equal(w, np.zeros(4))
+        assert np.array_equal(v, np.eye(4))
+
+    def test_one_by_one_and_empty(self):
+        w, v = qd.hermitian_eig([[2.5]])
+        assert w.tolist() == [2.5] and v.tolist() == [[1.0]]
+        w, v = qd.hermitian_eig(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
+
+    def test_dense_state_is_bitwise_one_eigh(self):
+        # With every row coupled, the report's eigendecomposition and the
+        # root are bitwise those of one eigh of the Hermitian part.
+        rng = np.random.default_rng(103)
+        for dim_a, dim_b, rank in ((2, 2, None), (2, 3, 2), (3, 4, None), (3, 16, 16)):
+            m = random_density_array(dim_a * dim_b, rng, rank)
+            w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+            kept = np.where(w < ZERO_EIGENVALUE_CUTOFF * max(w.max(), 0.0), 0.0, w)
+            root = (v * np.sqrt(kept)) @ v.conj().T
+            report = qd.validation_report(m, dim_a, dim_b)
+            assert report.eig.eigenvalues.tobytes() == w.tobytes()
+            assert report.eig.eigenvectors.tobytes() == v.tobytes()
+            assert qd.DensityMatrix(m, dim_a, dim_b).sqrt.tobytes() == root.tobytes()
+            assert qd.psd_sqrt(m).tobytes() == root.tobytes()
 
 
 class TestPsdSqrt:

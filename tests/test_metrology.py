@@ -211,6 +211,16 @@ class TestNegativity:
         _, rho = noon_state(10, 0.9)
         assert qd.negativity(rho) == pytest.approx(0.29524499997499953, abs=1e-10)
 
+    def test_probe_matches_closed_form(self):
+        # The partial transpose couples |0>|0> and |1>|N> only:
+        # N = (sqrt(a^2 + T^N) - a) / 2 with a = (1 - T)^N / 2.
+        for n in range(1, 51):
+            for t2 in (0.0, 0.05, 0.3, 0.5, 0.8, 1.0):
+                _, rho = noon_state(n, t2, 0.7)
+                a = 0.5 * (1.0 - t2) ** n
+                expected = 0.5 * (sqrt(a * a + t2 ** n) - a)
+                assert abs(qd.negativity(rho) - expected) <= 1e-13, (n, t2)
+
     def test_subsystem_choice_is_equivalent(self):
         for n, t2 in ((2, 0.5), (6, 0.7)):
             _, rho = noon_state(n, t2)

@@ -1,11 +1,12 @@
 from dataclasses import FrozenInstanceError
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 import pytest
 
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
+from qdiscord.linalg import ZERO_EIGENVALUE_CUTOFF
 
 from helpers import (
     bell_state,
@@ -188,6 +189,14 @@ class TestValidationReport:
         assert report.min_eigenvalue == report.eig.eigenvalues[0]
         assert abs(report.min_eigenvalue + 9.0e-11) < 1e-12
 
+    def test_finite_entries_near_overflow_report_psd(self):
+        # (m + m^dagger) / 2 overflows here; the halves form stays finite.
+        m = [[0.5, 1e308], [1e308, 0.5]]
+        report = qd.validation_report(m, 2, 1)
+        assert report.violations == ("PSD violated: min eigenvalue -1e+308",)
+        with pytest.raises(InvalidInputError, match="PSD violated"):
+            qd.DensityMatrix(m, 2, 1)
+
 
 class TestNoonChannelParams:
     def test_from_transmittance(self):
@@ -316,6 +325,23 @@ class TestNoonLossyDensity:
             with pytest.raises(InvalidInputError, match="photon number 1030 is too large"):
                 builder(params)
         assert qd.qfi_noon_closed(params) == pytest.approx(1030**2 * 2 * 0.5**1030)
+
+    def test_root_matches_closed_form(self):
+        # sqrt of each loss weight (clamped below the relative cutoff) on
+        # |0>_A |k>_B, k < n, and the rank-1 root P / sqrt(lambda) of the
+        # coherent block P = |v><v| / 2 on rows n and n + 1.
+        for n in range(1, 51):
+            for t2 in (0.0, 0.05, 0.3, 0.5, 0.8, 1.0):
+                params, rho = noon(n, t2, 0.7)
+                lam = 0.5 * (1.0 + t2 ** n)
+                cut = ZERO_EIGENVALUE_CUTOFF * lam
+                weights = np.array([0.5 * comb(n, k) * t2 ** k * (1.0 - t2) ** (n - k)
+                                    for k in range(n)])
+                expected = np.zeros((rho.dim, rho.dim), dtype=complex)
+                expected[range(n), range(n)] = np.sqrt(np.where(weights < cut, 0.0, weights))
+                v = np.array([params.t ** n * np.exp(1j * n * 0.7), 1.0])
+                expected[n:n + 2, n:n + 2] = 0.5 * np.outer(v, v.conj()) / sqrt(lam)
+                assert np.max(np.abs(rho.sqrt - expected)) <= 1e-14, (n, t2)
 
     def test_validates_on_grid(self):
         for n in range(1, 11):
