@@ -275,84 +275,37 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(arr, compute_uv=False).sum())
 
 
-def _hash_keys(init: int, mult: int, n: int) -> list:
-    """(xor, mult) uint32 pairs of n successive SeedSequence hash steps.
-
-    Step i XORs with the running hash constant, advances it by ``mult``
-    and multiplies by the new value.
-    """
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return [(np.uint32(a), np.uint32(b)) for a, b in zip(consts, consts[1:])]
+#: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and
+#: the finalizer's (shift, multiplier) steps, as uint64 so nothing promotes.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 
 
-# numpy's SeedSequence with its default pool of 4 uint32 words: 16 hash
-# steps mix the entropy into the pool, 8 more draw the 4 uint64 PCG64 words.
-_POOL_KEYS = _hash_keys(0x43B0D7E5, 0x931E8875, 16)
-_STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG's 128-bit LCG
-_MASK128 = (1 << 128) - 1
-
-
-def _hashmix(value: np.ndarray, key) -> np.ndarray:
-    xor, mult = key
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def _pcg64_states(seeds) -> list:
-    """``np.random.default_rng(seed).bit_generator.state`` for each seed.
-
-    numpy's ``SeedSequence`` hash (NEP 19 keeps it and the PCG64 stream
-    stable) run on uint32 lanes, one lane per seed, so a whole chunk of
-    seeds is hashed in one pass; the PCG64 seeding steps then run on
-    Python ints. Seeds are uint64: a seed below 2**32 has the high word 0,
-    which the pool hashes exactly as it hashes its unfilled words.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    low = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    high = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros_like(low)
-    # mix_entropy: hash the words into the pool, then mix each pool word
-    # into every other one; generate_state then hashes 8 words off the pool.
-    keys = iter(_POOL_KEYS)
-    pool = [_hashmix(word, next(keys)) for word in (low, high, zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], next(keys))
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    words = np.stack([_hashmix(pool[i % 4], key) for i, key in enumerate(_STATE_KEYS)])
-    words = words.astype(np.uint64)  # little-endian pairs make 4 uint64s
-    halves = (words[0::2] | (words[1::2] << np.uint64(32))).T.tolist()
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in halves:
-        # pcg64_set_seed(state word s, sequence word i): inc = 2i + 1, then
-        # two LCG steps from 0 with s added in between.
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+def _splitmix64(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Outputs j = 1..count of SplitMix64 from each uint64 state in ``seeds``,
+    mix(seed + j gamma), as uint64 arrays, which wrap mod 2**64 silently."""
+    z = seeds[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    for shift, mult in _MIX:
+        z = (z ^ (z >> shift)) * mult
+    return z ^ (z >> np.uint64(31))
 
 
 def _seeded_normals(seeds, shape: tuple) -> np.ndarray:
-    """Stack (len(seeds), *shape) of standard normal draws, one per seed.
+    """Stack (len(seeds), *shape) of standard normals, one draw per uint64 seed.
 
-    Entry i is bitwise ``np.random.default_rng(seeds[i]).standard_normal(shape)``:
-    one generator is reset to each seed's starting state in turn, so no
-    per-seed ``SeedSequence`` or generator is built.
+    Draw i turns the first n = prod(shape) (even) SplitMix64 words from
+    state ``seeds[i]`` into uniforms u = (w >> 11) 2**-53. Box-Muller maps
+    pair l to r cos(theta) at flat entry l and r sin(theta) at l + n/2,
+    with r = sqrt(-2 log1p(-u_2l)) and theta = 2 pi u_2l+1. Every step is
+    elementwise, so a draw is bitwise the same in a stack of any size.
     """
-    out = np.empty((len(seeds),) + tuple(shape))
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for draw, state in zip(out, _pcg64_states(seeds)):
-        bit_generator.state = state
-        rng.standard_normal(out=draw)
-    return out
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    u = (_splitmix64(seeds, prod(shape)) >> np.uint64(11)) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    theta = (2.0 * np.pi) * u[:, 1::2]
+    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    return out.reshape((seeds.size,) + tuple(shape))
 
 
 def _haar_stack(draws: np.ndarray) -> np.ndarray:
@@ -370,10 +323,10 @@ def _haar_stack(draws: np.ndarray) -> np.ndarray:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a dim x dim unitary from the Haar measure.
+    """Draw a dim x dim unitary from the Haar measure with ``rng``.
 
-    The one-draw case of :func:`_haar_stack`, so it is bitwise the unitary
-    a scan draws from a generator in the same state.
+    The one-draw case of :func:`_haar_stack`. Scans draw from seeds
+    through :func:`_seeded_normals` instead, which ``from_seed`` rebuilds.
     """
     dim = as_count(dim, "dimension")
     return _haar_stack(rng.standard_normal((1, 2, dim, dim)))[0]

@@ -1,3 +1,3 @@
 """Single source of the package version for code and run metadata."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

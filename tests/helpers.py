@@ -1,5 +1,6 @@
 """Shared state builders and loop references for the test suite."""
 
+import math
 from itertools import permutations
 from math import comb
 
@@ -7,6 +8,7 @@ import numpy as np
 
 import qdiscord as qd
 from qdiscord.discord import _block_traces
+from qdiscord.linalg import _seeded_normals
 
 
 def random_density_array(dim, rng, rank=None):
@@ -96,16 +98,44 @@ def loop_region_map(values, resolution):
     return rows
 
 
-def loop_haar_unitary(dim, rng):
-    """Haar unitary from two (dim, dim) draws and one QR, per generator."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
+def scalar_splitmix64(seed, count):
+    """First ``count`` SplitMix64 outputs from state ``seed``, on Python ints:
+    the C reference (Steele, Lea & Flood, OOPSLA 2014) step by step."""
+    mask = (1 << 64) - 1
+    words = []
+    for _ in range(count):
+        seed = (seed + 0x9E3779B97F4A7C15) & mask
+        z = seed
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def scalar_normals(seed, shape):
+    """One seed's draw of the scans, by Python floats and the math module:
+    Box-Muller on word pairs, cosine branch in the first half of the flat
+    draw and sine branch in the second. The reference for _seeded_normals."""
+    n = math.prod(shape)
+    u = [(w >> 11) * 2.0**-53 for w in scalar_splitmix64(seed, n)]
+    cos_half, sin_half = [], []
+    for u1, u2 in zip(u[0::2], u[1::2]):
+        r = math.sqrt(-2.0 * math.log1p(-u1))
+        theta = 2.0 * math.pi * u2
+        cos_half.append(r * math.cos(theta))
+        sin_half.append(r * math.sin(theta))
+    return np.array(cos_half + sin_half).reshape(shape)
+
+
+def loop_haar_unitary(draw):
+    """Haar unitary from one (2, dim, dim) draw and one unbatched QR."""
+    q, r = np.linalg.qr(draw[0] + 1j * draw[1])
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
 def loop_scan(rho, spectrum, samples, master_seed):
-    """Seeded scan by a per-sample loop: one generator, one QR and one
+    """Seeded scan by a per-sample loop: one seed's draw, one QR and one
     contraction with the block traces T per basis.
 
     The reference for the batched scan. Returns (seeds, q_values, u_values),
@@ -115,11 +145,12 @@ def loop_scan(rho, spectrum, samples, master_seed):
     if spectrum is not None:
         gaps = qd.MeasurementSpectrum(spectrum).gap_squared_matrix()
     t = _block_traces(rho)
+    da = rho.dim_a
     seeds = qd.derive_child_seeds(master_seed, samples)
     q_values = np.empty(samples)
     u_values = np.empty(samples) if gaps is not None else None
     for i, seed in enumerate(seeds.tolist()):
-        u = loop_haar_unitary(rho.dim_a, np.random.default_rng(seed))
+        u = loop_haar_unitary(_seeded_normals([seed], (2, da, da))[0])
         x = np.tensordot(u.conj(), t, axes=(0, 0))
         y = np.einsum("jbcd,dj->jbc", x, u)
         v = np.einsum("jbc,bk,ck->jk", y, u, u.conj()).real

@@ -118,6 +118,12 @@ class TestVonNeumannBasis:
         with pytest.raises(InvalidInputError, match="dim"):
             qd.VonNeumannBasis.computational(2.5)
 
+    def test_seeds_span_uint64(self):
+        top = qd.VonNeumannBasis.from_seed(2, 2**64 - 1).unitary
+        assert np.array_equal(top, qd.VonNeumannBasis.from_seed(2, np.uint64(2**64 - 1)).unitary)
+        with pytest.raises(InvalidInputError, match=r"seed must be below 2\*\*64, got 18446744073709551616"):
+            qd.VonNeumannBasis.from_seed(2, 2**64)
+
 
 class TestSkewInformation:
     def test_zero_when_commuting(self):
@@ -489,6 +495,9 @@ class TestUncertaintyScan:
         first = lines[1].split(",")
         assert int(first[0]) == int(scan.seeds[0])
         assert float(first[1]) == pytest.approx(scan.q_values[0], abs=1e-11)
+        qd.scan_uncertainty(rho, samples=4, master_seed=6).to_csv(path)
+        plain = path.read_text().splitlines()
+        assert plain == ["seed,Q"] + [",".join(line.split(",")[:2]) for line in lines[1:]]
 
     def test_minimize_matches_scan(self):
         rng = np.random.default_rng(56)

@@ -14,16 +14,22 @@ from qdiscord.linalg import (
     ZERO_EIGENVALUE_CUTOFF,
     _haar_stack,
     _hermitian_part,
-    _pcg64_states,
     _seeded_normals,
     _split_eig,
+    _splitmix64,
     as_count,
     as_matrix,
     hermiticity_deviation,
     require_hermitian,
 )
 
-from helpers import loop_haar_unitary, loop_partial_trace, random_density_array
+from helpers import (
+    loop_haar_unitary,
+    loop_partial_trace,
+    random_density_array,
+    scalar_normals,
+    scalar_splitmix64,
+)
 
 
 class TestHermitianEig:
@@ -307,7 +313,8 @@ class TestHaarUnitary:
         assert stack.shape == (300, dim, dim)
         for seed, u in zip(seeds, stack):
             assert np.array_equal(u, qd.VonNeumannBasis.from_seed(dim, seed).unitary)
-            assert np.array_equal(u, loop_haar_unitary(dim, np.random.default_rng(seed)))
+            draw = _seeded_normals([seed], (2, dim, dim))[0]
+            assert np.array_equal(u, loop_haar_unitary(draw))
 
     def test_bad_dim(self):
         for dim in (0, 2.5, True, "2"):
@@ -315,30 +322,50 @@ class TestHaarUnitary:
                 qd.haar_unitary(dim, np.random.default_rng(18))
 
 
-# Seeds at the word boundaries of the SeedSequence hash.
+# Seeds at the ends of the uint32 and uint64 ranges; the Weyl step from
+# the last one wraps mod 2**64.
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
+@pytest.mark.filterwarnings("error")
 class TestSeededNormals:
-    def test_states_equal_default_rng(self):
+    def test_words_equal_scalar_splitmix64(self):
+        # SplitMix64's first outputs from state 0.
+        assert scalar_splitmix64(0, 3) == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        ]
         children = qd.derive_child_seeds(23, 2000)  # uint64, as the scan passes them
-        for seeds in (EDGE_SEEDS, children):
-            expected = [np.random.default_rng(s).bit_generator.state for s in seeds]
-            assert _pcg64_states(seeds) == expected
+        for seeds in (EDGE_SEEDS, children.tolist()):
+            words = _splitmix64(np.array(seeds, dtype=np.uint64), 32)
+            assert words.tolist() == [scalar_splitmix64(s, 32) for s in seeds]
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_draws_equal_per_seed_generators(self, dim):
+        # The scalar generator takes log1p, cos and sin from the math
+        # module, which may round differently from numpy's loops.
         seeds = EDGE_SEEDS + qd.derive_child_seeds(29, 200).tolist()
         draws = _seeded_normals(seeds, (2, dim, dim))
         assert draws.shape == (len(seeds), 2, dim, dim)
         for seed, draw in zip(seeds, draws):
-            assert np.array_equal(draw, np.random.default_rng(seed).standard_normal((2, dim, dim)))
+            np.testing.assert_array_max_ulp(draw, scalar_normals(seed, (2, dim, dim)), maxulp=4)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_from_seed_rebuilds_edge_seed_bases(self, dim):
         stack = _haar_stack(_seeded_normals(EDGE_SEEDS, (2, dim, dim)))
         for seed, u in zip(EDGE_SEEDS, stack):
             assert np.array_equal(u, qd.VonNeumannBasis.from_seed(dim, seed).unitary)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_haar_moments_of_scan_draws(self, dim):
+        # Standard normals, the cosine and sine halves uncorrelated, and
+        # under the Haar measure E|U_00|^2 = 1/d, E|U_00|^4 = 2 / (d (d + 1)).
+        draws = _seeded_normals(qd.derive_child_seeds(37, 100_000), (2, dim, dim))
+        assert abs(draws.mean()) < 0.005
+        assert abs(draws.var() - 1.0) < 0.01
+        assert abs(np.mean(draws[:, 0] * draws[:, 1])) < 0.005
+        p = np.abs(_haar_stack(draws)[:, 0, 0]) ** 2
+        assert abs(p.mean() - 1.0 / dim) < 0.01
+        assert abs(np.mean(p * p) - 2.0 / (dim * (dim + 1))) < 0.01
 
 
 class TestAsCount:
