@@ -26,7 +26,6 @@ from .errors import (
 )
 from .linalg import (
     _haar_stack,
-    _hermitian_part,
     _seeded_normals,
     _split_eig,
     as_count,
@@ -235,11 +234,26 @@ def _pair_trace_matrix(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _check_basis(rho: DensityMatrix, basis: VonNeumannBasis) -> None:
+def _uncertainties(t: np.ndarray, unitaries: np.ndarray, spectrum=None) -> tuple:
+    """Clamped Q and, given a MeasurementSpectrum, U (else None) of each basis
+    in a stack (n, dim_a, dim_a), from the pair traces V of ``t``: Q = sum V_jk,
+    U = sum (v_j - v_k)^2 V_jk / 2. A basis gives the same bits in any stack.
+    """
+    v = _pair_trace_matrix(t, unitaries)
+    q = _clamp_uncertainty(v.sum(axis=(1, 2)), "measurement uncertainty")
+    if spectrum is None:
+        return q, None
+    u = 0.5 * (spectrum.gap_squared_matrix() * v).sum(axis=(1, 2))
+    return q, _clamp_uncertainty(u, "observable uncertainty")
+
+
+def _check_basis(rho, basis: VonNeumannBasis) -> DensityMatrix:
+    rho = _require_state(rho)
     if basis.dim != rho.dim_a:
         raise DimensionMismatchError(
             f"basis dimension {basis.dim} does not match dim_a = {rho.dim_a}"
         )
+    return rho
 
 
 def skew_information(rho, observable) -> float:
@@ -271,8 +285,7 @@ def uncertainty_term(rho, basis: VonNeumannBasis, j: int, k: int) -> float:
     off-diagonal term; that identity is what makes Q basis-block
     computable.
     """
-    rho = _require_state(rho)
-    _check_basis(rho, basis)
+    rho = _check_basis(rho, basis)
     da, db = rho.dim_a, rho.dim_b
     for idx in (j, k):
         if not 0 <= idx < da:
@@ -297,10 +310,8 @@ def measurement_uncertainty(rho, basis: VonNeumannBasis) -> float:
     Q = 2 * sum_{j<k} Tr_B[B_jk B_kj]; it vanishes exactly on
     classical-quantum states measured in their classical basis.
     """
-    rho = _require_state(rho)
-    _check_basis(rho, basis)
-    v = _pair_trace_matrix(_block_traces(rho), basis.unitary[None])
-    return _clamp_uncertainty(float(v.sum(axis=(1, 2))[0]), "measurement uncertainty")
+    rho = _check_basis(rho, basis)
+    return float(_uncertainties(_block_traces(rho), basis.unitary[None])[0][0])
 
 
 def observable_uncertainty(rho, basis: VonNeumannBasis, spectrum) -> float:
@@ -310,12 +321,9 @@ def observable_uncertainty(rho, basis: VonNeumannBasis, spectrum) -> float:
     value assigned to direction j. Equals the skew information of the
     observable sum_j v_j |u_j><u_j| tensored with the identity on B.
     """
-    rho = _require_state(rho)
-    _check_basis(rho, basis)
-    gaps = _as_spectrum(spectrum, rho.dim_a).gap_squared_matrix()
-    v = _pair_trace_matrix(_block_traces(rho), basis.unitary[None])
-    val = 0.5 * float((gaps * v).sum(axis=(1, 2))[0])
-    return _clamp_uncertainty(val, "observable uncertainty")
+    rho = _check_basis(rho, basis)
+    spectrum = _as_spectrum(spectrum, rho.dim_a)
+    return float(_uncertainties(_block_traces(rho), basis.unitary[None], spectrum)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +423,7 @@ def local_quantum_uncertainty(rho) -> float:
     t = _block_traces(rho)
     # Complex, so W takes the same zheevd as every other Hermitian matrix here.
     w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, t).real.astype(complex)
-    top = _split_eig(_hermitian_part(w), "correlation matrix").highest
+    top = _split_eig(w, "correlation matrix").highest
     val = float(np.einsum("abba->", t).real - top)
     return _clamp_uncertainty(val, "local quantum uncertainty")
 
@@ -505,32 +513,24 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     Bases are Haar random on subsystem A, one per derived child seed, drawn
     from its SplitMix64 stream and contracted with T in chunks of
     ``_SCAN_CHUNK``. Results are deterministic in (rho, spectrum, samples,
-    master_seed) and independent of evaluation order: each row is bitwise
-    the value that :func:`measurement_uncertainty` and
-    :func:`observable_uncertainty` give for the basis
-    :meth:`VonNeumannBasis.from_seed` rebuilds.
+    master_seed) and independent of evaluation order: each chunk goes
+    through the evaluator of :func:`measurement_uncertainty` and
+    :func:`observable_uncertainty`, so each row is bitwise their value for
+    the basis :meth:`VonNeumannBasis.from_seed` rebuilds.
     """
     rho = _require_state(rho)
     samples = as_count(samples, "samples")
     master_seed = as_count(master_seed, "master_seed", 0)
-    gaps = None
-    if spectrum is not None:
-        spectrum = _as_spectrum(spectrum, rho.dim_a)
-        gaps = spectrum.gap_squared_matrix()
+    spectrum = None if spectrum is None else _as_spectrum(spectrum, rho.dim_a)
     t = _block_traces(rho)
     seeds = derive_child_seeds(master_seed, samples)
-    q_values = np.empty(samples)
-    u_values = np.empty(samples) if gaps is not None else None
-    for start in range(0, samples, _SCAN_CHUNK):
-        chunk = slice(start, start + _SCAN_CHUNK)
-        draws = _seeded_normals(seeds[chunk], (2, rho.dim_a, rho.dim_a))
-        v = _pair_trace_matrix(t, _haar_stack(draws))
-        q_values[chunk] = v.sum(axis=(1, 2))
-        if gaps is not None:
-            u_values[chunk] = 0.5 * (gaps * v).sum(axis=(1, 2))
-    q_values = _clamp_uncertainty(q_values, "measurement uncertainty")
-    if gaps is not None:
-        u_values = _clamp_uncertainty(u_values, "observable uncertainty")
+    shape = (2, rho.dim_a, rho.dim_a)
+    chunks = [
+        _uncertainties(t, _haar_stack(_seeded_normals(seeds[i:i + _SCAN_CHUNK], shape)), spectrum)
+        for i in range(0, samples, _SCAN_CHUNK)
+    ]
+    q_values = np.concatenate([q for q, _ in chunks])
+    u_values = None if spectrum is None else np.concatenate([u for _, u in chunks])
     return UncertaintyScan(
         rho.dim_a, rho.dim_b, master_seed, spectrum, seeds, q_values, u_values
     )

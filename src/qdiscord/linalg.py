@@ -2,8 +2,8 @@
 
 All routines work on complex numpy arrays and are meant for the matrix
 sizes that show up in this package (products of subsystem dimensions up
-to a few dozen). Shared numerical tolerances live here so the rest of
-the library agrees on what "Hermitian" or "positive" means.
+to a few dozen). The Hermiticity, positivity and square-root tolerances
+live here; each other tolerance sits with the one module that checks it.
 """
 
 from math import prod
@@ -71,13 +71,13 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as an array after checking Hermiticity to ``tol``."""
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
+    """Return ``m`` as an array after checking Hermiticity to HERMITICITY_TOL."""
     arr = as_matrix(m, name)
     dev = hermiticity_deviation(arr)
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise NotHermitianError(
-            f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {tol:.1e}"
+            f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
     return arr
 
@@ -103,7 +103,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 class SplitEig(NamedTuple):
-    """Eigendecomposition of an exactly Hermitian matrix h in split form.
+    """Eigendecomposition of the Hermitian part h of a matrix, in split form.
 
     ``core`` lists the rows of h with a nonzero off-diagonal entry and
     ``(w, v)`` is the ascending ``eigh`` of their principal submatrix. Each
@@ -139,15 +139,16 @@ class SplitEig(NamedTuple):
         return HermitianEig(values[order], vectors[:, order])
 
 
-def _split_eig(h: np.ndarray, name: str = "matrix") -> SplitEig:
-    """Eigendecompose an exactly Hermitian ``h``, running ``eigh`` only on
-    the rows that an exactly nonzero off-diagonal entry couples.
+def _split_eig(m: np.ndarray, name: str = "matrix") -> SplitEig:
+    """Eigendecompose h = :func:`_hermitian_part` of a validated square
+    ``m``, running ``eigh`` only on the rows an exactly nonzero off-diagonal
+    entry of h couples.
 
-    ``h`` is not checked: build it with :func:`_hermitian_part` from a
-    validated matrix. When every row is coupled the core is ``h`` itself and
+    ``m`` is not checked. When every row is coupled the core is h itself and
     the call is ``np.linalg.eigh(h)``. Convergence failures raise
     :class:`EigensolverError`.
     """
+    h = _hermitian_part(m)
     # A row is coupled when it has more nonzero entries than its diagonal one.
     coupled = np.count_nonzero(h, axis=1) > (h.diagonal() != 0)
     core, rest = coupled.nonzero()[0], (~coupled).nonzero()[0]
@@ -166,7 +167,7 @@ def hermitian_eig(m, name: str = "matrix") -> HermitianEig:
     raise :class:`EigensolverError`.
     """
     arr = require_hermitian(m, name=name)
-    return _split_eig(_hermitian_part(arr), name).full()
+    return _split_eig(arr, name).full()
 
 
 def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
@@ -203,7 +204,7 @@ def psd_sqrt(m, name: str = "matrix") -> np.ndarray:
     DensityMatrix validates, not of the one triangle ``eigh`` reads; for
     exactly Hermitian ``m`` the two are bitwise equal."""
     arr = require_hermitian(m, name=name)
-    return _psd_root(_split_eig(_hermitian_part(arr), name), name)
+    return _psd_root(_split_eig(arr, name), name)
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

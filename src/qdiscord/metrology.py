@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .discord import _clamp_uncertainty, _require_state, local_quantum_uncertainty
-from .errors import InvalidInputError
-from .linalg import _hermitian_part, _split_eig, as_matrix, partial_transpose, psd_sqrt
+from .errors import DimensionMismatchError, InvalidInputError
+from .linalg import _split_eig, as_matrix, partial_transpose, psd_sqrt
 from .states import (
     DensityMatrix,
     NoonChannelParams,
@@ -100,6 +100,8 @@ def _uhlmann_overlap(sa: np.ndarray, sb: np.ndarray) -> tuple:
     which keeps its relative precision when sqrt F rounds to 1. Identical
     roots give exactly (1, 0), so constant families difference to zero.
     """
+    if sa.shape != sb.shape:
+        raise DimensionMismatchError(f"cannot compare states of sizes {sa.shape} and {sb.shape}")
     if sa is sb or np.array_equal(sa, sb):
         return 1.0, 0.0
     u, sigma, vh = np.linalg.svd(sb @ sa)
@@ -134,18 +136,16 @@ def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> 
     return 4.0 * _uhlmann_overlap(sa, sb)[1] / (delta * delta)
 
 
-def negativity(rho: DensityMatrix, subsystem: int = 0) -> float:
-    """Entanglement negativity, (||partial transpose||_1 - Tr rho) / 2.
+def negativity(rho: DensityMatrix) -> float:
+    """Entanglement negativity, (||rho^(T_A)||_1 - Tr rho) / 2; rho^(T_B) = rho^(T_A)^T.
 
     The trace norm is the sum of |eigenvalue| of the Hermitian part of the
     partial transpose, which :func:`_split_eig` takes on its coupled rows
     only. The state's own trace, not 1, so a trace within TRACE_TOL of 1
-    never pushes the value below zero: ||X||_1 >= |Tr X| for every
-    Hermitian X.
+    never pushes the value below zero: ||X||_1 >= |Tr X| for Hermitian X.
     """
     rho = _require_state(rho)
-    pt = partial_transpose(rho.matrix, (rho.dim_a, rho.dim_b), subsystem)
-    eig = _split_eig(_hermitian_part(pt), "partial transpose")
+    eig = _split_eig(partial_transpose(rho.matrix, (rho.dim_a, rho.dim_b)), "partial transpose")
     norm = np.abs(eig.w).sum() + np.abs(eig.d).sum()
     val = 0.5 * (norm - np.trace(rho.matrix).real)
     return _clamp_uncertainty(val, "negativity")

@@ -18,7 +18,6 @@ from .linalg import (
     PSD_TOL,
     HermitianEig,
     SplitEig,
-    _hermitian_part,
     _psd_root,
     _split_eig,
     as_count,
@@ -201,7 +200,7 @@ def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         violations.append(f"trace violated: trace = {tr:.12g}")
-    split = _split_eig(_hermitian_part(m), "density matrix")
+    split = _split_eig(m, "density matrix")
     lo = split.lowest
     if lo < -PSD_TOL:
         violations.append(f"PSD violated: min eigenvalue {lo:.12g}")
@@ -402,9 +401,9 @@ def density_to_json(rho: DensityMatrix) -> dict:
 def matrix_from_json(data: dict) -> tuple:
     """Decode (matrix, dim_a, dim_b) from the JSON dict, without validation.
 
-    Shape and key errors raise; state-quality checks are left to
-    :func:`validation_report` or the DensityMatrix constructor so a caller
-    can report them instead of failing fast.
+    Key errors and ragged, non-numeric or unequal ``re``/``im`` raise; the
+    shape and state quality are left to :func:`validation_report`, which
+    every path runs next, so a caller can report them all at once.
     """
     if not isinstance(data, dict):
         raise InvalidInputError("density JSON must be an object")
@@ -413,19 +412,18 @@ def matrix_from_json(data: dict) -> tuple:
             raise InvalidInputError(f"density JSON missing key '{key}'")
     dim_a = as_count(data["dimA"], "dimA")
     dim_b = as_count(data["dimB"], "dimB")
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    parts = []
+    for key in ("re", "im"):
+        try:
+            parts.append(np.asarray(data[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"density JSON '{key}' is not a matrix of numbers: {exc}") from None
+    re, im = parts
     if re.shape != im.shape:
         raise DimensionMismatchError(
             f"re has shape {re.shape} but im has shape {im.shape}"
         )
-    m = re + 1j * im
-    dim = dim_a * dim_b
-    if m.ndim != 2 or m.shape != (dim, dim):
-        raise DimensionMismatchError(
-            f"matrix shape {m.shape} does not match dimA*dimB = {dim}"
-        )
-    return m, dim_a, dim_b
+    return re + 1j * im, dim_a, dim_b
 
 
 def density_from_json(data: dict) -> DensityMatrix:

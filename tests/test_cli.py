@@ -329,6 +329,17 @@ class TestValidateCommand:
         assert code == 2
         assert "cannot parse" in err
 
+    @pytest.mark.parametrize("command", ["validate", "discord"])
+    @pytest.mark.parametrize("entry", ["{}", '"x"', "[0.5]"])
+    def test_malformed_matrix_is_invalid_input(self, capsys, tmp_path, command, entry):
+        path = tmp_path / "malformed.json"
+        path.write_text(
+            f'{{"dimA": 2, "dimB": 1, "re": [[0.5, 0], [{entry}, 0.5]], "im": [[0, 0], [0, 0]]}}'
+        )
+        code, out, err = invoke(capsys, command, "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: density JSON 're' is not a matrix of numbers")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "validate", "--file", str(tmp_path / "nope.json"))
         assert code == 2

@@ -421,11 +421,13 @@ class TestSeedDerivation:
 class TestUncertaintyScan:
     def test_rows_reproducible_from_recorded_seeds(self):
         rng = np.random.default_rng(51)
-        rho = random_state(3, 2, rng)
-        scan = qd.scan_uncertainty(rho, samples=16, master_seed=9)
-        for i in (0, 7, 15):
-            basis = qd.VonNeumannBasis.from_seed(3, int(scan.seeds[i]))
-            assert qd.measurement_uncertainty(rho, basis) == scan.q_values[i]
+        for dim_a, spectrum in ((2, (1.5, -0.5)), (3, (4.0, 3.0, 2.0))):
+            rho = random_state(dim_a, 2, rng)
+            scan = qd.scan_uncertainty(rho, spectrum, samples=300, master_seed=9)
+            for i in (0, 7, 255, 256, 299):
+                basis = qd.VonNeumannBasis.from_seed(dim_a, int(scan.seeds[i]))
+                assert qd.measurement_uncertainty(rho, basis) == scan.q_values[i]
+                assert qd.observable_uncertainty(rho, basis, spectrum) == scan.u_values[i]
 
     def test_objective_selection(self):
         rng = np.random.default_rng(52)

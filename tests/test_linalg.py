@@ -94,7 +94,7 @@ class TestSplitEig:
     def test_only_coupled_rows_reach_eigh(self):
         rng = np.random.default_rng(102)
         m = block_hermitian((2, 1, 3, 1), rng)
-        split = _split_eig(_hermitian_part(m))
+        split = _split_eig(m)
         rows = np.sort(np.concatenate([split.core, split.rest]))
         assert np.array_equal(rows, np.arange(7))
         assert split.core.size == 5 and split.w.shape == (5,)
@@ -103,9 +103,20 @@ class TestSplitEig:
     def test_tiny_coupling_stays_in_core(self):
         m = np.diag([0.3, 0.5, 0.2]).astype(complex)
         m[0, 2] = m[2, 0] = 1e-300
-        split = _split_eig(_hermitian_part(m))
+        split = _split_eig(m)
         assert split.core.tolist() == [0, 2] and split.rest.tolist() == [1]
         self.check_decomposition(m)
+
+    def test_splits_the_hermitian_part_of_an_accepted_matrix(self):
+        # Hermitian to HERMITICITY_TOL, not exactly: the split is that of
+        # the Hermitian part, bit for bit, not of the lower triangle.
+        m = np.array([[0.5, 0.5 + 4.1e-11], [0.5 + 1.39e-10, 0.5]], dtype=complex)
+        require_hermitian(m)
+        got, want = _split_eig(m), _split_eig(_hermitian_part(m))
+        assert not np.array_equal(m, _hermitian_part(m))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.w.tobytes() != np.linalg.eigvalsh(m).tobytes()
 
     def test_zero_matrix(self):
         w, v = qd.hermitian_eig(np.zeros((4, 4)))

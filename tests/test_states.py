@@ -7,6 +7,7 @@ import pytest
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
 from qdiscord.linalg import ZERO_EIGENVALUE_CUTOFF
+from qdiscord.states import matrix_from_json
 
 from helpers import (
     bell_state,
@@ -383,6 +384,16 @@ class TestJsonInterchange:
             qd.density_from_json(
                 {"dimA": 1, "dimB": 1, "re": [[1.0]], "im": [[0.0], [0.0]]}
             )
+
+    def test_malformed_parts_are_invalid_input(self):
+        good = [[0.5, 0.0], [0.0, 0.5]]
+        for bad in ([[{}, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.5]], [["a", 0.0], [0.0, 0.5]]):
+            for key in ("re", "im"):
+                data = {"dimA": 2, "dimB": 1, "re": good, "im": good, key: bad}
+                with pytest.raises(InvalidInputError, match=f"'{key}' is not a matrix of numbers"):
+                    matrix_from_json(data)
+                with pytest.raises(InvalidInputError, match=f"'{key}' is not a matrix"):
+                    qd.density_from_json(data)
 
     def test_wrong_matrix_size(self):
         with pytest.raises(DimensionMismatchError):
