@@ -212,38 +212,30 @@ def _block_traces(rho: DensityMatrix) -> np.ndarray:
     return np.tensordot(s4, s4, axes=([1, 3], [3, 1]))
 
 
-def _pair_trace_matrix(t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Matrices of Tr[B_jk B_kj] over direction pairs, diagonals zeroed.
-
-    ``u`` is a stack (n, dim_a, dim_a) of unitaries and the result has the
-    same shape. B_jk = sum_ab conj(u_aj) u_bk S_ab is the B-space block
-    <u_j| sqrt(rho) |u_k> in the measurement basis with columns u_j, so
-    V_jk = sum conj(u_aj) u_bk conj(u_ck) u_dj T_abcd for the block traces
-    T of :func:`_block_traces`. Each basis costs O(dim_a^5), against
-    O(dim_a^3 dim_b^2) for contracting the blocks of sqrt(rho) directly;
-    it is never slower when dim_b >= dim_a. The first contraction is one
-    matrix product per basis, so a basis gives the same bits in a stack of
-    any size; a single basis is a stack of one.
-    """
-    n, da = u.shape[:2]
-    x = np.matmul(u.conj().transpose(0, 2, 1), t.reshape(da, -1))
-    y = np.einsum("njbcd,ndj->njbc", x.reshape(n, da, da, da, da), u)
-    v = np.einsum("njbc,nbk,nck->njk", y, u, u.conj()).real
-    diag = np.arange(da)
-    v[:, diag, diag] = 0.0
-    return v
-
-
 def _uncertainties(t: np.ndarray, unitaries: np.ndarray, spectrum=None) -> tuple:
     """Clamped Q and, given a MeasurementSpectrum, U (else None) of each basis
-    in a stack (n, dim_a, dim_a), from the pair traces V of ``t``: Q = sum V_jk,
-    U = sum (v_j - v_k)^2 V_jk / 2. A basis gives the same bits in any stack.
+    in a stack (n, dim_a, dim_a), as quadratic forms in the block traces ``t``.
+
+    With x_j = vec(conj(u_j) u_j^T) and M = t.transpose(0, 3, 2, 1) as a
+    (dim_a^2, dim_a^2) matrix, x_j M x_k = Tr_B[B_jk B_kj]. So with
+    rho_A[a, d] = sum_b t[a, b, b, d], Q = Tr rho_A - sum_j x_j M x_j and
+    U = sum_j v_j^2 <u_j|rho_A|u_j> - z M z, z = sum_j v_j x_j = vec(O^T).
+    U ignores a common shift of the v_j, so they are centred on their
+    midrange to keep its cancellation small. Products are per basis and
+    sums run over fixed axes, so a basis gives the same bits in any stack.
     """
-    v = _pair_trace_matrix(t, unitaries)
-    q = _clamp_uncertainty(v.sum(axis=(1, 2)), "measurement uncertainty")
+    n, da = unitaries.shape[:2]
+    m = t.transpose(0, 3, 2, 1).reshape(da * da, da * da)
+    cols = unitaries.transpose(0, 2, 1)
+    x = (cols.conj()[:, :, :, None] * cols[:, :, None, :]).reshape(n, da, da * da)
+    y = np.matmul(x, m)
+    q = np.einsum("abba->", t).real - (y * x).real.sum(axis=(1, 2))
+    q = _clamp_uncertainty(q, "measurement uncertainty")
     if spectrum is None:
         return q, None
-    u = 0.5 * (spectrum.gap_squared_matrix() * v).sum(axis=(1, 2))
+    v = np.subtract(spectrum.values, 0.5 * (max(spectrum.values) + min(spectrum.values)))
+    rho_a = np.einsum("abbd->ad", t).reshape(-1)
+    u = (np.matmul(v * v, x) * rho_a - np.matmul(v, y) * np.matmul(v, x)).real.sum(axis=1)
     return q, _clamp_uncertainty(u, "observable uncertainty")
 
 
@@ -445,8 +437,9 @@ def geometric_discord_qubit(rho) -> float:
 
 
 #: Bases per batch of a scan: one SplitMix64 pass, one QR and one
-#: contraction with T per chunk (per basis at dA = dB = 3: 0.7, 1.4, 2.7 us).
-#: Larger chunks run no faster and grow the k x dim_a^4 intermediate.
+#: quadratic-form evaluation per chunk (per basis at dA = dB = 3, one BLAS
+#: thread, best of 25: 0.6, 1.1, 1.0 us). A 1024 chunk runs no faster at
+#: dA = 3 and 1.4x slower at dA = 6, where its temporaries leave the cache.
 _SCAN_CHUNK = 256
 
 
@@ -511,10 +504,10 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     """Evaluate Q (and U, if a spectrum is given) over seeded random bases.
 
     Bases are Haar random on subsystem A, one per derived child seed, drawn
-    from its SplitMix64 stream and contracted with T in chunks of
-    ``_SCAN_CHUNK``. Results are deterministic in (rho, spectrum, samples,
-    master_seed) and independent of evaluation order: each chunk goes
-    through the evaluator of :func:`measurement_uncertainty` and
+    from its SplitMix64 stream and evaluated in chunks of ``_SCAN_CHUNK``.
+    Results are deterministic in (rho, spectrum, samples, master_seed) and
+    independent of evaluation order: each chunk goes through the evaluator
+    of :func:`measurement_uncertainty` and
     :func:`observable_uncertainty`, so each row is bitwise their value for
     the basis :meth:`VonNeumannBasis.from_seed` rebuilds.
     """

@@ -249,25 +249,18 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     return out.reshape(d_keep, d_keep)
 
 
-def partial_transpose(m, dims: Sequence[int], subsystem: int = 0) -> np.ndarray:
-    """Transpose one subsystem of a bipartite matrix.
+def partial_transpose(m, dims: Sequence[int]) -> np.ndarray:
+    """Transpose the first factor (A) of a bipartite matrix.
 
-    ``dims`` must have exactly two entries; ``subsystem`` selects which of
-    the two factors is transposed.
+    ``dims`` must have exactly two entries. The transpose on B is the
+    transpose of this result.
     """
     arr = as_matrix(m, "matrix")
     dims = _check_dims(arr, dims)
     if len(dims) != 2:
         raise DimensionMismatchError(f"partial transpose needs two subsystems, got {len(dims)}")
-    if subsystem not in (0, 1):
-        raise IndexError(f"subsystem must be 0 or 1, got {subsystem}")
     da, db = dims
-    t = arr.reshape(da, db, da, db)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(da * db, da * db)
+    return arr.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)
 
 
 def trace_norm(m) -> float:

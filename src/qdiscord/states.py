@@ -398,6 +398,22 @@ def density_to_json(rho: DensityMatrix) -> dict:
     }
 
 
+def _json_numbers(value, key: str) -> np.ndarray:
+    """Float array of a nested list whose entries are all JSON numbers: not
+    strings or booleans, which float() takes, nor the lists of a ragged one."""
+    try:
+        entries = np.asarray(value, dtype=object)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"density JSON '{key}' is not a matrix of numbers: {exc}") from None
+    for kind in set(map(type, entries.flat)):
+        if kind is bool or not issubclass(kind, (int, float)):
+            bad = next(x for x in entries.flat if type(x) is kind)
+            raise InvalidInputError(
+                f"density JSON '{key}' is not a matrix of numbers: entry {bad!r} is a {kind.__name__}"
+            )
+    return entries.astype(float)
+
+
 def matrix_from_json(data: dict) -> tuple:
     """Decode (matrix, dim_a, dim_b) from the JSON dict, without validation.
 
@@ -412,13 +428,7 @@ def matrix_from_json(data: dict) -> tuple:
             raise InvalidInputError(f"density JSON missing key '{key}'")
     dim_a = as_count(data["dimA"], "dimA")
     dim_b = as_count(data["dimB"], "dimB")
-    parts = []
-    for key in ("re", "im"):
-        try:
-            parts.append(np.asarray(data[key], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"density JSON '{key}' is not a matrix of numbers: {exc}") from None
-    re, im = parts
+    re, im = (_json_numbers(data[key], key) for key in ("re", "im"))
     if re.shape != im.shape:
         raise DimensionMismatchError(
             f"re has shape {re.shape} but im has shape {im.shape}"

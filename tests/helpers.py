@@ -134,9 +134,29 @@ def loop_haar_unitary(draw):
     return q * (d / np.abs(d))
 
 
+def pair_trace_matrix(t, u):
+    """Matrices of Tr[B_jk B_kj] over direction pairs, diagonals zeroed.
+
+    ``u`` is a stack (n, dim_a, dim_a) of unitaries and the result has the
+    same shape. B_jk = sum_ab conj(u_aj) u_bk S_ab is the B-space block
+    <u_j| sqrt(rho) |u_k> in the measurement basis with columns u_j, so
+    V_jk = sum conj(u_aj) u_bk conj(u_ck) u_dj T_abcd for the block traces
+    T of _block_traces: the pair form of Q = sum V_jk and
+    U = sum (v_j - v_k)^2 V_jk / 2, a sum of terms >= 0. The reference for
+    the quadratic forms the library evaluates.
+    """
+    n, da = u.shape[:2]
+    x = np.matmul(u.conj().transpose(0, 2, 1), t.reshape(da, -1))
+    y = np.einsum("njbcd,ndj->njbc", x.reshape(n, da, da, da, da), u)
+    v = np.einsum("njbc,nbk,nck->njk", y, u, u.conj()).real
+    diag = np.arange(da)
+    v[:, diag, diag] = 0.0
+    return v
+
+
 def loop_scan(rho, spectrum, samples, master_seed):
     """Seeded scan by a per-sample loop: one seed's draw, one QR and one
-    contraction with the block traces T per basis.
+    pair-trace matrix per basis.
 
     The reference for the batched scan. Returns (seeds, q_values, u_values),
     with u_values None when no spectrum is given.
@@ -151,10 +171,7 @@ def loop_scan(rho, spectrum, samples, master_seed):
     u_values = np.empty(samples) if gaps is not None else None
     for i, seed in enumerate(seeds.tolist()):
         u = loop_haar_unitary(_seeded_normals([seed], (2, da, da))[0])
-        x = np.tensordot(u.conj(), t, axes=(0, 0))
-        y = np.einsum("jbcd,dj->jbc", x, u)
-        v = np.einsum("jbc,bk,ck->jk", y, u, u.conj()).real
-        np.fill_diagonal(v, 0.0)
+        v = pair_trace_matrix(t, u[None])[0]
         q = float(v.sum())
         q_values[i] = 0.0 if q < 0.0 else q
         if gaps is not None:

@@ -330,7 +330,7 @@ class TestValidateCommand:
         assert "cannot parse" in err
 
     @pytest.mark.parametrize("command", ["validate", "discord"])
-    @pytest.mark.parametrize("entry", ["{}", '"x"', "[0.5]"])
+    @pytest.mark.parametrize("entry", ["{}", '"x"', "[0.5]", '"0.5"', "true"])
     def test_malformed_matrix_is_invalid_input(self, capsys, tmp_path, command, entry):
         path = tmp_path / "malformed.json"
         path.write_text(

@@ -10,13 +10,15 @@ from qdiscord.errors import (
     InvalidInputError,
     NotPSDError,
 )
-from qdiscord.discord import _clamp_uncertainty
+from qdiscord.discord import _block_traces, _clamp_uncertainty, _uncertainties
+from qdiscord.linalg import _haar_stack, _seeded_normals
 
 from helpers import (
     bell_state,
     classical_quantum_state,
     loop_assignment,
     loop_scan,
+    pair_trace_matrix,
     random_pure,
     random_state,
 )
@@ -466,10 +468,10 @@ class TestUncertaintyScan:
             scan = qd.scan_uncertainty(rho, spectrum, samples=600, master_seed=8)
             seeds, q_values, u_values = loop_scan(rho, spectrum, 600, 8)
             assert np.array_equal(scan.seeds, seeds)
-            assert np.max(np.abs(scan.q_values - q_values)) <= 4.5e-16
+            assert np.max(np.abs(scan.q_values - q_values)) <= 1e-14
             values = q_values
             if spectrum is not None:
-                assert np.max(np.abs(scan.u_values - u_values)) <= 4.5e-16
+                assert np.max(np.abs(scan.u_values - u_values)) <= 1e-14
                 values = u_values
             assert scan.argmin_seed == seeds[np.argmin(values)].item()
 
@@ -604,3 +606,50 @@ class TestBlockTraceKernels:
             v = tensordot_pair_traces(rho, qd.VonNeumannBasis.from_seed(3, seed).unitary)
             assert abs(q - float(v.sum())) < REFERENCE_TOL
             assert abs(u - 0.5 * float((gaps * v).sum())) < REFERENCE_TOL
+
+
+# ---------------------------------------------------------------------------
+# Quadratic-form kernel against the pair form it replaces
+# ---------------------------------------------------------------------------
+
+#: Absolute agreement of the quadratic forms with the pair form, fixed in
+#: advance: Tr rho - sum cancels where the pair form sums terms >= 0.
+QUADRATIC_FORM_TOL = 1e-14
+
+
+def seeded_bases(dim_a, count, master_seed):
+    shape = (2, dim_a, dim_a)
+    return _haar_stack(_seeded_normals(qd.derive_child_seeds(master_seed, count), shape))
+
+
+class TestQuadraticFormKernel:
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 5), (3, 3), (3, 16), (4, 4), (6, 4)])
+    def test_matches_pair_form(self, dim_a, dim_b):
+        rng = np.random.default_rng(70 + dim_a * dim_b)
+        spectrum = qd.MeasurementSpectrum(tuple(float(v) for v in rng.permutation(dim_a) + 1))
+        gaps = spectrum.gap_squared_matrix()
+        bases = seeded_bases(dim_a, 200, dim_a * dim_b)
+        for rank in (None, dim_b, 1):  # full rank, rank deficient, pure
+            t = _block_traces(random_state(dim_a, dim_b, rng, rank))
+            v = pair_trace_matrix(t, bases)
+            q, u = _uncertainties(t, bases, spectrum)
+            assert np.max(np.abs(q - v.sum(axis=(1, 2)))) <= QUADRATIC_FORM_TOL
+            assert np.max(np.abs(u - 0.5 * (gaps * v).sum(axis=(1, 2)))) <= QUADRATIC_FORM_TOL
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 4), (4, 2), (6, 4)])
+    def test_classical_quantum_state_in_its_classical_bases(self, dim_a, dim_b):
+        # Q and U are exactly 0 in every basis that permutes and rephases the
+        # classical one; the computed Tr rho - sum must stay within roundoff
+        # of 0 and never reach the clamp's NotPSDError.
+        rng = np.random.default_rng(80 + dim_a)
+        spectrum = qd.MeasurementSpectrum(tuple(float(v) for v in range(dim_a, 0, -1)))
+        eye = np.eye(dim_a)
+        bases = np.stack([
+            eye[:, rng.permutation(dim_a)] * np.exp(2j * np.pi * rng.random(dim_a))
+            for _ in range(50)
+        ])
+        for _ in range(5):
+            t = _block_traces(classical_quantum_state(dim_a, dim_b, rng))
+            q, u = _uncertainties(t, bases, spectrum)
+            assert np.max(q) <= QUADRATIC_FORM_TOL
+            assert np.max(u) <= QUADRATIC_FORM_TOL

@@ -252,26 +252,22 @@ class TestPartialTranspose:
         rb = random_density_array(3, rng)
         full = np.kron(ra, rb)
         assert np.allclose(
-            qd.partial_transpose(full, (2, 3), 0), np.kron(ra.T, rb), atol=1e-14
+            qd.partial_transpose(full, (2, 3)), np.kron(ra.T, rb), atol=1e-14
         )
         assert np.allclose(
-            qd.partial_transpose(full, (2, 3), 1), np.kron(ra, rb.T), atol=1e-14
+            qd.partial_transpose(full, (2, 3)).T, np.kron(ra, rb.T), atol=1e-14
         )
 
     def test_involution_is_exact(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        back = qd.partial_transpose(qd.partial_transpose(m, (2, 3), 0), (2, 3), 0)
+        back = qd.partial_transpose(qd.partial_transpose(m, (2, 3)), (2, 3))
         assert np.array_equal(back, m)
 
     def test_bell_minimum_eigenvalue(self):
         v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
-        pt = qd.partial_transpose(np.outer(v, v.conj()), (2, 2), 0)
+        pt = qd.partial_transpose(np.outer(v, v.conj()), (2, 2))
         assert abs(np.linalg.eigvalsh(pt)[0] + 0.5) < 1e-12
-
-    def test_bad_subsystem(self):
-        with pytest.raises(IndexError):
-            qd.partial_transpose(np.eye(4), (2, 2), 2)
 
 
 class TestTraceNorm:
