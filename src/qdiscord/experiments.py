@@ -172,7 +172,8 @@ def run_fig4(n: int, t2_grid) -> Fig4Result:
     DG is the computed local quantum uncertainty of the lossy state. The
     slope of F against DG recovers n^2 wherever the proportionality
     F = DG * n^2 holds; ``max_residual`` is the largest pointwise deviation
-    from it on the grid.
+    from it on the grid. A grid on which every DG is equal leaves the slope
+    undefined and raises :class:`InvalidInputError`.
     """
     grid = np.asarray(t2_grid, dtype=float).ravel()
     if grid.size < 2:
@@ -182,6 +183,10 @@ def run_fig4(n: int, t2_grid) -> Fig4Result:
         for t2, _, rho, f, dg, residual in identity_sweep(n, grid)
     ]
     _, f_values, dg_values, _, residuals = zip(*points)
+    if min(dg_values) == max(dg_values):
+        raise InvalidInputError(
+            "t2 grid needs at least two distinct DG values to fit the F-vs-DG slope"
+        )
     slope = float(np.polyfit(dg_values, f_values, 1)[0])
     return Fig4Result([point[:4] for point in points], slope, max(residuals))
 

@@ -3,31 +3,36 @@
 Files are written with LF newlines so that a repeated run with the same
 configuration is byte-identical. One per-type rule renders every cell:
 
-* ``bool`` is rejected with :class:`TypeError`;
+* ``bool`` and ``np.bool_`` are rejected with :class:`TypeError`;
 * ``float`` and its subclasses (``np.float64`` included) print at 12
   significant digits (``%.12g``: ``-0``, ``nan``, ``inf``);
 * any other cell prints through ``str``, so Python and numpy integers
   print verbatim.
 
-:func:`write_csv` turns each distinct tuple of cell types into one row
-template, so a row is a single ``%`` format.
+:func:`write_csv` formats a block of up to ``_BLOCK_ROWS`` rows with one
+template and one ``%``: the template holds a directive per cell, chosen by
+that cell's type, so mixed types within a column still follow the rule.
 """
 
 import json
-from itertools import islice
+from itertools import chain, islice
+
+import numpy as np
+
+from .errors import DimensionMismatchError
 
 SIGNIFICANT_DIGITS = 12
 
 _FLOAT_CELL = f"%.{SIGNIFICANT_DIGITS}g"
 
-#: Rows formatted per ``"".join`` and ``write``; bounded so a large table is
+#: Rows formatted per ``%`` and ``write``; bounded so a large table is
 #: never held in memory as one string.
 _BLOCK_ROWS = 4096
 
 
 def _cell_format(kind: type) -> str:
     """The ``%`` directive for cells of type ``kind``."""
-    if issubclass(kind, bool):
+    if issubclass(kind, (bool, np.bool_)):
         raise TypeError("booleans are not table cells")
     return _FLOAT_CELL if issubclass(kind, float) else "%s"
 
@@ -37,25 +42,32 @@ def format_number(value) -> str:
     return _cell_format(type(value)) % (value,)
 
 
-def _format_rows(rows):
-    """Yield one LF-terminated line per row, one template per type signature."""
-    templates = {}
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
-        yield template % row
-
-
 def write_csv(path, header, rows) -> None:
-    """Write a header line plus one comma-joined line per row."""
-    lines = _format_rows(rows)
+    """Write a header line plus one comma-joined line per row.
+
+    Every row must have one cell per header column; a row of another length
+    raises :class:`DimensionMismatchError`.
+    """
+    width = len(header)
+    inner, last = {}, {}  # cell type -> directive + "," (inner cell) or + "\n" (row end)
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        while block := "".join(islice(lines, _BLOCK_ROWS)):
-            fh.write(block)
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            lengths = set(map(len, block))
+            if lengths != {width}:
+                raise DimensionMismatchError(
+                    f"every row needs {width} cells, one per header column; "
+                    f"got rows of {sorted(lengths - {width})} cells"
+                )
+            cells = tuple(chain.from_iterable(block))
+            kinds = list(map(type, cells))
+            for kind in set(kinds).difference(inner):
+                directive = _cell_format(kind)
+                inner[kind], last[kind] = directive + ",", directive + "\n"
+            template = list(map(inner.__getitem__, kinds))
+            template[width - 1::width] = map(last.__getitem__, kinds[width - 1::width])
+            fh.write("".join(template) % cells)
 
 
 def write_sidecar(csv_path, payload: dict) -> str:

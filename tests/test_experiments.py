@@ -169,6 +169,16 @@ class TestRunFig2:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "dc91dd300177d5f41c6dd3f2fa3dc42d70ec5e4a49061c5ae0416fe1a20e5760"
 
+    @pytest.mark.parametrize("spectrum, expected", [
+        ((2, 4, 1), "5429c4dde320f34fcc9b13320d53384eab6ac3b7a6067f0fe0b14310a9be1912"),
+        ((4, 3, 2), "06c65a8207efe83419185ae2cbee9d3e341ef012a33cd7b4836bdbc2c45c4475"),
+    ])
+    def test_csv_bytes_are_pinned_across_blocks(self, tmp_path, spectrum, expected):
+        # Resolution 200 gives 20,100 rows: five blocks of the CSV writer.
+        path = tmp_path / "fig2.csv"
+        qd.write_fig2(qd.Fig2Config(spectrum, resolution=200), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
 
 class TestRunFig4:
     def test_slope_recovers_squared_photon_number(self):
@@ -191,6 +201,12 @@ class TestRunFig4:
     def test_needs_two_grid_points(self):
         with pytest.raises(InvalidInputError):
             qd.run_fig4(2, (0.5,))
+
+    @pytest.mark.parametrize("grid", [(0.0, 0.0), (0.5, 0.5)])
+    def test_constant_dg_grid_raises(self, capfd, grid):
+        with pytest.raises(InvalidInputError, match="two distinct DG values"):
+            qd.run_fig4(50, grid)
+        assert capfd.readouterr().err == ""
 
     def test_write_outputs_and_reruns_identical(self, tmp_path):
         first = tmp_path / "a.csv"

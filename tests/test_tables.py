@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qdiscord.tables import format_number, write_csv
+from qdiscord.errors import DimensionMismatchError
+from qdiscord.tables import _BLOCK_ROWS, format_number, write_csv
 
 
 def written(tmp_path, rows, header=("a", "b")):
@@ -17,6 +18,13 @@ class TestCellRules:
             format_number(cell)
         with pytest.raises(TypeError, match="booleans"):
             written(tmp_path, [(1, cell)])
+
+    @pytest.mark.parametrize("cell", [np.bool_(True), np.bool_(False)])
+    def test_numpy_bool_cell_raises(self, tmp_path, cell):
+        with pytest.raises(TypeError, match="booleans"):
+            format_number(cell)
+        with pytest.raises(TypeError, match="booleans"):
+            written(tmp_path, [(1, 0.5), (cell, 0.5)])
 
     @pytest.mark.parametrize(
         "cell, text",
@@ -71,5 +79,22 @@ class TestWriteCsv:
     def test_rows_span_several_blocks(self, tmp_path):
         rows = [(i, i / 7) for i in range(10_000)]
         lines = written(tmp_path, rows).split("\n")
+        assert len(lines) == len(rows) + 2
+        assert lines[1:-1] == [",".join(map(format_number, row)) for row in rows]
+
+    def test_ragged_rows_raise(self, tmp_path):
+        with pytest.raises(DimensionMismatchError, match="needs 3 cells"):
+            written(tmp_path, [(1, 2.0, 3), (1, 2.0), (1, 2.0, 3, 4)], ("a", "b", "c"))
+        with pytest.raises(DimensionMismatchError, match="needs 2 cells"):
+            written(tmp_path, [(1, 2.0)] * _BLOCK_ROWS + [(1, 2.0, 3)])
+
+    def test_type_signature_changes_mid_block_and_at_block_boundary(self, tmp_path):
+        # New cell types appear inside the first block and again exactly at
+        # the first row of the second, so each block's template differs.
+        rows = [(i, i / 7, "x") for i in range(1000)]
+        rows += [(i / 3, np.int64(i), i) for i in range(1000, _BLOCK_ROWS)]
+        rows += [(np.float64(i), str(i), np.float32(i) / 3) for i in range(_BLOCK_ROWS, 5000)]
+        rows += [(i, -i / 9, None) for i in range(5000, 9000)]
+        lines = written(tmp_path, rows, ("a", "b", "c")).split("\n")
         assert len(lines) == len(rows) + 2
         assert lines[1:-1] == [",".join(map(format_number, row)) for row in rows]
