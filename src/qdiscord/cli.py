@@ -147,7 +147,7 @@ def _cmd_qfi(args) -> int:
     write_csv(args.out, ("t2", "F_closed", "F_oracle", "DG", "residual"), rows)
     write_sidecar(args.out, {
         "command": "qfi", "n": params.n, "phi": params.phi, "delta": args.delta,
-        "tolerance": tol, "t2_grid": [row[0] for row in rows], "version": __version__,
+        "tolerance": tol, "t2_grid": [row[0] for row in rows],
     })
     max_residual = max(row[4] for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -30,7 +30,7 @@ from .linalg import (
     _split_eig,
     as_count,
     as_matrix,
-    haar_unitary,
+    is_real_number,
     require_hermitian,
 )
 from .states import (
@@ -40,7 +40,6 @@ from .states import (
     _schmidt_weights,
     schmidt_decompose,
 )
-from .tables import write_csv
 
 #: Assigned eigenvalues closer than this are rejected as indistinguishable.
 MIN_SPECTRUM_GAP = 1e-9
@@ -81,12 +80,18 @@ def _clamp_uncertainty(value, what: str = "uncertainty"):
 
 @dataclass(frozen=True)
 class MeasurementSpectrum:
-    """Eigenvalues assigned to the outcomes of a measurement on A."""
+    """Eigenvalues assigned to the outcomes of a measurement on A, given as
+    a list, tuple or 1-D array of real non-bool numbers; stored as floats."""
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in np.asarray(self.values, dtype=float).ravel())
+        values = self.values.tolist() if isinstance(self.values, np.ndarray) else self.values
+        if not isinstance(values, (list, tuple)) or not all(map(is_real_number, values)):
+            raise InvalidInputError(
+                f"spectrum must be a sequence of real numbers, got {self.values!r}"
+            )
+        vals = tuple(float(v) for v in values)
         if len(vals) < 2:
             raise InvalidInputError("spectrum needs at least two eigenvalues")
         spread = float(np.ptp(vals))
@@ -126,7 +131,7 @@ class MeasurementSpectrum:
 def _as_spectrum(spectrum, size: int) -> MeasurementSpectrum:
     """Coerce to a MeasurementSpectrum that has exactly ``size`` values."""
     if not isinstance(spectrum, MeasurementSpectrum):
-        spectrum = MeasurementSpectrum(tuple(spectrum))
+        spectrum = MeasurementSpectrum(spectrum)
     if spectrum.size != size:
         raise DimensionMismatchError(
             f"spectrum has {spectrum.size} values, expected {size}"
@@ -166,7 +171,8 @@ class VonNeumannBasis:
 
     def projector(self, j: int) -> np.ndarray:
         """Rank-1 projector onto the j-th measured direction."""
-        if not 0 <= j < self.dim:
+        j = as_count(j, "direction index", 0)
+        if j >= self.dim:
             raise IndexError(f"direction index {j} out of range for dim {self.dim}")
         col = self.unitary[:, j]
         return np.outer(col, col.conj())
@@ -174,10 +180,6 @@ class VonNeumannBasis:
     @classmethod
     def computational(cls, dim: int):
         return cls(np.eye(as_count(dim, "dim"), dtype=complex))
-
-    @classmethod
-    def haar_random(cls, dim: int, rng: np.random.Generator):
-        return cls(haar_unitary(dim, rng))
 
     @classmethod
     def from_seed(cls, dim: int, seed: int):
@@ -265,35 +267,6 @@ def skew_information(rho, observable) -> float:
     sm = rho.sqrt @ m
     c = sm - sm.conj().T  # [sqrt(rho), M], as M sqrt(rho) = (sqrt(rho) M)^dagger
     return _clamp_uncertainty(0.5 * float(np.vdot(c, c).real), "skew information")
-
-
-def uncertainty_term(rho, basis: VonNeumannBasis, j: int, k: int) -> float:
-    """B-traced uncertainty contribution of one direction pair.
-
-    For j != k this is Tr_B[B_jk B_kj] with B_jk = <u_j|sqrt(rho)|u_k>.
-    For j == k it is the per-projector quantity
-    Tr_B[<u_j|rho|u_j> - B_jj^2], with rho read as sqrt(rho)^2 like the
-    skew information, which for a two-dimensional A equals the
-    off-diagonal term; that identity is what makes Q basis-block
-    computable.
-    """
-    rho = _check_basis(rho, basis)
-    da, db = rho.dim_a, rho.dim_b
-    for idx in (j, k):
-        if not 0 <= idx < da:
-            raise IndexError(f"direction index {idx} out of range for dim_a = {da}")
-    s4 = rho.sqrt.reshape(da, db, da, db)
-    uj = basis.unitary[:, j]
-    uk = basis.unitary[:, k]
-    b_jk = np.einsum("a,abcd,c->bd", uj.conj(), s4, uk)
-    if j != k:
-        b_kj = np.einsum("a,abcd,c->bd", uk.conj(), s4, uj)
-        val = np.trace(b_jk @ b_kj).real
-    else:
-        r4 = (rho.sqrt @ rho.sqrt).reshape(da, db, da, db)
-        rho_jj = np.einsum("a,abcd,c->bd", uj.conj(), r4, uj)
-        val = np.trace(rho_jj - b_jk @ b_jk).real
-    return _clamp_uncertainty(float(val), "uncertainty term")
 
 
 def measurement_uncertainty(rho, basis: VonNeumannBasis) -> float:
@@ -493,11 +466,6 @@ class UncertaintyScan:
     @property
     def argmin_seed(self) -> int:
         return self.seeds[np.argmin(self.values)].item()
-
-    def to_csv(self, path) -> None:
-        """Write one row per sample: seed,Q[,U]."""
-        columns = [self.seeds, self.q_values] + ([] if self.u_values is None else [self.u_values])
-        write_csv(path, ("seed", "Q", "U")[: len(columns)], zip(*(c.tolist() for c in columns)))
 
 
 def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int = 0) -> UncertaintyScan:

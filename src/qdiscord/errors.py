@@ -1,8 +1,8 @@
 """Exception types raised by the library.
 
 Everything derives from :class:`ValueError` so callers that do not care
-about the distinction can catch a single base class. Out-of-range index
-arguments raise plain :class:`IndexError` instead.
+about the distinction can catch a single base class. An integer index
+past the end of its range raises plain :class:`IndexError` instead.
 """
 
 

@@ -24,7 +24,6 @@ from .linalg import as_count
 from .metrology import identity_sweep, negativity
 from .states import DensityMatrix, PureBipartiteState, _schmidt_weights
 from .tables import write_csv, write_sidecar
-from .version import __version__
 
 _SIMPLEX_TOL = 1e-12
 
@@ -84,7 +83,6 @@ class Fig1Config:
             "spectrum": list(self.spectrum.values),
             "samples": self.samples,
             "seed": self.seed,
-            "version": __version__,
         }
 
 
@@ -130,7 +128,6 @@ class Fig2Config:
             "command": "fig2",
             "spectrum": list(self.spectrum.values),
             "resolution": self.resolution,
-            "version": __version__,
         }
 
 
@@ -200,7 +197,6 @@ def write_fig4(n: int, t2_grid, path) -> Fig4Result:
             "command": "fig4",
             "n": as_count(n, "photon number"),
             "t2_grid": [row[0] for row in result.rows],
-            "version": __version__,
         },
     )
     return result

@@ -49,16 +49,20 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def is_real_number(value) -> bool:
+    """True for Python and numpy integers and floats; False for bools."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def as_count(value, name: str, minimum: int = 1) -> int:
-    """Coerce a count, dimension or seed to a Python int >= ``minimum``.
+    """Coerce a count, dimension, seed or index to a Python int >= ``minimum``.
 
     Python and numpy integers and integral floats (2.0) are accepted;
     bools, strings, non-integral or non-finite numbers and values below
     ``minimum`` raise :class:`InvalidInputError` naming the input.
     """
     if type(value) is not int:  # plain ints skip the type checks
-        number = isinstance(value, (int, float, np.integer, np.floating))
-        if isinstance(value, bool) or not number or not float(value).is_integer():
+        if not is_real_number(value) or not float(value).is_integer():
             raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if value < minimum:
@@ -80,17 +84,6 @@ def require_hermitian(m, name: str = "matrix") -> np.ndarray:
             f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
     return arr
-
-
-class HermitianEig(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; column j of ``eigenvectors`` is
-    the unit eigenvector for ``eigenvalues[j]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -127,17 +120,6 @@ class SplitEig(NamedTuple):
         """Largest eigenvalue; -inf for the 0 x 0 matrix."""
         return float(max(self.w.max(initial=-np.inf), self.d.max(initial=-np.inf)))
 
-    def full(self) -> HermitianEig:
-        """The whole decomposition, eigenvalues ascending. With every row in
-        the core it is bitwise the ``eigh`` of h."""
-        k, n = self.core.size, self.core.size + self.rest.size
-        values = np.concatenate([self.w, self.d])
-        vectors = np.zeros((n, n), dtype=self.v.dtype)
-        vectors[self.core[:, None], np.arange(k)] = self.v
-        vectors[self.rest, np.arange(k, n)] = 1.0
-        order = np.argsort(values, kind="stable")
-        return HermitianEig(values[order], vectors[:, order])
-
 
 def _split_eig(m: np.ndarray, name: str = "matrix") -> SplitEig:
     """Eigendecompose h = :func:`_hermitian_part` of a validated square
@@ -159,15 +141,22 @@ def _split_eig(m: np.ndarray, name: str = "matrix") -> SplitEig:
     return SplitEig(core, w, v, rest, h.real[rest, rest])
 
 
-def hermitian_eig(m, name: str = "matrix") -> HermitianEig:
-    """Eigendecompose a Hermitian matrix.
+def hermitian_eig(m, name: str = "matrix") -> tuple:
+    """(w, v) of a Hermitian matrix: w ascending, column v[:, j] for w[j].
 
     Checks Hermiticity to the package tolerance and decomposes the Hermitian
-    part (m + m^dagger) / 2 through :func:`_split_eig`; convergence failures
-    raise :class:`EigensolverError`.
+    part (m + m^dagger) / 2 through :func:`_split_eig`, bitwise its ``eigh``
+    when every row is coupled; convergence failures raise
+    :class:`EigensolverError`.
     """
-    arr = require_hermitian(m, name=name)
-    return _split_eig(arr, name).full()
+    eig = _split_eig(require_hermitian(m, name=name), name)
+    k, n = eig.core.size, eig.core.size + eig.rest.size
+    values = np.concatenate([eig.w, eig.d])
+    vectors = np.zeros((n, n), dtype=eig.v.dtype)
+    vectors[eig.core[:, None], np.arange(k)] = eig.v
+    vectors[eig.rest, np.arange(k, n)] = 1.0
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order]
 
 
 def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
@@ -232,10 +221,10 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     arr = as_matrix(m, "matrix")
     dims = _check_dims(arr, dims)
     n = len(dims)
-    keep = (keep,) if isinstance(keep, (int, np.integer)) else keep
-    keep = tuple(int(k) for k in keep)
+    keep = (keep,) if np.ndim(keep) == 0 else keep
+    keep = tuple(as_count(k, "keep index", 0) for k in keep)
     for k in keep:
-        if not 0 <= k < n:
+        if k >= n:
             raise IndexError(f"keep index {k} out of range for {n} subsystems")
     if len(set(keep)) != len(keep):
         raise InvalidInputError(f"keep indices must be distinct, got {keep}")

@@ -4,7 +4,9 @@ Three independent routes to the quantum Fisher information of the
 N-photon lossy state are provided (closed form, spectral construction,
 and a fidelity-based finite-difference oracle), together with the link
 between the Fisher information and the qubit-side discord of the state,
-and an entanglement monotone (negativity) for comparison.
+and an entanglement monotone (negativity) for comparison. Like every
+other measure, the fidelity and the oracle take validated
+:class:`DensityMatrix` states and read their roots ``sqrt``.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ import numpy as np
 
 from .discord import _clamp_uncertainty, _require_state, local_quantum_uncertainty
 from .errors import DimensionMismatchError, InvalidInputError
-from .linalg import _split_eig, as_matrix, partial_transpose, psd_sqrt
+from .linalg import _split_eig, partial_transpose
 from .states import (
     DensityMatrix,
     NoonChannelParams,
@@ -22,9 +24,6 @@ from .states import (
     noon_eigenvalues,
     noon_lossy_density,
 )
-
-#: Loose absolute tolerance on trace(rho) = 1 for raw fidelity inputs.
-_FIDELITY_TRACE_TOL = 1e-8
 
 
 def qfi_noon_closed(params: NoonChannelParams) -> float:
@@ -77,18 +76,6 @@ def lqu_noon_closed(params: NoonChannelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _density_root(x, name: str) -> np.ndarray:
-    """sqrt of a fidelity input: a DensityMatrix's own root, or the root of
-    a raw array with unit trace to _FIDELITY_TRACE_TOL."""
-    if isinstance(x, DensityMatrix):
-        return x.sqrt
-    arr = as_matrix(x, name)
-    tr = float(np.trace(arr).real)
-    if abs(tr - 1.0) > _FIDELITY_TRACE_TOL:
-        raise InvalidInputError(f"{name} must have unit trace, got {tr:.12g}")
-    return psd_sqrt(arr, name)
-
-
 def _uhlmann_overlap(sa: np.ndarray, sb: np.ndarray) -> tuple:
     """(sqrt F, D^2) of two states from their roots sa, sb, by one SVD
     sb sa = U Sigma V^dagger.
@@ -110,13 +97,15 @@ def _uhlmann_overlap(sa: np.ndarray, sb: np.ndarray) -> tuple:
 
 
 def uhlmann_fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity F(rho, sigma) = (Tr |sqrt(rho) sqrt(sigma)|)^2 in [0, 1]."""
-    root_f, _ = _uhlmann_overlap(_density_root(rho, "rho"), _density_root(sigma, "sigma"))
+    """Uhlmann fidelity F(rho, sigma) = (Tr |sqrt(rho) sqrt(sigma)|)^2 in [0, 1]
+    of two DensityMatrix states, from their own roots."""
+    root_f, _ = _uhlmann_overlap(_require_state(rho).sqrt, _require_state(sigma).sqrt)
     return root_f ** 2
 
 
 def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> float:
-    """Finite-difference Fisher-information estimate from state fidelity.
+    """Finite-difference Fisher-information estimate from state fidelity,
+    for a family ``rho_of_phi`` that maps a phase to a DensityMatrix.
 
     Uses F_Q ~ 8 (1 - sqrt(F(rho(phi), rho(phi + delta)))) / delta^2
     = 4 D^2 / delta^2, with the Bures distance D computed directly rather
@@ -131,8 +120,8 @@ def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> 
     if not 0.0 < delta <= 0.1:
         raise InvalidInputError(f"delta must lie in (0, 0.1], got {delta}")
     phi = float(phi)
-    sa = _density_root(rho_of_phi(phi), "rho(phi)")
-    sb = _density_root(rho_of_phi(phi + delta), "rho(phi + delta)")
+    sa = _require_state(rho_of_phi(phi)).sqrt
+    sb = _require_state(rho_of_phi(phi + delta)).sqrt
     return 4.0 * _uhlmann_overlap(sa, sb)[1] / (delta * delta)
 
 

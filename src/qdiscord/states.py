@@ -16,7 +16,6 @@ from .errors import DimensionMismatchError, InvalidInputError
 from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
-    HermitianEig,
     SplitEig,
     _psd_root,
     _split_eig,
@@ -173,11 +172,6 @@ class StateReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def eig(self) -> HermitianEig:
-        """Ascending eigendecomposition of the Hermitian part."""
-        return self.split.full()
 
 
 def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
@@ -388,16 +382,6 @@ def noon_eigenvalues(params: NoonChannelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def density_to_json(rho: DensityMatrix) -> dict:
-    """JSON-serializable dict for a density matrix."""
-    return {
-        "dimA": rho.dim_a,
-        "dimB": rho.dim_b,
-        "re": rho.matrix.real.tolist(),
-        "im": rho.matrix.imag.tolist(),
-    }
-
-
 def _json_numbers(value, key: str) -> np.ndarray:
     """Float array of a nested list whose entries are all JSON numbers: not
     strings or booleans, which float() takes, nor the lists of a ragged one."""
@@ -436,12 +420,6 @@ def matrix_from_json(data: dict) -> tuple:
     return re + 1j * im, dim_a, dim_b
 
 
-def density_from_json(data: dict) -> DensityMatrix:
-    """Decode and fully validate a density matrix from its JSON dict."""
-    m, dim_a, dim_b = matrix_from_json(data)
-    return DensityMatrix(m, dim_a, dim_b)
-
-
 def load_matrix(path) -> tuple:
     """Read (matrix, dim_a, dim_b) from a JSON file, without validation."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -460,6 +438,8 @@ def load_density(path) -> DensityMatrix:
 
 def save_density(rho: DensityMatrix, path) -> None:
     """Write a density matrix to a JSON file."""
+    data = {"dimA": rho.dim_a, "dimB": rho.dim_b,
+            "re": rho.matrix.real.tolist(), "im": rho.matrix.imag.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(density_to_json(rho), fh)
+        json.dump(data, fh)
         fh.write("\n")

@@ -20,6 +20,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .version import __version__
 
 SIGNIFICANT_DIGITS = 12
 
@@ -71,13 +72,14 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_sidecar(csv_path, payload: dict) -> str:
-    """Write run metadata next to a CSV as ``<csv_path>.json``.
+    """Write run metadata next to a CSV as ``<csv_path>.json``: ``payload``
+    plus the package ``version``, which is set here and nowhere else.
 
     Keys are sorted so the sidecar is as reproducible as the table itself.
     Returns the sidecar path.
     """
     sidecar = f"{csv_path}.json"
     with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**payload, "version": __version__}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return sidecar

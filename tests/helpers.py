@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 
 import qdiscord as qd
-from qdiscord.discord import _block_traces
+from qdiscord.discord import _block_traces, _clamp_uncertainty
 from qdiscord.linalg import _seeded_normals
 
 
@@ -152,6 +152,30 @@ def pair_trace_matrix(t, u):
     diag = np.arange(da)
     v[:, diag, diag] = 0.0
     return v
+
+
+def uncertainty_term(rho, basis, j, k):
+    """B-traced uncertainty contribution of one direction pair, by blocks.
+
+    For j != k this is Tr_B[B_jk B_kj] with B_jk = <u_j|sqrt(rho)|u_k>.
+    For j == k it is the per-projector quantity Tr_B[<u_j|rho|u_j> - B_jj^2],
+    with rho read as sqrt(rho)^2 like the skew information; on a two-level
+    A it equals the off-diagonal term. The direct block route, independent
+    of the quadratic forms the library evaluates.
+    """
+    da, db = rho.dim_a, rho.dim_b
+    s4 = rho.sqrt.reshape(da, db, da, db)
+    uj = basis.unitary[:, j]
+    uk = basis.unitary[:, k]
+    b_jk = np.einsum("a,abcd,c->bd", uj.conj(), s4, uk)
+    if j != k:
+        b_kj = np.einsum("a,abcd,c->bd", uk.conj(), s4, uj)
+        val = np.trace(b_jk @ b_kj).real
+    else:
+        r4 = (rho.sqrt @ rho.sqrt).reshape(da, db, da, db)
+        rho_jj = np.einsum("a,abcd,c->bd", uj.conj(), r4, uj)
+        val = np.trace(rho_jj - b_jk @ b_jk).real
+    return _clamp_uncertainty(float(val), "uncertainty term")
 
 
 def loop_scan(rho, spectrum, samples, master_seed):

@@ -55,12 +55,14 @@ class TestFig1Config:
         with pytest.raises(InvalidInputError, match="weights at s1"):
             qd.Fig1Config(3, (0.5,), s2=-0.1)
 
-    def test_to_dict_is_json_ready(self):
+    def test_to_dict_is_json_ready(self, tmp_path):
         config = qd.Fig1Config(np.int64(3), (0.4,), s2=0.3, samples=np.int32(5), seed=7.0)
         data = json.loads(json.dumps(config.to_dict()))
         assert data["command"] == "fig1"
         assert data["dim_a"] == 3
-        assert data["version"] == qd.__version__
+        qd.write_fig1(config, tmp_path / "fig1.csv")
+        sidecar = json.loads((tmp_path / "fig1.csv.json").read_text())
+        assert sidecar == dict(data, version=qd.__version__)
 
 
 class TestRunFig1:
@@ -121,6 +123,9 @@ class TestFig2Config:
             with pytest.raises(InvalidInputError, match="resolution"):
                 qd.Fig2Config((2, 4, 1), resolution=resolution)
         assert qd.Fig2Config((2, 4, 1), resolution=np.int64(5)).resolution == 5
+        for spectrum in (None, 3.0, "241"):
+            with pytest.raises(InvalidInputError, match="spectrum"):
+                qd.Fig2Config(spectrum)
 
 
 class TestRunFig2:

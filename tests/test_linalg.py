@@ -130,7 +130,7 @@ class TestSplitEig:
         assert w.shape == (0,) and v.shape == (0, 0)
 
     def test_dense_state_is_bitwise_one_eigh(self):
-        # With every row coupled, the report's eigendecomposition and the
+        # With every row coupled, the report's split, hermitian_eig and the
         # root are bitwise those of one eigh of the Hermitian part.
         rng = np.random.default_rng(103)
         for dim_a, dim_b, rank in ((2, 2, None), (2, 3, 2), (3, 4, None), (3, 16, 16)):
@@ -139,8 +139,9 @@ class TestSplitEig:
             kept = np.where(w < ZERO_EIGENVALUE_CUTOFF * max(w.max(), 0.0), 0.0, w)
             root = (v * np.sqrt(kept)) @ v.conj().T
             report = qd.validation_report(m, dim_a, dim_b)
-            assert report.eig.eigenvalues.tobytes() == w.tobytes()
-            assert report.eig.eigenvectors.tobytes() == v.tobytes()
+            assert report.split.w.tobytes() == w.tobytes()
+            assert report.split.v.tobytes() == v.tobytes()
+            assert [a.tobytes() for a in qd.hermitian_eig(m)] == [w.tobytes(), v.tobytes()]
             assert qd.DensityMatrix(m, dim_a, dim_b).sqrt.tobytes() == root.tobytes()
             assert qd.psd_sqrt(m).tobytes() == root.tobytes()
 
@@ -243,6 +244,16 @@ class TestPartialTrace:
     def test_keep_out_of_range(self):
         with pytest.raises(IndexError):
             qd.partial_trace(np.eye(6), (2, 3), 2)
+
+    @pytest.mark.parametrize("keep", [1.5, True, "0", [0.5], [True], ["0"], (0, -1), None])
+    def test_keep_indices_are_counts(self, keep):
+        with pytest.raises(InvalidInputError, match="keep index"):
+            qd.partial_trace(np.eye(6) / 6, (2, 3), keep)
+
+    def test_keep_takes_integral_indices(self):
+        m = random_density_array(6, np.random.default_rng(11))
+        for keep in (np.int64(1), 1.0, [1.0], np.array([1])):
+            assert np.array_equal(qd.partial_trace(m, (2, 3), keep), qd.partial_trace(m, (2, 3), 1))
 
 
 class TestPartialTranspose:

@@ -117,19 +117,19 @@ class TestUhlmannFidelity:
         assert qd.uhlmann_fidelity(rho, other) == 1.0
 
     def test_orthogonal_pure_states(self):
-        a = np.diag([1.0, 0.0])
-        b = np.diag([0.0, 1.0])
+        a = qd.DensityMatrix(np.diag([1.0, 0.0]), 2, 1)
+        b = qd.DensityMatrix(np.diag([0.0, 1.0]), 2, 1)
         assert qd.uhlmann_fidelity(a, b) < 1e-12
 
     def test_pure_state_overlap(self):
-        plus = np.full((2, 2), 0.5)
-        zero = np.diag([1.0, 0.0])
+        plus = qd.DensityMatrix(np.full((2, 2), 0.5), 2, 1)
+        zero = qd.DensityMatrix(np.diag([1.0, 0.0]), 2, 1)
         assert abs(qd.uhlmann_fidelity(zero, plus) - 0.5) < 1e-12
 
     def test_classical_mixtures(self):
         # (sum_i sqrt(p_i q_i))^2 = 0.8 for these weights
-        a = np.diag([0.5, 0.5])
-        b = np.diag([0.9, 0.1])
+        a = qd.DensityMatrix(np.diag([0.5, 0.5]), 2, 1)
+        b = qd.DensityMatrix(np.diag([0.9, 0.1]), 2, 1)
         assert abs(qd.uhlmann_fidelity(a, b) - 0.8) < 1e-12
 
     def test_symmetric(self):
@@ -146,27 +146,23 @@ class TestUhlmannFidelity:
         bumped = rho.matrix.copy()
         bumped[0, 0] += 1e-15
         bumped[-1, -1] -= 1e-15
-        assert qd.uhlmann_fidelity(rho.matrix, bumped) <= 1.0
+        assert qd.uhlmann_fidelity(rho, qd.DensityMatrix(bumped, rho.dim_a, rho.dim_b)) <= 1.0
 
-    def test_rejects_unnormalized_input(self):
-        with pytest.raises(InvalidInputError, match="unit trace"):
-            qd.uhlmann_fidelity(np.eye(2), np.eye(2) / 2)
+    def test_rejects_raw_arrays(self):
+        _, rho = noon_state(2, 0.5)
+        for a, b in ((rho, rho.matrix), (rho.matrix, rho)):
+            with pytest.raises(InvalidInputError, match="DensityMatrix"):
+                qd.uhlmann_fidelity(a, b)
+        with pytest.raises(InvalidInputError, match="DensityMatrix"):
+            qd.qfi_fidelity_estimate(lambda phi: rho.matrix)
 
     def test_states_of_different_sizes_are_rejected(self):
+        a = qd.DensityMatrix(np.eye(2) / 2, 2, 1)
         with pytest.raises(DimensionMismatchError, match="sizes"):
-            qd.uhlmann_fidelity(np.eye(2) / 2, np.eye(3) / 3)
+            qd.uhlmann_fidelity(a, qd.DensityMatrix(np.eye(3) / 3, 3, 1))
         _, rho = noon_state(2, 0.5)
         with pytest.raises(DimensionMismatchError, match="sizes"):
-            qd.uhlmann_fidelity(rho, np.eye(2) / 2)
-
-    def test_raw_array_roots_the_validated_hermitian_part(self):
-        # Accepted state whose lower triangle alone has eigenvalue -1.39e-10:
-        # the raw array must give the same root as the DensityMatrix.
-        m = np.array([[0.5, 0.5 + 4.1e-11], [0.5 + 1.39e-10, 0.5]])
-        rho = qd.DensityMatrix(m, 2, 1)
-        assert np.array_equal(qd.psd_sqrt(rho.matrix), rho.sqrt)
-        assert qd.uhlmann_fidelity(rho, rho.matrix) == 1.0
-        assert qd.uhlmann_fidelity(rho.matrix, rho.matrix) == 1.0
+            qd.uhlmann_fidelity(rho, a)
 
 
 class TestFisherEstimate:

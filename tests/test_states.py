@@ -1,3 +1,4 @@
+import json
 from dataclasses import FrozenInstanceError
 from math import comb, sqrt
 
@@ -160,6 +161,14 @@ class TestDensityMatrix:
         assert np.allclose(rho.reduced(0), np.eye(2) / 2, atol=1e-12)
         assert np.allclose(rho.reduced(1), np.eye(2) / 2, atol=1e-12)
 
+    def test_reduced_subsystem_is_an_index(self):
+        rho = bell_state()
+        for subsystem in (2.5, True, "1"):
+            with pytest.raises(InvalidInputError, match="keep index"):
+                rho.reduced(subsystem)
+        with pytest.raises(IndexError):
+            rho.reduced(2)
+
 
 class TestValidationReport:
     def test_all_checks_pass(self):
@@ -187,7 +196,7 @@ class TestValidationReport:
         m = np.array([[0.5, 0.5 + 4.1e-11], [0.5 + 1.39e-10, 0.5]])
         report = qd.validation_report(m, 2, 1)
         assert report.ok
-        assert report.min_eigenvalue == report.eig.eigenvalues[0]
+        assert report.min_eigenvalue == qd.hermitian_eig(m)[0][0]
         assert abs(report.min_eigenvalue + 9.0e-11) < 1e-12
 
     def test_finite_entries_near_overflow_report_psd(self):
@@ -368,24 +377,22 @@ class TestJsonInterchange:
 
     def test_missing_key(self):
         with pytest.raises(InvalidInputError, match="missing key"):
-            qd.density_from_json({"dimA": 2, "dimB": 2, "re": [[1]]})
+            matrix_from_json({"dimA": 2, "dimB": 2, "re": [[1]]})
 
     def test_dimensions_must_be_integers(self):
         base = {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
         for dims in ((2.9, 2.2), (True, 2), ("2", 2), (2, None), (0, 4)):
             data = dict(base, dimA=dims[0], dimB=dims[1])
             with pytest.raises(InvalidInputError, match="dimA|dimB"):
-                qd.density_from_json(data)
-        rho = qd.density_from_json(dict(base, dimA=2.0, dimB=2))
+                matrix_from_json(data)
+        rho = qd.DensityMatrix(*matrix_from_json(dict(base, dimA=2.0, dimB=2)))
         assert (rho.dim_a, rho.dim_b) == (2, 2)
 
     def test_mismatched_parts(self):
         with pytest.raises(DimensionMismatchError):
-            qd.density_from_json(
-                {"dimA": 1, "dimB": 1, "re": [[1.0]], "im": [[0.0], [0.0]]}
-            )
+            matrix_from_json({"dimA": 1, "dimB": 1, "re": [[1.0]], "im": [[0.0], [0.0]]})
 
-    def test_malformed_parts_are_invalid_input(self):
+    def test_malformed_parts_are_invalid_input(self, tmp_path):
         good = [[0.5, 0.0], [0.0, 0.5]]
         for bad in ([[{}, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.5]], [["a", 0.0], [0.0, 0.5]],
                     [["0.5", "0"], ["0", "0.5"]], [[True, 0.0], [0.0, 0.5]], [[0.5, 0], [False, 0.5]]):
@@ -393,14 +400,14 @@ class TestJsonInterchange:
                 data = {"dimA": 2, "dimB": 1, "re": good, "im": good, key: bad}
                 with pytest.raises(InvalidInputError, match=f"'{key}' is not a matrix of numbers"):
                     matrix_from_json(data)
+                path = tmp_path / "malformed.json"
+                path.write_text(json.dumps(data))
                 with pytest.raises(InvalidInputError, match=f"'{key}' is not a matrix"):
-                    qd.density_from_json(data)
+                    qd.load_density(path)
 
     def test_wrong_matrix_size(self):
         with pytest.raises(DimensionMismatchError):
-            qd.density_from_json(
-                {"dimA": 2, "dimB": 2, "re": [[1.0]], "im": [[0.0]]}
-            )
+            qd.DensityMatrix(*matrix_from_json({"dimA": 2, "dimB": 2, "re": [[1.0]], "im": [[0.0]]}))
 
     def test_invalid_state_rejected(self):
         data = {
@@ -410,7 +417,7 @@ class TestJsonInterchange:
             "im": np.zeros((4, 4)).tolist(),
         }
         with pytest.raises(InvalidInputError, match="PSD violated"):
-            qd.density_from_json(data)
+            qd.DensityMatrix(*matrix_from_json(data))
 
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "broken.json"

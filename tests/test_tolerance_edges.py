@@ -12,7 +12,7 @@ import qdiscord as qd
 from qdiscord.linalg import HERMITICITY_TOL, PSD_TOL
 from qdiscord.states import TRACE_TOL
 
-from helpers import random_density_array
+from helpers import random_density_array, uncertainty_term
 
 #: States the measures rejected although validation accepted them: an
 #: asymmetric matrix whose Hermitian part has eigenvalue -9.0e-11, and a
@@ -27,7 +27,7 @@ DEFECT_STATES = {
 def measures(rho, rng):
     """Every measure of the package on ``rho``, by name."""
     da, db = rho.dim_a, rho.dim_b
-    basis = qd.VonNeumannBasis.haar_random(da, rng)
+    basis = qd.VonNeumannBasis.from_seed(da, int(rng.integers(2**63)))
     spectrum = np.arange(da, dtype=float)
     g = rng.standard_normal((rho.dim, rho.dim)) + 1j * rng.standard_normal((rho.dim, rho.dim))
     other = qd.DensityMatrix(random_density_array(rho.dim, rng), da, db)
@@ -45,7 +45,7 @@ def measures(rho, rng):
             rho, np.kron(basis.projector(j), np.eye(db))
         )
         for k in range(da):
-            out[f"term_{j}{k}"] = qd.uncertainty_term(rho, basis, j, k)
+            out[f"term_{j}{k}"] = uncertainty_term(rho, basis, j, k)
     # The state's own eigenprojectors commute with it: values sit at 0, where
     # a measure that mixes rho with sqrt(rho)^2 goes negative.
     vectors = np.linalg.eigh(0.5 * (rho.matrix + rho.matrix.conj().T))[1]
@@ -54,7 +54,7 @@ def measures(rho, rng):
     if db == 1:
         eigenbasis = qd.VonNeumannBasis(vectors)
         for j in range(da):
-            out[f"eigen_term_{j}"] = qd.uncertainty_term(rho, eigenbasis, j, j)
+            out[f"eigen_term_{j}"] = uncertainty_term(rho, eigenbasis, j, j)
     if da == 2:
         out["LQU"] = qd.local_quantum_uncertainty(rho)
         out["GQD"] = qd.geometric_discord_qubit(rho)
