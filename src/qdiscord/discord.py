@@ -91,12 +91,16 @@ class MeasurementSpectrum:
             raise InvalidInputError(
                 f"spectrum must be a sequence of real numbers, got {self.values!r}"
             )
-        vals = tuple(float(v) for v in values)
+        not_finite = "spectrum values and their squared gaps must be finite"
+        try:
+            vals = tuple(float(v) for v in values)
+        except OverflowError:  # an int beyond the float range
+            raise InvalidInputError(not_finite) from None
         if len(vals) < 2:
             raise InvalidInputError("spectrum needs at least two eigenvalues")
         spread = float(np.ptp(vals))
         if not np.isfinite(spread * spread):
-            raise InvalidInputError("spectrum values and their squared gaps must be finite")
+            raise InvalidInputError(not_finite)
         for j in range(len(vals)):
             for k in range(j + 1, len(vals)):
                 if abs(vals[j] - vals[k]) <= MIN_SPECTRUM_GAP:
@@ -409,10 +413,11 @@ def geometric_discord_qubit(rho) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: Bases per batch of a scan: one SplitMix64 pass, one QR and one
-#: quadratic-form evaluation per chunk (per basis at dA = dB = 3, one BLAS
-#: thread, best of 25: 0.6, 1.1, 1.0 us). A 1024 chunk runs no faster at
-#: dA = 3 and 1.4x slower at dA = 6, where its temporaries leave the cache.
+#: Bases per batch of a scan: one SplitMix64 pass, one Gram-Schmidt draw
+#: and one quadratic-form evaluation per chunk (per basis at dA = dB = 3,
+#: one BLAS thread, best of 200: 0.6, 0.5, 1.1 us). Whole scans (dB = 3,
+#: medians of 30) ran slowest at 128; 512 was 1.07x slower at dA = 3, 1.45x
+#: at dA = 6 and 1.14x faster at dA = 4; 1024 was slower at all three.
 _SCAN_CHUNK = 256
 
 

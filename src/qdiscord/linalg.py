@@ -221,7 +221,10 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     arr = as_matrix(m, "matrix")
     dims = _check_dims(arr, dims)
     n = len(dims)
-    keep = (keep,) if np.ndim(keep) == 0 else keep
+    try:
+        keep = tuple(keep)
+    except TypeError:  # not iterable: one index
+        keep = (keep,)
     keep = tuple(as_count(k, "keep index", 0) for k in keep)
     for k in keep:
         if k >= n:
@@ -291,25 +294,63 @@ def _seeded_normals(seeds, shape: tuple) -> np.ndarray:
     return out.reshape((seeds.size,) + tuple(shape))
 
 
+def _halving_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of ``x`` over axis 0, overwriting ``x``: each pass adds the back
+    half onto the front half (an odd last term onto the front's last), so
+    the order of the additions depends on len(x) alone."""
+    n = x.shape[0]
+    while n > 1:
+        h = n // 2
+        x[:h] += x[h:2 * h]
+        if n % 2:
+            x[h - 1] += x[2 * h]
+        n = h
+    return x[0]
+
+
 def _haar_stack(draws: np.ndarray) -> np.ndarray:
     """Stack (k, dim, dim) of Haar unitaries from (k, 2, dim, dim) normals.
 
-    QR of complex Ginibre matrices with the R diagonal phases divided out,
-    which corrects the raw QR distribution to the uniform one (Mezzadri,
-    Notices AMS 54, 2007). ``draws[i]`` holds the real then imaginary
-    parts of matrix i, and all matrices share one batched QR, so each
+    ``draws[i]`` holds the real then imaginary parts of a complex Ginibre
+    matrix A, whose Q factor with R's diagonal real and positive is Haar
+    (Mezzadri, Notices AMS 54, 2007). Classical Gram-Schmidt applied twice
+    (CGS2; Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069
+    (2005)) yields that Q: for column j, r = Q_<j^H v and v -= Q_<j r,
+    twice, then v /= |v|. Every product and sum is an elementwise float64
+    operation over the stack, and every sum over a column runs through
+    :func:`_halving_sum`, so no BLAS or LAPACK kernel is called and each
     unitary is bitwise the one its draw gives alone.
     """
-    q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    k, _, dim, _ = draws.shape
+    # Column l of matrix n, as real rows (Re, Im), is q[l, 0, :, n]: column
+    # l of A until step l turns it into column l of Q in place. Then
+    # q[l, 1] gets i q_l = (-Im q_l, Re q_l), so one product with v gives
+    # (Re, Im) of conj(q_l) . v. Each product is laid out with its summed
+    # axis first.
+    q = np.empty((dim, 2, 2 * dim, k))
+    q[:, 0] = draws.transpose(3, 1, 2, 0).reshape(dim, 2 * dim, k)
+    for j in range(dim):
+        v = q[j, 0]
+        for _ in range(2 if j else 0):
+            terms = np.empty((2 * dim, j, 2, k))
+            np.multiply(q[:j], v, out=terms.transpose(1, 2, 0, 3))
+            r = _halving_sum(terms)
+            v -= _halving_sum(q[:j].reshape(2 * j, 2 * dim, k) * r.reshape(2 * j, 1, k))
+        v /= np.sqrt(_halving_sum(v * v))
+        np.negative(v[dim:], out=q[j, 1, :dim])
+        q[j, 1, dim:] = v[:dim]
+    out = np.empty((k, dim, dim), dtype=complex)
+    out.real = q[:, 0, :dim].transpose(2, 1, 0)
+    out.imag = q[:, 0, dim:].transpose(2, 1, 0)
+    return out
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a dim x dim unitary from the Haar measure with ``rng``.
 
-    The one-draw case of :func:`_haar_stack`. Scans draw from seeds
-    through :func:`_seeded_normals` instead, which ``from_seed`` rebuilds.
+    The one-draw case of :func:`_haar_stack`, on a (1, 2, dim, dim) normal
+    draw from ``rng``. Scans draw from seeds through
+    :func:`_seeded_normals` instead, which ``from_seed`` rebuilds.
     """
     dim = as_count(dim, "dimension")
     return _haar_stack(rng.standard_normal((1, 2, dim, dim)))[0]

@@ -8,7 +8,6 @@ import numpy as np
 
 import qdiscord as qd
 from qdiscord.discord import _block_traces, _clamp_uncertainty
-from qdiscord.linalg import _seeded_normals
 
 
 def random_density_array(dim, rng, rank=None):
@@ -128,7 +127,8 @@ def scalar_normals(seed, shape):
 
 
 def loop_haar_unitary(draw):
-    """Haar unitary from one (2, dim, dim) draw and one unbatched QR."""
+    """Haar unitary from one (2, dim, dim) draw by LAPACK's QR with R's
+    diagonal phases divided out: the reference for the Gram-Schmidt draw."""
     q, r = np.linalg.qr(draw[0] + 1j * draw[1])
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -179,22 +179,24 @@ def uncertainty_term(rho, basis, j, k):
 
 
 def loop_scan(rho, spectrum, samples, master_seed):
-    """Seeded scan by a per-sample loop: one seed's draw, one QR and one
-    pair-trace matrix per basis.
+    """Seeded scan by a per-sample loop: one ``from_seed`` basis and one
+    pair-trace matrix per sample.
 
-    The reference for the batched scan. Returns (seeds, q_values, u_values),
-    with u_values None when no spectrum is given.
+    The reference for the batched scan's kernel: each basis is the library's
+    own draw, so the comparison isolates the quadratic forms from the draw,
+    which ``test_linalg`` checks against :func:`loop_haar_unitary`. Returns
+    (seeds, q_values, u_values), with u_values None when no spectrum is
+    given.
     """
     gaps = None
     if spectrum is not None:
         gaps = qd.MeasurementSpectrum(spectrum).gap_squared_matrix()
     t = _block_traces(rho)
-    da = rho.dim_a
     seeds = qd.derive_child_seeds(master_seed, samples)
     q_values = np.empty(samples)
     u_values = np.empty(samples) if gaps is not None else None
     for i, seed in enumerate(seeds.tolist()):
-        u = loop_haar_unitary(_seeded_normals([seed], (2, da, da))[0])
+        u = qd.VonNeumannBasis.from_seed(rho.dim_a, seed).unitary
         v = pair_trace_matrix(t, u[None])[0]
         q = float(v.sum())
         q_values[i] = 0.0 if q < 0.0 else q

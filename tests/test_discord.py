@@ -54,6 +54,11 @@ class TestMeasurementSpectrum:
             with pytest.raises(InvalidInputError, match="finite"):
                 qd.MeasurementSpectrum(values)
 
+    def test_rejects_ints_beyond_the_float_range(self):
+        for values in ((10**400, 1.0), [1, -(10**400)]):
+            with pytest.raises(InvalidInputError, match="finite"):
+                qd.MeasurementSpectrum(values)
+
     @pytest.mark.parametrize("values", [
         "432", "4,3,2", None, 3.0, ("a", "b", "c"), (4, 3, 2j), (True, False, 2.0),
         (4.0, np.bool_(True), 2.0), [[4.0, 3.0, 2.0]], np.array([4.0, 3.0, 2j]),

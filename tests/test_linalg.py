@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,14 +249,16 @@ class TestPartialTrace:
         with pytest.raises(IndexError):
             qd.partial_trace(np.eye(6), (2, 3), 2)
 
-    @pytest.mark.parametrize("keep", [1.5, True, "0", [0.5], [True], ["0"], (0, -1), None])
+    @pytest.mark.parametrize("keep", [
+        1.5, True, "0", [0.5], [True], ["0"], (0, -1), None, [[0], [0, 1]], [[0]], np.array([[0]]),
+    ])
     def test_keep_indices_are_counts(self, keep):
         with pytest.raises(InvalidInputError, match="keep index"):
             qd.partial_trace(np.eye(6) / 6, (2, 3), keep)
 
     def test_keep_takes_integral_indices(self):
         m = random_density_array(6, np.random.default_rng(11))
-        for keep in (np.int64(1), 1.0, [1.0], np.array([1])):
+        for keep in (np.int64(1), 1.0, [1.0], np.array([1]), range(1, 2)):
             assert np.array_equal(qd.partial_trace(m, (2, 3), keep), qd.partial_trace(m, (2, 3), 1))
 
 
@@ -296,6 +302,39 @@ class TestTraceNorm:
         assert abs(qd.trace_norm(m) - expected) < 1e-10
 
 
+#: Agreement of the Gram-Schmidt draw with the LAPACK reference, and of
+#: U^H U with the identity, fixed in advance at about 450 eps. The two
+#: draws differ by up to about cond(A) eps, so a rare ill-conditioned
+#: Ginibre matrix (cond 1,306 in 100k at dA = 3) reaches the bound; the
+#: reference test's 300 seeds stay below 1e-14.
+HAAR_REFERENCE_TOL = 1e-13
+
+
+#: OpenBLAS core types the cross-kernel test forces, with the CPU flags (as
+#: /proc/cpuinfo names them) their kernels need: numpy's import runs a BLAS
+#: dot, which a kernel the CPU lacks would kill.
+CORE_TYPE_FLAGS = {
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Prescott": {"pni"},
+}
+
+
+def _forceable_core_types():
+    """The core types of CORE_TYPE_FLAGS this machine can run, when numpy
+    reports a DYNAMIC_ARCH OpenBLAS, whose kernels OPENBLAS_CORETYPE
+    selects; else none. numpy before 1.25 has no dict mode."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        with open("/proc/cpuinfo") as fh:
+            flags = next(set(line.split(":")[1].split()) for line in fh if line.startswith("flags"))
+    except (TypeError, KeyError, OSError, StopIteration):
+        return []
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return []
+    return [core for core, need in CORE_TYPE_FLAGS.items() if need <= flags]
+
+
 class TestHaarUnitary:
     def test_unitarity(self):
         rng = np.random.default_rng(13)
@@ -326,13 +365,54 @@ class TestHaarUnitary:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_stack_equals_per_seed_bases(self, dim):
+        # Bitwise the basis from_seed rebuilds; within HAAR_REFERENCE_TOL of
+        # the LAPACK QR with its phase fix, a different algorithm for the
+        # same unique QR factor.
         seeds = qd.derive_child_seeds(19, 300).tolist()
         stack = _haar_stack(_seeded_normals(seeds, (2, dim, dim)))
         assert stack.shape == (300, dim, dim)
         for seed, u in zip(seeds, stack):
             assert np.array_equal(u, qd.VonNeumannBasis.from_seed(dim, seed).unitary)
             draw = _seeded_normals([seed], (2, dim, dim))[0]
-            assert np.array_equal(u, loop_haar_unitary(draw))
+            assert np.max(np.abs(u - loop_haar_unitary(draw))) <= HAAR_REFERENCE_TOL
+
+    @pytest.mark.parametrize("dim, count", [(3, 100_000), (6, 10_000)])
+    def test_orthonormal(self, dim, count):
+        u = _haar_stack(_seeded_normals(qd.derive_child_seeds(20, count), (2, dim, dim)))
+        gram = np.matmul(u.conj().transpose(0, 2, 1), u)
+        assert np.max(np.abs(gram - np.eye(dim))) <= HAAR_REFERENCE_TOL
+
+    def test_draw_leaves_its_normals_unchanged(self):
+        draws = _seeded_normals(qd.derive_child_seeds(21, 5), (2, 3, 3))
+        for stack in (draws, draws[:1]):
+            before = stack.copy()
+            _haar_stack(stack)
+            assert np.array_equal(stack, before)
+
+    @pytest.mark.skipif(len(_forceable_core_types()) < 2,
+                        reason="no DYNAMIC_ARCH OpenBLAS with two core types this CPU runs")
+    def test_one_hash_under_every_blas_core_type(self):
+        # The draw calls no BLAS or LAPACK kernel, so forcing OpenBLAS onto
+        # another core type's kernels leaves every bit of the stack in place.
+        src = Path(qd.__file__).resolve().parents[1]
+        script = (
+            "import hashlib\n"
+            "import qdiscord as qd\n"
+            "from qdiscord.linalg import _haar_stack, _seeded_normals\n"
+            "h = hashlib.sha256()\n"
+            "for dim in (3, 4):\n"
+            "    seeds = qd.derive_child_seeds(43, 2000)\n"
+            "    h.update(_haar_stack(_seeded_normals(seeds, (2, dim, dim))).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        hashes = set()
+        for core in _forceable_core_types():
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_CORETYPE=core)
+            result = subprocess.run([sys.executable, "-c", script],
+                                    capture_output=True, text=True, env=env)
+            assert result.returncode == 0, result.stderr
+            hashes.add(result.stdout.strip())
+        assert len(hashes) == 1
 
     def test_bad_dim(self):
         for dim in (0, 2.5, True, "2"):
