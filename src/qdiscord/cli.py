@@ -19,6 +19,7 @@ a checked identity misses its tolerance.
 
 import argparse
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -285,8 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: main()'s parser, built once: the tree costs ~2 ms, mostly gettext lookups.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, IndexError, OSError) as exc:

@@ -218,31 +218,77 @@ def _block_traces(rho: DensityMatrix) -> np.ndarray:
     return np.tensordot(s4, s4, axes=([1, 3], [3, 1]))
 
 
-def _uncertainties(t: np.ndarray, unitaries: np.ndarray, spectrum=None) -> tuple:
-    """Clamped Q and, given a MeasurementSpectrum, U (else None) of each basis
-    in a stack (n, dim_a, dim_a), as quadratic forms in the block traces ``t``.
+def _upper_pairs(dim: int) -> np.ndarray:
+    """Row and column indices (i, j) of the entries above the diagonal."""
+    return np.array(list(combinations(range(dim), 2)), dtype=int).reshape(-1, 2).T
 
-    With x_j = vec(conj(u_j) u_j^T) and M = t.transpose(0, 3, 2, 1) as a
-    (dim_a^2, dim_a^2) matrix, x_j M x_k = Tr_B[B_jk B_kj]. So with
-    rho_A[a, d] = sum_b t[a, b, b, d], Q = Tr rho_A - sum_j x_j M x_j and
-    U = sum_j v_j^2 <u_j|rho_A|u_j> - z M z, z = sum_j v_j x_j = vec(O^T).
-    U ignores a common shift of the v_j, so they are centred on their
-    midrange to keep its cancellation small. Products are per basis and
-    sums run over fixed axes, so a basis gives the same bits in any stack.
+
+def _hermitian_form(t: np.ndarray) -> tuple:
+    """Per-state data (R, c, Tr rho_A) of the kernel, from the block traces.
+
+    A Hermitian P on A has real coordinates h = (P_aa; Re P_ab; Im P_ab for
+    a < b), so that P = sum_k h_k G_k with G = E_aa, E_ab + E_ba and
+    i (E_ab - E_ba). Then Tr[S (P x I) S (P' x I)] = h R h' for the real
+    symmetric R_kl = sum G_k[b, c] G_l[d, a] T[a, b, c, d], and
+    Tr(rho_A P) = c . h. Both are gathers and sums of entries of T.
     """
+    da = t.shape[0]
+    d, (i, j) = np.arange(da), _upper_pairs(da)
+
+    def coords(a):  # sum_pq G_k[p, q] a[p, q, ...] over the leading two axes
+        return np.concatenate([a[d, d], a[i, j] + a[j, i], 1j * (a[i, j] - a[j, i])])
+
+    r = coords(coords(t.transpose(1, 2, 3, 0)).transpose(1, 2, 0)).real.T
+    return r, coords(np.einsum("abbd->da", t)).real, np.einsum("abba->", t).real
+
+
+def _ordered_sum(x: np.ndarray, weights) -> np.ndarray:
+    """sum_j weights[j] x[j] over axis 0, added in the order j = 0, 1, ..."""
+    return sum((xj * wj for xj, wj in zip(x[1:], weights[1:])), x[0] * weights[0])
+
+
+def _form_uncertainties(form: tuple, unitaries: np.ndarray, spectrum=None) -> tuple:
+    """Clamped Q and, given a MeasurementSpectrum, U (else None) of each basis
+    in a stack (n, dim_a, dim_a), from the :func:`_hermitian_form` of a state.
+
+    With h_j the coordinates of the projector on column j,
+    Q = Tr rho_A - sum_j h_j R h_j and U = sum_j v_j^2 c . h_j - z R z for
+    z = sum_j v_j h_j, the coordinates of the observable. U ignores a
+    common shift of the v_j, so they are centred on their midrange to keep
+    its cancellation small. Every h is built elementwise, and every sum is
+    an elementwise numpy add or a plain einsum, which runs its own loops in
+    a fixed order (no BLAS), so a basis gives the same bits in any stack.
+    """
+    r, c, trace = form
     n, da = unitaries.shape[:2]
-    m = t.transpose(0, 3, 2, 1).reshape(da * da, da * da)
-    cols = unitaries.transpose(0, 2, 1)
-    x = (cols.conj()[:, :, :, None] * cols[:, :, None, :]).reshape(n, da, da * da)
-    y = np.matmul(x, m)
-    q = np.einsum("abba->", t).real - (y * x).real.sum(axis=(1, 2))
+    i, j = _upper_pairs(da)
+    m, cols = i.size, n * da
+    # parts[:, a, k * n + s]: (Re, Im) of entry a of column k of basis s.
+    parts = np.array([unitaries.real, unitaries.imag]).transpose(0, 2, 3, 1).reshape(2, da, cols)
+    h = np.empty((da * da, cols if spectrum is None else cols + n))
+    sq = parts * parts
+    np.add(sq[0], sq[1], out=h[:da, :cols])
+    p = parts[:, i] * parts[:, j]
+    np.add(p[0], p[1], out=h[da:da + m, :cols])
+    p = parts[::-1, i] * parts[:, j]
+    np.subtract(p[0], p[1], out=h[da + m:, :cols])
+    if spectrum is not None:
+        v = np.subtract(spectrum.values, 0.5 * (max(spectrum.values) + min(spectrum.values)))
+        h[:, cols:] = _ordered_sum(h[:, :cols].reshape(-1, da, n).transpose(1, 0, 2), v)
+    # einsum keeps the column axis innermost and sums over k, l in order; a
+    # lone column (only at dim_a = 1, in one-term sums) would reduce in SIMD.
+    quad = np.einsum("km,km->m", h, np.einsum("kl,lm->km", r, h))
+    q = trace - _ordered_sum(quad[:cols].reshape(da, n), np.ones(da))
     q = _clamp_uncertainty(q, "measurement uncertainty")
     if spectrum is None:
         return q, None
-    v = np.subtract(spectrum.values, 0.5 * (max(spectrum.values) + min(spectrum.values)))
-    rho_a = np.einsum("abbd->ad", t).reshape(-1)
-    u = (np.matmul(v * v, x) * rho_a - np.matmul(v, y) * np.matmul(v, x)).real.sum(axis=1)
+    u = _ordered_sum(np.einsum("k,km->m", c, h[:, :cols]).reshape(da, n), v * v) - quad[cols:]
     return q, _clamp_uncertainty(u, "observable uncertainty")
+
+
+def _uncertainties(t: np.ndarray, unitaries: np.ndarray, spectrum=None) -> tuple:
+    """:func:`_form_uncertainties` of a stack of bases, from the block traces."""
+    return _form_uncertainties(_hermitian_form(t), unitaries, spectrum)
 
 
 def _check_basis(rho, basis: VonNeumannBasis) -> DensityMatrix:
@@ -414,11 +460,11 @@ def geometric_discord_qubit(rho) -> float:
 
 
 #: Bases per batch of a scan: one SplitMix64 pass, one Gram-Schmidt draw
-#: and one quadratic-form evaluation per chunk (per basis at dA = dB = 3,
-#: one BLAS thread, best of 200: 0.6, 0.5, 1.1 us). Whole scans (dB = 3,
-#: medians of 30) ran slowest at 128; 512 was 1.07x slower at dA = 3, 1.45x
-#: at dA = 6 and 1.14x faster at dA = 4; 1024 was slower at all three.
-_SCAN_CHUNK = 256
+#: and one quadratic-form evaluation per chunk. Whole scans (dB = 3, one
+#: BLAS thread, medians of 30, us per basis at 128/256/512/1024): dA = 2
+#: 3.2/2.1/1.6/1.4, dA = 3 5.1/3.6/3.1/3.3, dA = 4 7.8/5.9/5.6/6.1, dA = 6
+#: 18.0/15.5/19.5/21.7; fig1_scan ran 9-14 % faster at 512 than at 256.
+_SCAN_CHUNK = 512
 
 
 def derive_child_seeds(master_seed: int, count: int) -> np.ndarray:
@@ -480,21 +526,19 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     from its SplitMix64 stream and evaluated in chunks of ``_SCAN_CHUNK``.
     Results are deterministic in (rho, spectrum, samples, master_seed) and
     independent of evaluation order: each chunk goes through the evaluator
-    of :func:`measurement_uncertainty` and
-    :func:`observable_uncertainty`, so each row is bitwise their value for
-    the basis :meth:`VonNeumannBasis.from_seed` rebuilds.
+    of :func:`measurement_uncertainty` and :func:`observable_uncertainty`
+    (with the state's form built once), so each row is bitwise their value
+    for the basis :meth:`VonNeumannBasis.from_seed` rebuilds.
     """
     rho = _require_state(rho)
     samples = as_count(samples, "samples")
     master_seed = as_count(master_seed, "master_seed", 0)
     spectrum = None if spectrum is None else _as_spectrum(spectrum, rho.dim_a)
-    t = _block_traces(rho)
+    form = _hermitian_form(_block_traces(rho))
     seeds = derive_child_seeds(master_seed, samples)
     shape = (2, rho.dim_a, rho.dim_a)
-    chunks = [
-        _uncertainties(t, _haar_stack(_seeded_normals(seeds[i:i + _SCAN_CHUNK], shape)), spectrum)
-        for i in range(0, samples, _SCAN_CHUNK)
-    ]
+    draws = (_seeded_normals(seeds[i:i + _SCAN_CHUNK], shape) for i in range(0, samples, _SCAN_CHUNK))
+    chunks = [_form_uncertainties(form, _haar_stack(draw), spectrum) for draw in draws]
     q_values = np.concatenate([q for q, _ in chunks])
     u_values = None if spectrum is None else np.concatenate([u for _, u in chunks])
     return UncertaintyScan(

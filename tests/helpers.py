@@ -1,8 +1,12 @@
 """Shared state builders and loop references for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -280,3 +284,41 @@ def loop_partial_trace(m, dims, keep):
     t = t.transpose(perm + [p + len(kept) for p in perm])
     d = int(np.prod([dims[k] for k in keep]))
     return t.reshape(d, d)
+
+
+#: OpenBLAS core types the cross-kernel tests force, with the CPU flags (as
+#: /proc/cpuinfo names them) their kernels need: numpy's import runs a BLAS
+#: dot, which a kernel the CPU lacks would kill.
+CORE_TYPE_FLAGS = {
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Prescott": {"pni"},
+}
+
+
+def forceable_core_types():
+    """The core types of CORE_TYPE_FLAGS this machine can run, when numpy
+    reports a DYNAMIC_ARCH OpenBLAS, whose kernels OPENBLAS_CORETYPE
+    selects; else none. numpy before 1.25 has no dict mode."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        with open("/proc/cpuinfo") as fh:
+            flags = next(set(line.split(":")[1].split()) for line in fh if line.startswith("flags"))
+    except (TypeError, KeyError, OSError, StopIteration):
+        return []
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return []
+    return [core for core, need in CORE_TYPE_FLAGS.items() if need <= flags]
+
+
+def outputs_under_core_types(script):
+    """Set of the stripped stdouts of ``python -c script``, run once under
+    each of forceable_core_types() with the package on PYTHONPATH."""
+    src = Path(qd.__file__).resolve().parents[1]
+    outputs = set()
+    for core in forceable_core_types():
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_CORETYPE=core)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout.strip())
+    return outputs

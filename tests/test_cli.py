@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qdiscord as qd
+from qdiscord import cli
 from qdiscord.cli import main
 from qdiscord.tables import format_number
 
@@ -376,3 +377,39 @@ class TestEntryPoint:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_reused_parser_prints_what_fresh_parsers_print(self, capsys, monkeypatch, tmp_path, bell_file):
+        # main() builds its parser once per process. Calls through it,
+        # including argparse errors that exit 2, give the stdout, stderr and
+        # exit codes of one fresh parser per call.
+        state = qd.PureBipartiteState.from_probabilities([0.5, 0.3, 0.2])
+        qutrit = tmp_path / "qutrit.json"
+        qd.save_density(qd.DensityMatrix.from_pure(state), qutrit)
+        calls = [
+            ["discord", "--file", bell_file],
+            ["discord", "--noon", "N=2", "t2=0.5", "--file", bell_file],
+            ["discord", "--file", str(qutrit), "--samples", "30", "--spectrum", "4,3,2"],
+            ["validate"],
+            ["discord", "--noon", "N=0", "t2=0.5"],
+            ["negativity", "--noon", "N=2", "t2=0.5"],
+            ["discord", "--file", str(qutrit), "--samples", "30", "--spectrum", "4,3,2"],
+            ["--version"],
+        ]
+
+        def run_calls():
+            results = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        assert cli._parser() is cli._parser()
+        reused = run_calls()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert reused == run_calls()
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 2, 0, 0, 0]
+        assert reused[2] == reused[6]

@@ -16,8 +16,10 @@ from qdiscord.linalg import _haar_stack, _seeded_normals
 from helpers import (
     bell_state,
     classical_quantum_state,
+    forceable_core_types,
     loop_assignment,
     loop_scan,
+    outputs_under_core_types,
     pair_trace_matrix,
     random_pure,
     random_state,
@@ -487,6 +489,7 @@ class TestUncertaintyScan:
 
     @pytest.mark.parametrize("dim_a, dim_b, spectrum", [
         (2, 3, None), (3, 4, (4.0, 3.0, 2.0)), (4, 2, (0.0, 1.0, 3.0, 7.0)),
+        (3, 1, (4.0, 3.0, 2.0)), (5, 3, (0.5, -2.0, 1.0, 3.5, 2.0)),
     ])
     def test_matches_loop_reference(self, dim_a, dim_b, spectrum):
         rng = np.random.default_rng(56)
@@ -500,6 +503,15 @@ class TestUncertaintyScan:
                 assert np.max(np.abs(scan.u_values - u_values)) <= 1e-14
                 values = u_values
             assert scan.argmin_seed == seeds[np.argmin(values)].item()
+
+    def test_one_direction_on_a_has_zero_q(self):
+        # dA = 1: the only basis is a phase, and the kernel's
+        # Tr rho_A - h R h must stay within roundoff of the loop's exact 0.
+        rho = random_state(1, 3, np.random.default_rng(57))
+        scan = qd.scan_uncertainty(rho, samples=300, master_seed=9)
+        _, q_values, _ = loop_scan(rho, None, 300, 9)
+        assert np.all(q_values == 0.0)
+        assert np.max(scan.q_values) <= 1e-14
 
     @pytest.mark.parametrize("dim_a, spectrum", [
         (2, (1.0, -1.0)), (3, (4.0, 3.0, 2.0)), (4, (0.0, 1.0, 3.0, 7.0)),
@@ -645,6 +657,34 @@ class TestQuadraticFormKernel:
             q, u = _uncertainties(t, bases, spectrum)
             assert np.max(np.abs(q - v.sum(axis=(1, 2)))) <= QUADRATIC_FORM_TOL
             assert np.max(np.abs(u - 0.5 * (gaps * v).sum(axis=(1, 2)))) <= QUADRATIC_FORM_TOL
+
+    @pytest.mark.skipif(len(forceable_core_types()) < 2,
+                        reason="no DYNAMIC_ARCH OpenBLAS with two core types this CPU runs")
+    def test_one_hash_under_every_blas_core_type(self):
+        # T comes from an explicit block loop over a seeded Hermitian S, so
+        # only the kernel could reach BLAS; it does not, so forcing OpenBLAS
+        # onto another core type's kernels leaves every bit of Q and U.
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "import qdiscord as qd\n"
+            "from qdiscord.discord import _uncertainties\n"
+            "from qdiscord.linalg import _haar_stack, _seeded_normals\n"
+            "h = hashlib.sha256()\n"
+            "for da, db in ((2, 3), (3, 3), (4, 2)):\n"
+            "    g = _seeded_normals([da], (2, da * db, da * db))[0]\n"
+            "    s = g[0] + 1j * g[1]\n"
+            "    s4 = (s + s.conj().T).reshape(da, db, da, db)\n"
+            "    t = np.empty((da,) * 4, dtype=complex)\n"
+            "    for a, b, c, d in np.ndindex(t.shape):\n"
+            "        t[a, b, c, d] = (s4[a, :, b, :] * s4[c, :, d, :].T).sum()\n"
+            "    bases = _haar_stack(_seeded_normals(qd.derive_child_seeds(da, 600), (2, da, da)))\n"
+            "    spectrum = qd.MeasurementSpectrum(tuple(float(v * v) for v in range(da)))\n"
+            "    for values in _uncertainties(t, bases, spectrum):\n"
+            "        h.update(values.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        assert len(outputs_under_core_types(script)) == 1
 
     @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 4), (4, 2), (6, 4)])
     def test_classical_quantum_state_in_its_classical_bases(self, dim_a, dim_b):

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from itertools import permutations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +24,10 @@ from qdiscord.linalg import (
 )
 
 from helpers import (
+    forceable_core_types,
     loop_haar_unitary,
     loop_partial_trace,
+    outputs_under_core_types,
     random_density_array,
     scalar_normals,
     scalar_splitmix64,
@@ -310,31 +308,6 @@ class TestTraceNorm:
 HAAR_REFERENCE_TOL = 1e-13
 
 
-#: OpenBLAS core types the cross-kernel test forces, with the CPU flags (as
-#: /proc/cpuinfo names them) their kernels need: numpy's import runs a BLAS
-#: dot, which a kernel the CPU lacks would kill.
-CORE_TYPE_FLAGS = {
-    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
-    "Haswell": {"avx2", "fma"},
-    "Prescott": {"pni"},
-}
-
-
-def _forceable_core_types():
-    """The core types of CORE_TYPE_FLAGS this machine can run, when numpy
-    reports a DYNAMIC_ARCH OpenBLAS, whose kernels OPENBLAS_CORETYPE
-    selects; else none. numpy before 1.25 has no dict mode."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        with open("/proc/cpuinfo") as fh:
-            flags = next(set(line.split(":")[1].split()) for line in fh if line.startswith("flags"))
-    except (TypeError, KeyError, OSError, StopIteration):
-        return []
-    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
-        return []
-    return [core for core, need in CORE_TYPE_FLAGS.items() if need <= flags]
-
-
 class TestHaarUnitary:
     def test_unitarity(self):
         rng = np.random.default_rng(13)
@@ -389,12 +362,11 @@ class TestHaarUnitary:
             _haar_stack(stack)
             assert np.array_equal(stack, before)
 
-    @pytest.mark.skipif(len(_forceable_core_types()) < 2,
+    @pytest.mark.skipif(len(forceable_core_types()) < 2,
                         reason="no DYNAMIC_ARCH OpenBLAS with two core types this CPU runs")
     def test_one_hash_under_every_blas_core_type(self):
         # The draw calls no BLAS or LAPACK kernel, so forcing OpenBLAS onto
         # another core type's kernels leaves every bit of the stack in place.
-        src = Path(qd.__file__).resolve().parents[1]
         script = (
             "import hashlib\n"
             "import qdiscord as qd\n"
@@ -405,14 +377,7 @@ class TestHaarUnitary:
             "    h.update(_haar_stack(_seeded_normals(seeds, (2, dim, dim))).tobytes())\n"
             "print(h.hexdigest())\n"
         )
-        hashes = set()
-        for core in _forceable_core_types():
-            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_CORETYPE=core)
-            result = subprocess.run([sys.executable, "-c", script],
-                                    capture_output=True, text=True, env=env)
-            assert result.returncode == 0, result.stderr
-            hashes.add(result.stdout.strip())
-        assert len(hashes) == 1
+        assert len(outputs_under_core_types(script)) == 1
 
     def test_bad_dim(self):
         for dim in (0, 2.5, True, "2"):
