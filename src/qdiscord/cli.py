@@ -32,7 +32,6 @@ from .errors import InvalidInputError
 from .experiments import Fig1Config, Fig2Config, write_fig1, write_fig2, write_fig4
 from .linalg import as_count
 from .metrology import (
-    _as_tolerance,
     identity_sweep,
     negativity,
     qfi_fidelity_estimate,
@@ -118,6 +117,13 @@ def _cmd_discord(args) -> int:
     return 0
 
 
+def _as_tolerance(tol: float) -> float:
+    """A ``--tol`` value, checked to be finite and >= 0."""
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInputError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 def _t2_grid(points) -> np.ndarray:
     """``--grid`` points spread evenly over t2 in [0, 1]."""
     return np.linspace(0.0, 1.0, as_count(points, "grid", 0))
@@ -128,6 +134,8 @@ def _cmd_qfi(args) -> int:
     default_tol = 1e-10 if args.grid is None else 1e-9
     tol = _as_tolerance(default_tol if args.tol is None else args.tol)
     if args.grid is None:
+        if args.out:
+            raise InvalidInputError("--out needs --grid")
         f_closed = qfi_noon_closed(params)
         f_spectral = qfi_noon_spectral(params)
         f_oracle = qfi_fidelity_estimate(noon_family(params), params.phi, args.delta)

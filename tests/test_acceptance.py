@@ -187,27 +187,30 @@ def test_criterion_06_lossy_family_closed_forms():
 
 
 def test_criterion_07_fisher_discord_identity():
-    report = qd.qfi_discord_identity_check(GRID_N, GRID_T2, tol=1e-9)
+    rows = [  # (N, t2, |F - DG * N^2|), one identity sweep per photon number
+        (params.n, t2, residual)
+        for n in GRID_N
+        for t2, params, _, _, _, residual in qd.identity_sweep(n, GRID_T2)
+    ]
     slope = qd.run_fig4(10, GRID_T2).slope
     slope_err = abs(slope - 100.0)
-    tail = [r for r in report.rows if r.n >= 2]
-    single = [r for r in report.rows if r.n == 1]
-    tail_worst = max(tail, key=lambda r: r.residual)
+    tail_n, tail_t2, tail_worst = max((r for r in rows if r[0] >= 2), key=lambda r: r[2])
+    single = [r for r in rows if r[0] == 1]
     # At N = 1 the identity F = DG * N^2 is false; its residual must be the
     # gap between F = 2T/(1 + T) and the exact single-photon LQU.
     gap_miss = max(
-        abs(r.residual - abs(2.0 * r.t2 / (1.0 + r.t2) - single_photon_lqu(r.t2)))
-        for r in single
+        abs(residual - abs(2.0 * t2 / (1.0 + t2) - single_photon_lqu(t2)))
+        for _, t2, residual in single
     )
-    paper_gap = max(single, key=lambda r: r.residual)
-    ok = tail_worst.residual <= report.tolerance and gap_miss <= 1e-9 and slope_err < 1e-6
+    _, paper_gap_t2, paper_gap = max(single, key=lambda r: r[2])
+    ok = tail_worst <= 1e-9 and gap_miss <= 1e-9 and slope_err < 1e-6
     assert verdict(
         7,
         ok,
-        f"F = DG * N^2 for N >= 2: max residual {tail_worst.residual:.2e} at "
-        f"(N, t2) = ({tail_worst.n}, {tail_worst.t2:.1f}); N = 1 residuals "
+        f"F = DG * N^2 for N >= 2: max residual {tail_worst:.2e} at "
+        f"(N, t2) = ({tail_n}, {tail_t2:.1f}); N = 1 residuals "
         f"match the predicted gap to {gap_miss:.2e} (paper formula off by "
-        f"{paper_gap.residual:.2e} at t2 = {paper_gap.t2:.1f}); "
+        f"{paper_gap:.2e} at t2 = {paper_gap_t2:.1f}); "
         f"N = 10 slope off by {slope_err:.2e}",
     )
 

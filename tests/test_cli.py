@@ -190,7 +190,25 @@ class TestQfiCommand:
         assert err.startswith("error: tolerance must be finite and >= 0")
         assert not path.exists()
 
-    def test_grid_agrees_with_fig4_and_identity_check(self, capsys, tmp_path):
+    def test_zero_tolerance_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        for argv, prefix in (
+            ((), "|closed - spectral| = "),
+            (("--grid", "3", "--out", str(path)), "max |F - DG*n^2| = "),
+        ):
+            code, out, err = invoke(capsys, "qfi", "--noon", "N=2", "t2=0.5", "--tol", "0", *argv)
+            assert err == ""
+            assert code == (0 if value_after(out, prefix) == 0.0 else 3)
+
+    def test_out_needs_grid(self, capsys, tmp_path):
+        path = tmp_path / "point.csv"
+        code, out, err = invoke(capsys, "qfi", "--noon", "N=10", "t2=0.5", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: --out needs --grid\n"
+        assert not path.exists()
+
+    def test_grid_agrees_with_fig4_and_sweep(self, capsys, tmp_path):
         n, points = 3, 11
         grid = np.linspace(0.0, 1.0, points)
         path = tmp_path / "sweep.csv"
@@ -202,15 +220,10 @@ class TestQfiCommand:
         with open(path, newline="") as fh:
             cells = [(r["t2"], r["F_closed"], r["DG"], r["residual"]) for r in csv.DictReader(fh)]
         fig4 = qd.run_fig4(n, grid)
-        report = qd.qfi_discord_identity_check([n], grid)
-        assert [row[:3] for row in fig4.rows] == [
-            (row.t2, row.qfi, row.discord) for row in report.rows
-        ]
-        assert fig4.max_residual == report.max_residual
-        assert cells == [
-            tuple(format_number(x) for x in (row.t2, row.qfi, row.discord, row.residual))
-            for row in report.rows
-        ]
+        sweep = [(t2, f, dg, residual) for t2, _, _, f, dg, residual in qd.identity_sweep(n, grid)]
+        assert [row[:3] for row in fig4.rows] == [point[:3] for point in sweep]
+        assert fig4.max_residual == max(point[3] for point in sweep)
+        assert cells == [tuple(format_number(x) for x in point) for point in sweep]
 
     def test_missing_required_key(self, capsys):
         code, _, err = invoke(capsys, "qfi", "--noon", "N=2")

@@ -236,33 +236,32 @@ class TestNegativity:
             qd.negativity(np.eye(4) / 4)
 
 
-class TestIdentityCheck:
+class TestIdentitySweep:
     def test_holds_from_two_photons_up(self):
-        report = qd.qfi_discord_identity_check(range(2, 5), (0.3, 0.7))
-        assert report.passed
-        assert len(report.rows) == 6
-        assert report.max_residual < 1e-9
+        residuals = [
+            point[5] for n in range(2, 5) for point in qd.identity_sweep(n, (0.3, 0.7))
+        ]
+        assert len(residuals) == 6
+        assert max(residuals) < 1e-9
 
     def test_single_photon_gap_is_reported_not_hidden(self):
-        report = qd.qfi_discord_identity_check([1], [0.5])
-        assert not report.passed
-        assert report.max_residual == pytest.approx(0.2440169358562924, abs=1e-12)
-        worst = report.worst
-        assert (worst.n, worst.t2) == (1, 0.5)
-        assert worst.residual == report.max_residual
+        [(_, _, _, _, _, residual)] = qd.identity_sweep(1, [0.5])
+        assert residual == pytest.approx(0.2440169358562924, abs=1e-12)
 
-    def test_rows_carry_both_routes(self):
-        report = qd.qfi_discord_identity_check([3], [0.5])
-        row = report.rows[0]
-        assert abs(row.qfi - 2.0) < 1e-12
-        assert abs(row.qfi - row.discord * 9.0) < 1e-9
+    def test_points_carry_both_routes(self):
+        [(_, _, _, f, dg, _)] = qd.identity_sweep(3, [0.5])
+        assert abs(f - 2.0) < 1e-12
+        assert abs(f - dg * 9.0) < 1e-9
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
-    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
-        with pytest.raises(InvalidInputError, match="tolerance"):
-            qd.qfi_discord_identity_check([2], [0.5], tol=tol)
-        assert qd.qfi_discord_identity_check([2], [0.5], tol=0.0).tolerance == 0.0
+    def test_phase_is_a_local_unitary_on_b(self):
+        grid = (0.2, 0.5, 0.9)
+        rotated = list(qd.identity_sweep(4, grid, 0.7))
+        plain = list(qd.identity_sweep(4, grid))
+        assert [point[1].phi for point in rotated] == [0.7] * 3
+        assert [point[3] for point in rotated] == [point[3] for point in plain]
+        for a, b in zip(rotated, plain):
+            assert abs(a[4] - b[4]) <= 1e-14, a[0]
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(InvalidInputError):
-            qd.qfi_discord_identity_check([], [])
+        with pytest.raises(InvalidInputError, match="empty"):
+            list(qd.identity_sweep(2, []))
