@@ -54,16 +54,18 @@ def _fmt(x) -> str:
     return format_number(float(x))
 
 
-def _parse_noon(tokens) -> NoonChannelParams:
-    """Parse ``N=.. t2=.. [phi=..]`` tokens into channel parameters."""
-    allowed = ("N", "t2", "phi")
-    seen = {}
+def _parse_noon(tokens, sweep: bool = False) -> NoonChannelParams:
+    """Parse ``N=.. t2=.. [phi=..]`` tokens into channel parameters; a
+    ``--grid`` sweep takes no t2, and its params hold t2 = 1."""
+    seen = {"t2": "1"} if sweep else {}
     for token in tokens:
         if "=" not in token:
             raise InvalidInputError(f"expected key=value, got '{token}'")
         key, _, value = token.partition("=")
-        if key not in allowed:
+        if key not in ("N", "t2", "phi"):
             raise InvalidInputError(f"unknown --noon key '{key}' (expected N, t2, phi)")
+        if sweep and key == "t2":
+            raise InvalidInputError("--grid sweeps t2 over [0, 1]; drop t2= from --noon")
         if key in seen:
             raise InvalidInputError(f"duplicate --noon key '{key}'")
         seen[key] = value
@@ -130,7 +132,7 @@ def _t2_grid(points) -> np.ndarray:
 
 
 def _cmd_qfi(args) -> int:
-    params = _parse_noon(args.noon)
+    params = _parse_noon(args.noon, sweep=args.grid is not None)
     default_tol = 1e-10 if args.grid is None else 1e-9
     tol = _as_tolerance(default_tol if args.tol is None else args.tol)
     if args.grid is None:

@@ -28,8 +28,10 @@ from .linalg import (
     _haar_stack,
     _seeded_normals,
     _split_eig,
+    _splitmix64,
     as_count,
     as_matrix,
+    as_seed,
     is_real_number,
     require_hermitian,
 )
@@ -101,13 +103,11 @@ class MeasurementSpectrum:
         spread = float(np.ptp(vals))
         if not np.isfinite(spread * spread):
             raise InvalidInputError(not_finite)
-        for j in range(len(vals)):
-            for k in range(j + 1, len(vals)):
-                if abs(vals[j] - vals[k]) <= MIN_SPECTRUM_GAP:
-                    raise DegenerateSpectrumError(
-                        f"eigenvalues {vals[j]} and {vals[k]} differ by less than "
-                        f"{MIN_SPECTRUM_GAP:.0e}"
-                    )
+        for a, b in combinations(vals, 2):
+            if abs(a - b) <= MIN_SPECTRUM_GAP:
+                raise DegenerateSpectrumError(
+                    f"eigenvalues {a} and {b} differ by less than {MIN_SPECTRUM_GAP:.0e}"
+                )
         object.__setattr__(self, "values", vals)
 
     @property
@@ -193,9 +193,7 @@ class VonNeumannBasis:
         recorded seed rebuilds exactly the basis that produced a scan row,
         as the scan draws each chunk with the same seeded-normal function.
         """
-        dim, seed = as_count(dim, "dimension"), as_count(seed, "seed", 0)
-        if seed >= 2**64:
-            raise InvalidInputError(f"seed must be below 2**64, got {seed}")
+        dim, seed = as_count(dim, "dimension"), as_seed(seed)
         return cls(_haar_stack(_seeded_normals([seed], (2, dim, dim)))[0])
 
 
@@ -212,10 +210,10 @@ def _block_traces(rho: DensityMatrix) -> np.ndarray:
 
     Every pair trace below (Q, U, the scans and the qubit correlation
     matrix) is a contraction of T with operators on A alone, so B is traced
-    out once per state, at O(dim_a^4 dim_b^2).
+    out once per state, at O(dim_a^4 dim_b^2), in einsum's own loops, not BLAS.
     """
     s4 = rho.sqrt.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return np.tensordot(s4, s4, axes=([1, 3], [3, 1]))
+    return np.einsum("aibj,cjdi->abcd", s4, s4)
 
 
 def _upper_pairs(dim: int) -> np.ndarray:
@@ -468,16 +466,16 @@ _SCAN_CHUNK = 512
 
 
 def derive_child_seeds(master_seed: int, count: int) -> np.ndarray:
-    """Stream of per-sample seeds derived from one master seed.
+    """Per-sample seeds: outputs 1..count of SplitMix64 from state master_seed.
 
-    Pure function of (master_seed, index): sample i always receives the
-    same seed no matter how the scan is chunked, so recorded seeds
-    reproduce their basis via :meth:`VonNeumannBasis.from_seed`. Each
-    seed keys a SplitMix64 stream; two of n seeds share words only if they
-    differ by k gamma (its increment), |k| < 2 dim_a^2: odds ~n^2 2 dim_a^2 / 2**64.
+    Sample i gets the same seed however the scan is chunked, so recorded
+    seeds reproduce their basis via :meth:`VonNeumannBasis.from_seed`, and
+    the seeds are distinct, as SplitMix64's mix is a bijection. Each seed
+    keys a SplitMix64 stream; two of n share words only if they differ by
+    k gamma (its increment), |k| < 2 dim_a^2: odds ~n^2 2 dim_a^2 / 2**64.
     """
-    ss = np.random.SeedSequence(as_count(master_seed, "master_seed", 0))
-    return ss.generate_state(as_count(count, "count"), dtype=np.uint64)
+    master = np.array([as_seed(master_seed, "master_seed")], dtype=np.uint64)
+    return _splitmix64(master, as_count(count, "count"))[0]
 
 
 @dataclass(frozen=True)
@@ -532,7 +530,7 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     """
     rho = _require_state(rho)
     samples = as_count(samples, "samples")
-    master_seed = as_count(master_seed, "master_seed", 0)
+    master_seed = as_seed(master_seed, "master_seed")
     spectrum = None if spectrum is None else _as_spectrum(spectrum, rho.dim_a)
     form = _hermitian_form(_block_traces(rho))
     seeds = derive_child_seeds(master_seed, samples)

@@ -20,7 +20,7 @@ from .discord import (
     scan_uncertainty,
 )
 from .errors import InvalidInputError
-from .linalg import as_count
+from .linalg import as_count, as_seed
 from .metrology import identity_sweep, negativity
 from .states import DensityMatrix, PureBipartiteState, _schmidt_weights
 from .tables import write_csv, write_sidecar
@@ -62,7 +62,7 @@ class Fig1Config:
         object.__setattr__(self, "s2", None if self.s2 is None else float(self.s2))
         object.__setattr__(self, "spectrum", _as_spectrum(spectrum, dim_a))
         object.__setattr__(self, "samples", as_count(self.samples, "samples"))
-        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         for s1 in grid:
             self.probabilities(s1)  # raises for weights off the simplex
 
@@ -75,15 +75,7 @@ class Fig1Config:
         return _schmidt_weights(p, f"weights at s1 = {s1}")
 
     def to_dict(self) -> dict:
-        return {
-            "command": "fig1",
-            "dim_a": self.dim_a,
-            "s1_grid": list(self.s1_grid),
-            "s2": self.s2,
-            "spectrum": list(self.spectrum.values),
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return {"command": "fig1", **vars(self), "spectrum": list(self.spectrum.values)}
 
 
 def run_fig1(config: Fig1Config) -> list:
@@ -124,11 +116,7 @@ class Fig2Config:
         object.__setattr__(self, "resolution", as_count(self.resolution, "resolution", 2))
 
     def to_dict(self) -> dict:
-        return {
-            "command": "fig2",
-            "spectrum": list(self.spectrum.values),
-            "resolution": self.resolution,
-        }
+        return {"command": "fig2", **vars(self), "spectrum": list(self.spectrum.values)}
 
 
 def run_fig2(config: Fig2Config) -> list:

@@ -70,6 +70,13 @@ def as_count(value, name: str, minimum: int = 1) -> int:
     return value
 
 
+def as_seed(value, name: str = "seed") -> int:
+    """:func:`as_count` for a seed, which must also lie below 2**64."""
+    if (seed := as_count(value, name, 0)) >= 2**64:
+        raise InvalidInputError(f"{name} must be below 2**64, got {seed}")
+    return seed
+
+
 def hermiticity_deviation(m: np.ndarray) -> float:
     """Max absolute entry of m - m^dagger."""
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0

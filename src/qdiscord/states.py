@@ -109,7 +109,7 @@ class PureBipartiteState:
             raise DimensionMismatchError(f"dim_b = {db} cannot hold {da} Schmidt terms")
         c = np.zeros((da, db), dtype=complex)
         amp = np.sqrt(p)
-        amp /= np.linalg.norm(amp)
+        amp /= np.sqrt(np.sum(amp * amp))  # not np.linalg.norm, a BLAS dot
         c[np.arange(da), np.arange(da)] = amp
         return cls(c)
 
@@ -210,7 +210,8 @@ class DensityMatrix:
     roundoff). ``matrix`` is stored as given; ``sqrt`` is the principal
     root of its Hermitian part, built from the one eigendecomposition the
     positivity check made, so every measure of the state reads the root
-    that check accepted. Both arrays are read-only.
+    that check accepted (:meth:`from_pure` sets an exact one). Both arrays
+    are read-only.
     """
 
     matrix: np.ndarray
@@ -235,8 +236,11 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, state: PureBipartiteState):
+        """|v><v|, validated, with the exact root rho / |v| (rho^2 = |v|^2 rho)."""
         v = state.vector
-        return cls(np.outer(v, v.conj()), state.dim_a, state.dim_b)
+        rho = cls(np.outer(v, v.conj()), state.dim_a, state.dim_b)
+        object.__setattr__(rho, "sqrt", _readonly(rho.matrix / np.sqrt(np.trace(rho.matrix).real)))
+        return rho
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

@@ -1,9 +1,13 @@
 """Shared state builders and loop references for the test suite."""
 
+import contextlib
+import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import permutations
 from math import comb
 from pathlib import Path
@@ -11,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import qdiscord as qd
+from qdiscord.cli import main
 from qdiscord.discord import _block_traces, _clamp_uncertainty
 
 
@@ -136,6 +141,14 @@ def loop_haar_unitary(draw):
     q, r = np.linalg.qr(draw[0] + 1j * draw[1])
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def tensordot_block_traces(rho):
+    """T[a, b, c, d] = Tr_B(S_ab S_cd) over the blocks of sqrt(rho) by one
+    BLAS tensordot over the two B indices: the reference for the einsum of
+    _block_traces."""
+    s4 = rho.sqrt.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    return np.tensordot(s4, s4, axes=([1, 3], [3, 1]))
 
 
 def pair_trace_matrix(t, u):
@@ -313,12 +326,35 @@ def forceable_core_types():
 
 def outputs_under_core_types(script):
     """Set of the stripped stdouts of ``python -c script``, run once under
-    each of forceable_core_types() with the package on PYTHONPATH."""
-    src = Path(qd.__file__).resolve().parents[1]
+    each of forceable_core_types() with the package and this directory (so
+    ``helpers``) on PYTHONPATH."""
+    path = os.pathsep.join([str(Path(qd.__file__).resolve().parents[1]), str(Path(__file__).parent)])
     outputs = set()
     for core in forceable_core_types():
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_CORETYPE=core)
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core)
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         outputs.add(result.stdout.strip())
     return outputs
+
+
+#: CLI runs whose CSVs are hashed, without --out: fig1 at the size CI
+#: reruns, fig4 at N = 10 and the qfi grid.
+PIPELINES = {
+    "fig1": ["fig1", "--dimA", "3", "--s1", "0.1,0.3", "--s2", "0.2", "--samples", "2000"],
+    "fig4": ["fig4", "--N", "10", "--grid", "101"],
+    "qfi": ["qfi", "--noon", "N=10", "--grid", "11"],
+}
+
+
+def pipeline_hashes():
+    """SHA-256 of the CSV of each run in PIPELINES, written to a scratch
+    directory through the CLI with its stdout discarded."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in PIPELINES.items():
+            path = Path(tmp) / f"{name}.csv"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--out", str(path)]) == 0
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests

@@ -89,6 +89,18 @@ class TestDiscordCommand:
         assert code == 2
         assert err == "error: master_seed must be >= 0, got -1\n"
 
+    def test_seed_beyond_uint64_is_invalid_input(self, capsys, tmp_path):
+        state = qd.PureBipartiteState.from_probabilities([0.5, 0.3, 0.2])
+        path = tmp_path / "qutrit.json"
+        qd.save_density(qd.DensityMatrix.from_pure(state), path)
+        argv = ("discord", "--file", str(path), "--samples", "5", "--seed")
+        code, _, err = invoke(capsys, *argv, "18446744073709551616")
+        assert code == 2
+        assert err == "error: master_seed must be below 2**64, got 18446744073709551616\n"
+        code, out, err = invoke(capsys, *argv, "18446744073709551615")
+        assert (code, err) == (0, "")
+        assert "master seed = 18446744073709551615" in out
+
     @pytest.mark.parametrize("command", ["discord", "qfi"])
     def test_large_photon_number_is_invalid_input(self, capsys, command):
         code, out, err = invoke(capsys, command, "--noon", "N=1100", "t2=0.5")
@@ -120,7 +132,7 @@ class TestQfiCommand:
     def test_grid_writes_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, _ = invoke(
-            capsys, "qfi", "--noon", "N=3", "t2=0", "--grid", "5", "--out", str(path)
+            capsys, "qfi", "--noon", "N=3", "--grid", "5", "--out", str(path)
         )
         assert code == 0
         assert f"wrote 5 rows to {path}" in out
@@ -132,7 +144,7 @@ class TestQfiCommand:
         runs = []
         for name in ("a.csv", "b.csv"):
             path = tmp_path / name
-            argv = ("qfi", "--noon", "N=3", "t2=0", "phi=0.25", "--grid", "5",
+            argv = ("qfi", "--noon", "N=3", "phi=0.25", "--grid", "5",
                     "--delta", "0.002", "--tol", "1e-8", "--out", str(path))
             assert invoke(capsys, *argv)[0] == 0
             runs.append(Path(f"{path}.json").read_bytes())
@@ -148,15 +160,27 @@ class TestQfiCommand:
             "version": qd.__version__,
         }
 
+    @pytest.mark.parametrize("t2", ["0.5", "7"])
+    def test_grid_rejects_t2(self, capsys, tmp_path, t2):
+        path = tmp_path / "sweep.csv"
+        code, out, err = invoke(
+            capsys, "qfi", "--noon", "N=4", f"t2={t2}", "--grid", "5", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --grid sweeps t2 over [0, 1]; drop t2= from --noon\n"
+        assert not path.exists()
+        assert not Path(f"{path}.json").exists()
+
     def test_grid_requires_out(self, capsys):
-        code, _, err = invoke(capsys, "qfi", "--noon", "N=3", "t2=0", "--grid", "5")
+        code, _, err = invoke(capsys, "qfi", "--noon", "N=3", "--grid", "5")
         assert code == 2
         assert "--out" in err
 
     def test_single_photon_grid_misses_tolerance(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, _ = invoke(
-            capsys, "qfi", "--noon", "N=1", "t2=0", "--grid", "7", "--out", str(path)
+            capsys, "qfi", "--noon", "N=1", "--grid", "7", "--out", str(path)
         )
         assert code == 3
         assert value_after(out, "max |F - DG*n^2| = ") > 0.2
@@ -164,7 +188,7 @@ class TestQfiCommand:
     def test_empty_grid_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, _, err = invoke(
-            capsys, "qfi", "--noon", "N=3", "t2=0", "--grid", "0", "--out", str(path)
+            capsys, "qfi", "--noon", "N=3", "--grid", "0", "--out", str(path)
         )
         assert code == 2
         assert err == "error: the t2 grid is empty\n"
@@ -172,18 +196,19 @@ class TestQfiCommand:
     def test_negative_grid_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, _, err = invoke(
-            capsys, "qfi", "--noon", "N=2", "t2=0.5", "--grid", "-1", "--out", str(path)
+            capsys, "qfi", "--noon", "N=2", "--grid", "-1", "--out", str(path)
         )
         assert code == 2
         assert err == "error: grid must be >= 0, got -1\n"
         assert not path.exists()
 
-    @pytest.mark.parametrize("grid", [[], ["--grid", "3"]])
+    # A single point takes t2=; a grid sweeps it.
+    @pytest.mark.parametrize("grid", [["t2=0.5"], ["--grid", "3"]])
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tolerance_is_invalid_input(self, capsys, tmp_path, grid, tol):
         path = tmp_path / "sweep.csv"
         code, out, err = invoke(
-            capsys, "qfi", "--noon", "N=2", "t2=0.5", "--tol", tol, *grid, "--out", str(path)
+            capsys, "qfi", "--noon", "N=2", *grid, "--tol", tol, "--out", str(path)
         )
         assert code == 2
         assert out == ""
@@ -193,10 +218,10 @@ class TestQfiCommand:
     def test_zero_tolerance_is_accepted(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         for argv, prefix in (
-            ((), "|closed - spectral| = "),
+            (("t2=0.5",), "|closed - spectral| = "),
             (("--grid", "3", "--out", str(path)), "max |F - DG*n^2| = "),
         ):
-            code, out, err = invoke(capsys, "qfi", "--noon", "N=2", "t2=0.5", "--tol", "0", *argv)
+            code, out, err = invoke(capsys, "qfi", "--noon", "N=2", *argv, "--tol", "0")
             assert err == ""
             assert code == (0 if value_after(out, prefix) == 0.0 else 3)
 
@@ -213,7 +238,7 @@ class TestQfiCommand:
         grid = np.linspace(0.0, 1.0, points)
         path = tmp_path / "sweep.csv"
         code, _, _ = invoke(
-            capsys, "qfi", "--noon", f"N={n}", "t2=0", "--grid", str(points),
+            capsys, "qfi", "--noon", f"N={n}", "--grid", str(points),
             "--out", str(path),
         )
         assert code == 0

@@ -19,10 +19,12 @@ from helpers import (
     forceable_core_types,
     loop_assignment,
     loop_scan,
+    noon_state,
     outputs_under_core_types,
     pair_trace_matrix,
     random_pure,
     random_state,
+    tensordot_block_traces,
     uncertainty_term,
 )
 
@@ -163,6 +165,26 @@ class TestVonNeumannBasis:
         assert np.array_equal(top, qd.VonNeumannBasis.from_seed(2, np.uint64(2**64 - 1)).unitary)
         with pytest.raises(InvalidInputError, match=r"seed must be below 2\*\*64, got 18446744073709551616"):
             qd.VonNeumannBasis.from_seed(2, 2**64)
+
+
+class TestSeedRange:
+    TOP = 2**64 - 1
+    #: Each entry point that takes a seed, called with one.
+    ENTRY_POINTS = {
+        "derive_child_seeds": lambda seed: qd.derive_child_seeds(seed, 2),
+        "scan_uncertainty": lambda seed: qd.scan_uncertainty(bell_state(), None, 2, seed),
+        "Fig1Config": lambda seed: qd.Fig1Config(2, (0.5,), samples=2, seed=seed),
+        "from_seed": lambda seed: qd.VonNeumannBasis.from_seed(2, seed),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_seeds_lie_below_2_to_the_64(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        call(self.TOP)
+        call(np.uint64(self.TOP))
+        for seed in (2**64, 2.0**64, 2**80):
+            with pytest.raises(InvalidInputError, match=r"must be below 2\*\*64"):
+                call(seed)
 
 
 class TestSkewInformation:
@@ -600,6 +622,15 @@ def reference_states(dim_a, rng):
 
 
 class TestBlockTraceKernels:
+    def test_block_traces_match_tensordot(self):
+        rng = np.random.default_rng(59)
+        for dim_a in (2, 3, 4):
+            for rho in reference_states(dim_a, rng):
+                assert np.max(np.abs(_block_traces(rho) - tensordot_block_traces(rho))) <= 1e-15
+        for n in (2, 10, 50):
+            rho = noon_state(n, 0.6)[1]
+            assert np.max(np.abs(_block_traces(rho) - tensordot_block_traces(rho))) <= 1e-15
+
     def test_lqu_matches_kron_correlation_matrix(self):
         rng = np.random.default_rng(60)
         for rho in reference_states(2, rng):

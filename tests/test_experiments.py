@@ -7,7 +7,7 @@ import pytest
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
 
-from helpers import loop_region_map
+from helpers import forceable_core_types, loop_region_map, outputs_under_core_types, pipeline_hashes
 
 
 class TestFig1Config:
@@ -225,3 +225,33 @@ class TestRunFig4:
         sidecar = json.loads((tmp_path / "a.csv.json").read_text())
         assert sidecar["n"] == 4
         assert sidecar["t2_grid"] == [0.3, 0.6, 0.9]
+
+
+#: SHA-256 of each helpers.PIPELINES CSV, keyed by the numpy version it was
+#: recorded on (x86-64 with AVX-512, OpenBLAS 0.3.31). No BLAS or LAPACK
+#: call reaches these bytes, but numpy's own loops (log1p, cos, sin,
+#: einsum) may round differently in another version.
+PIPELINE_SHA256 = {
+    "2.4.6": {
+        "fig1": "65d1b4051bef897424e29b9cfa967cfa6b2e04335399e54e6050ef74ec0b5734",
+        "fig4": "0e350cf516eb4bca9829be26675022dae5fbd9089cd2be4061dee71466f36dbc",
+        "qfi": "706eea52160fb688c54319316afe08b696683ff2dcef0c1f7269e6c5ffcc2249",
+    },
+}
+
+
+class TestPipelineBytes:
+    @pytest.mark.skipif(len(forceable_core_types()) < 2,
+                        reason="no DYNAMIC_ARCH OpenBLAS with two core types this CPU runs")
+    def test_one_hash_under_every_blas_core_type(self):
+        # The draw, the block traces, the Q/U kernel and a pure state's root
+        # make no BLAS call. What still goes through LAPACK (validation, the
+        # probe's 2 x 2 core root, the 3 x 3 LQU eigh, the negativity and the
+        # fidelity) gives the same bits under every kernel here.
+        script = "import json\nfrom helpers import pipeline_hashes\nprint(json.dumps(pipeline_hashes()))\n"
+        assert len(outputs_under_core_types(script)) == 1
+
+    @pytest.mark.skipif(np.__version__ not in PIPELINE_SHA256,
+                        reason=f"no pipeline hashes recorded for numpy {np.__version__}")
+    def test_csv_bytes_are_pinned(self):
+        assert pipeline_hashes() == PIPELINE_SHA256[np.__version__]

@@ -402,6 +402,13 @@ class TestSeededNormals:
             words = _splitmix64(np.array(seeds, dtype=np.uint64), 32)
             assert words.tolist() == [scalar_splitmix64(s, 32) for s in seeds]
 
+    def test_child_seeds_are_splitmix64_outputs(self):
+        for master in EDGE_SEEDS:
+            children = qd.derive_child_seeds(master, 64)
+            assert children.dtype == np.uint64
+            assert children.tolist() == scalar_splitmix64(master, 64)
+            assert np.unique(qd.derive_child_seeds(master, 100_000)).size == 100_000
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_draws_equal_per_seed_generators(self, dim):
         # The scalar generator takes log1p, cos and sin from the math

@@ -7,7 +7,7 @@ import pytest
 
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
-from qdiscord.linalg import ZERO_EIGENVALUE_CUTOFF
+from qdiscord.linalg import RECONSTRUCT_TOL, ZERO_EIGENVALUE_CUTOFF
 from qdiscord.states import matrix_from_json
 
 from helpers import (
@@ -111,6 +111,15 @@ class TestDensityMatrix:
         rng = np.random.default_rng(23)
         rho = qd.DensityMatrix.from_pure(random_pure(3, 4, rng))
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
+
+    def test_from_pure_root_squares_to_rho(self):
+        rng = np.random.default_rng(24)
+        for dims in ((2, 2), (3, 4), (4, 3)):
+            state = random_pure(*dims, rng)
+            rho = qd.DensityMatrix.from_pure(state)
+            gap = np.linalg.norm(rho.sqrt @ rho.sqrt - rho.matrix) / np.linalg.norm(rho.matrix)
+            assert gap <= RECONSTRUCT_TOL
+            assert not rho.sqrt.flags.writeable
 
     def test_rejects_bad_trace(self):
         with pytest.raises(InvalidInputError, match="trace violated"):
