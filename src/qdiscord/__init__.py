@@ -6,6 +6,8 @@ scans otherwise) and relates them to the phase-estimation power of an
 N-photon interferometer with one lossy arm.
 """
 
+from types import ModuleType as _ModuleType
+
 from .discord import (
     AssignmentResult,
     MeasurementSpectrum,
@@ -75,61 +77,8 @@ from .states import (
 )
 from .version import __version__
 
-__all__ = [
-    "__version__",
-    "AssignmentResult",
-    "DegenerateSpectrumError",
-    "DensityMatrix",
-    "DimensionMismatchError",
-    "EigensolverError",
-    "Fig1Config",
-    "Fig2Config",
-    "Fig4Result",
-    "InvalidInputError",
-    "MeasurementSpectrum",
-    "NoonChannelParams",
-    "NotHermitianError",
-    "NotPSDError",
-    "PureBipartiteState",
-    "SchmidtDecomposition",
-    "StateReport",
-    "UncertaintyScan",
-    "VonNeumannBasis",
-    "derive_child_seeds",
-    "geometric_discord_pure",
-    "geometric_discord_qubit",
-    "haar_unitary",
-    "hermitian_eig",
-    "identity_sweep",
-    "load_density",
-    "local_quantum_uncertainty",
-    "lqu_noon_closed",
-    "measurement_uncertainty",
-    "min_uncertainty_assignment",
-    "minimize_uncertainty",
-    "negativity",
-    "noon_eigenvalues",
-    "noon_family",
-    "noon_lossy_density",
-    "noon_tripartite",
-    "observable_uncertainty",
-    "partial_trace",
-    "partial_transpose",
-    "psd_sqrt",
-    "qfi_fidelity_estimate",
-    "qfi_noon_closed",
-    "qfi_noon_spectral",
-    "run_fig1",
-    "run_fig2",
-    "run_fig4",
-    "save_density",
-    "scan_uncertainty",
-    "schmidt_decompose",
-    "skew_information",
-    "trace_norm",
-    "uhlmann_fidelity",
-    "validation_report",
-    "write_fig1",
-    "write_fig2",
-    "write_fig4",
-]
+#: Every public name bound above (submodules aside), plus the version.
+__all__ = ["__version__", *sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+)]

@@ -25,12 +25,13 @@ import numpy as np
 
 from .discord import (
     MeasurementSpectrum,
+    _as_spectrum,
     local_quantum_uncertainty,
     minimize_uncertainty,
 )
 from .errors import InvalidInputError
 from .experiments import Fig1Config, Fig2Config, write_fig1, write_fig2, write_fig4
-from .linalg import as_count
+from .linalg import as_count, as_seed
 from .metrology import (
     identity_sweep,
     negativity,
@@ -104,18 +105,22 @@ def _state_from_args(args):
 
 def _cmd_discord(args) -> int:
     rho = _state_from_args(args)
+    # The scan's checks, made on every state, though a qubit side scans nothing.
+    samples, seed = as_count(args.samples, "samples"), as_seed(args.seed, "master_seed")
+    spectrum = _parse_spectrum(args.spectrum)
+    if spectrum is not None:
+        spectrum = _as_spectrum(spectrum, rho.dim_a)
     print(f"dimA = {rho.dim_a}  dimB = {rho.dim_b}")
     if rho.dim_a == 2:
         lqu = local_quantum_uncertainty(rho)
         print(f"LQU = {_fmt(lqu)}")
         print(f"GQD = {_fmt(0.5 * lqu)}")
         return 0
-    spectrum = _parse_spectrum(args.spectrum)
-    scan = minimize_uncertainty(rho, spectrum, args.samples, args.seed)
+    scan = minimize_uncertainty(rho, spectrum, samples, seed)
     name = "U" if spectrum is not None else "Q"
     print(f"{name} min = {_fmt(scan.minimum)}  (basis seed {scan.argmin_seed})")
     print(f"{name} max = {_fmt(scan.maximum)}")
-    print(f"samples = {args.samples}  master seed = {args.seed}")
+    print(f"samples = {samples}  master seed = {seed}")
     return 0
 
 

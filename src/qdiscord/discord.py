@@ -284,11 +284,6 @@ def _form_uncertainties(form: tuple, unitaries: np.ndarray, spectrum=None) -> tu
     return q, _clamp_uncertainty(u, "observable uncertainty")
 
 
-def _uncertainties(t: np.ndarray, unitaries: np.ndarray, spectrum=None) -> tuple:
-    """:func:`_form_uncertainties` of a stack of bases, from the block traces."""
-    return _form_uncertainties(_hermitian_form(t), unitaries, spectrum)
-
-
 def _check_basis(rho, basis: VonNeumannBasis) -> DensityMatrix:
     rho = _require_state(rho)
     if basis.dim != rho.dim_a:
@@ -324,7 +319,7 @@ def measurement_uncertainty(rho, basis: VonNeumannBasis) -> float:
     classical-quantum states measured in their classical basis.
     """
     rho = _check_basis(rho, basis)
-    return float(_uncertainties(_block_traces(rho), basis.unitary[None])[0][0])
+    return float(_form_uncertainties(_hermitian_form(_block_traces(rho)), basis.unitary[None])[0][0])
 
 
 def observable_uncertainty(rho, basis: VonNeumannBasis, spectrum) -> float:
@@ -336,7 +331,8 @@ def observable_uncertainty(rho, basis: VonNeumannBasis, spectrum) -> float:
     """
     rho = _check_basis(rho, basis)
     spectrum = _as_spectrum(spectrum, rho.dim_a)
-    return float(_uncertainties(_block_traces(rho), basis.unitary[None], spectrum)[1][0])
+    form = _hermitian_form(_block_traces(rho))
+    return float(_form_uncertainties(form, basis.unitary[None], spectrum)[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,18 @@ def bell_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture(params=["qutrit-file", "qubit-noon"])
+def discord_state(request, tmp_path):
+    """``discord`` state arguments: a pure qutrit x qutrit file, which the
+    command scans, or the N = 2 probe, whose two-level A side it does not."""
+    if request.param == "qubit-noon":
+        return ("--noon", "N=2", "t2=0.5")
+    path = tmp_path / "qutrit.json"
+    state = qd.PureBipartiteState.from_probabilities([0.5, 0.3, 0.2])
+    qd.save_density(qd.DensityMatrix.from_pure(state), path)
+    return ("--file", str(path))
+
+
 class TestDiscordCommand:
     def test_qubit_side_closed_form(self, capsys):
         code, out, err = invoke(capsys, "discord", "--noon", "N=2", "t2=0.5")
@@ -81,25 +93,30 @@ class TestDiscordCommand:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_negative_seed_is_invalid_input(self, capsys, tmp_path):
-        state = qd.PureBipartiteState.from_probabilities([0.5, 0.3, 0.2])
-        path = tmp_path / "qutrit.json"
-        qd.save_density(qd.DensityMatrix.from_pure(state), path)
-        code, _, err = invoke(capsys, "discord", "--file", str(path), "--seed", "-1")
+    def test_negative_seed_is_invalid_input(self, capsys, discord_state):
+        code, _, err = invoke(capsys, "discord", *discord_state, "--seed", "-1")
         assert code == 2
         assert err == "error: master_seed must be >= 0, got -1\n"
 
-    def test_seed_beyond_uint64_is_invalid_input(self, capsys, tmp_path):
-        state = qd.PureBipartiteState.from_probabilities([0.5, 0.3, 0.2])
-        path = tmp_path / "qutrit.json"
-        qd.save_density(qd.DensityMatrix.from_pure(state), path)
-        argv = ("discord", "--file", str(path), "--samples", "5", "--seed")
+    def test_seed_beyond_uint64_is_invalid_input(self, capsys, discord_state):
+        argv = ("discord", *discord_state, "--samples", "5", "--seed")
         code, _, err = invoke(capsys, *argv, "18446744073709551616")
         assert code == 2
         assert err == "error: master_seed must be below 2**64, got 18446744073709551616\n"
         code, out, err = invoke(capsys, *argv, "18446744073709551615")
         assert (code, err) == (0, "")
-        assert "master seed = 18446744073709551615" in out
+        scanned = discord_state[0] == "--file"
+        assert ("master seed = 18446744073709551615" in out) == scanned
+
+    @pytest.mark.parametrize("option", [
+        ("--samples", "0"), ("--spectrum", "1,1"), ("--spectrum", "4,3,2"),
+    ], ids=["samples-0", "degenerate-spectrum", "three-value-spectrum"])
+    def test_qubit_side_checks_scan_arguments(self, capsys, option):
+        # A two-level A side reads none of these, but they are checked as a
+        # scan would check them, before anything is printed.
+        code, out, err = invoke(capsys, "discord", "--noon", "N=2", "t2=0.5", *option)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("command", ["discord", "qfi"])
     def test_large_photon_number_is_invalid_input(self, capsys, command):

@@ -10,7 +10,7 @@ from qdiscord.errors import (
     InvalidInputError,
     NotPSDError,
 )
-from qdiscord.discord import _block_traces, _clamp_uncertainty, _uncertainties
+from qdiscord.discord import _block_traces, _clamp_uncertainty, _form_uncertainties, _hermitian_form
 from qdiscord.linalg import _haar_stack, _seeded_normals
 
 from helpers import (
@@ -685,7 +685,7 @@ class TestQuadraticFormKernel:
         for rank in (None, dim_b, 1):  # full rank, rank deficient, pure
             t = _block_traces(random_state(dim_a, dim_b, rng, rank))
             v = pair_trace_matrix(t, bases)
-            q, u = _uncertainties(t, bases, spectrum)
+            q, u = _form_uncertainties(_hermitian_form(t), bases, spectrum)
             assert np.max(np.abs(q - v.sum(axis=(1, 2)))) <= QUADRATIC_FORM_TOL
             assert np.max(np.abs(u - 0.5 * (gaps * v).sum(axis=(1, 2)))) <= QUADRATIC_FORM_TOL
 
@@ -699,7 +699,7 @@ class TestQuadraticFormKernel:
             "import hashlib\n"
             "import numpy as np\n"
             "import qdiscord as qd\n"
-            "from qdiscord.discord import _uncertainties\n"
+            "from qdiscord.discord import _form_uncertainties, _hermitian_form\n"
             "from qdiscord.linalg import _haar_stack, _seeded_normals\n"
             "h = hashlib.sha256()\n"
             "for da, db in ((2, 3), (3, 3), (4, 2)):\n"
@@ -711,7 +711,7 @@ class TestQuadraticFormKernel:
             "        t[a, b, c, d] = (s4[a, :, b, :] * s4[c, :, d, :].T).sum()\n"
             "    bases = _haar_stack(_seeded_normals(qd.derive_child_seeds(da, 600), (2, da, da)))\n"
             "    spectrum = qd.MeasurementSpectrum(tuple(float(v * v) for v in range(da)))\n"
-            "    for values in _uncertainties(t, bases, spectrum):\n"
+            "    for values in _form_uncertainties(_hermitian_form(t), bases, spectrum):\n"
             "        h.update(values.tobytes())\n"
             "print(h.hexdigest())\n"
         )
@@ -731,6 +731,6 @@ class TestQuadraticFormKernel:
         ])
         for _ in range(5):
             t = _block_traces(classical_quantum_state(dim_a, dim_b, rng))
-            q, u = _uncertainties(t, bases, spectrum)
+            q, u = _form_uncertainties(_hermitian_form(t), bases, spectrum)
             assert np.max(q) <= QUADRATIC_FORM_TOL
             assert np.max(u) <= QUADRATIC_FORM_TOL
