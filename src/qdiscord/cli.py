@@ -107,9 +107,7 @@ def _cmd_discord(args) -> int:
     rho = _state_from_args(args)
     # The scan's checks, made on every state, though a qubit side scans nothing.
     samples, seed = as_count(args.samples, "samples"), as_seed(args.seed, "master_seed")
-    spectrum = _parse_spectrum(args.spectrum)
-    if spectrum is not None:
-        spectrum = _as_spectrum(spectrum, rho.dim_a)
+    spectrum = _as_spectrum(_parse_float_list(args.spectrum), rho.dim_a) if args.spectrum else None
     print(f"dimA = {rho.dim_a}  dimB = {rho.dim_b}")
     if rho.dim_a == 2:
         lqu = local_quantum_uncertainty(rho)
