@@ -70,6 +70,8 @@ def _clamp_uncertainty(value, what: str = "uncertainty"):
     Works elementwise on arrays; a float gives a float. NaN or a value
     below the tolerance raises :class:`NotPSDError`. -0.0 is kept as is.
     """
+    if isinstance(value, float) and value >= -NEGATIVE_UNCERTAINTY_TOL:  # np.float64 is a float
+        return 0.0 if value < 0.0 else float(value)
     arr = np.asarray(value, dtype=float)
     bad = ~(arr >= -NEGATIVE_UNCERTAINTY_TOL)
     if bad.any():

@@ -44,7 +44,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise DimensionMismatchError(
             f"{name} must be square 2-D, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # a complex entry is finite when both parts are
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
@@ -79,7 +79,7 @@ def as_seed(value, name: str = "seed") -> int:
 
 def hermiticity_deviation(m: np.ndarray) -> float:
     """Max absolute entry of m - m^dagger."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(abs(m - m.conj().T).max()) if m.size else 0.0
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
@@ -119,13 +119,13 @@ class SplitEig(NamedTuple):
 
     @property
     def lowest(self) -> float:
-        """Smallest eigenvalue; +inf for the 0 x 0 matrix."""
-        return float(min(self.w.min(initial=np.inf), self.d.min(initial=np.inf)))
+        """Smallest eigenvalue (``w`` is ascending); +inf for the 0 x 0 matrix."""
+        return float(min(self.w[0] if self.w.size else np.inf, self.d.min(initial=np.inf)))
 
     @property
     def highest(self) -> float:
         """Largest eigenvalue; -inf for the 0 x 0 matrix."""
-        return float(max(self.w.max(initial=-np.inf), self.d.max(initial=-np.inf)))
+        return float(max(self.w[-1] if self.w.size else -np.inf, self.d.max(initial=-np.inf)))
 
 
 def _split_eig(m: np.ndarray, name: str = "matrix") -> SplitEig:
@@ -134,15 +134,19 @@ def _split_eig(m: np.ndarray, name: str = "matrix") -> SplitEig:
     entry of h couples.
 
     ``m`` is not checked. When every row is coupled the core is h itself and
-    the call is ``np.linalg.eigh(h)``. Convergence failures raise
-    :class:`EigensolverError`.
+    the call is ``np.linalg.eigh(h)``; when none is, ``eigh`` is not called.
+    Convergence failures raise :class:`EigensolverError`.
     """
     h = _hermitian_part(m)
-    # A row is coupled when it has more nonzero entries than its diagonal one.
-    coupled = np.count_nonzero(h, axis=1) > (h.diagonal() != 0)
-    core, rest = coupled.nonzero()[0], (~coupled).nonzero()[0]
+    # A row is coupled when it has a nonzero entry off the diagonal.
+    off = h != 0
+    off.reshape(-1)[::len(h) + 1] = False
+    coupled = off.any(axis=1)
+    core, rest = ((np.arange(len(h)), np.arange(0)) if coupled.all()
+                  else (coupled.nonzero()[0], (~coupled).nonzero()[0]))
+    block = h if rest.size == 0 else h[core[:, None], core]
     try:
-        w, v = np.linalg.eigh(h if rest.size == 0 else h[core[:, None], core])
+        w, v = np.linalg.eigh(block) if core.size else (np.zeros(0), block)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise EigensolverError(f"eigendecomposition of {name} failed: {exc}") from exc
     return SplitEig(core, w, v, rest, h.real[rest, rest])
@@ -172,9 +176,10 @@ def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; a value below -PSD_TOL
     raises :class:`NotPSDError`. Tiny positive eigenvalues below
     ``ZERO_EIGENVALUE_CUTOFF`` relative to the largest one are also clamped,
-    see the constant's note. Both bounds are taken over the whole spectrum.
-    The root is built block by block: sqrt(d) on the split-off diagonal and
-    V sqrt(W) V^dagger on the core. An empty spectrum gives the 0 x 0 root.
+    see the constant's note. Both bounds are taken over the whole spectrum;
+    the clamps write into ``eig``. The root is sqrt(d) on the split-off
+    diagonal and V sqrt(W) V^dagger on the core, which is the whole root
+    when no row is split off. An empty spectrum gives the 0 x 0 root.
     """
     lo = eig.lowest
     if lo < -PSD_TOL:
@@ -182,12 +187,15 @@ def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
             f"{name} is not positive semidefinite: min eigenvalue {lo:.3e}"
         )
     cut = ZERO_EIGENVALUE_CUTOFF * max(eig.highest, 0.0)
-    w = np.where(eig.w < cut, 0.0, eig.w)
-    d = np.where(eig.d < cut, 0.0, eig.d)
+    eig.w[eig.w < cut] = 0.0
+    eig.d[eig.d < cut] = 0.0
+    core = (eig.v * np.sqrt(eig.w)) @ eig.v.conj().T
+    if eig.rest.size == 0:
+        return core
     n = eig.core.size + eig.rest.size
     root = np.zeros((n, n), dtype=complex)
-    root[eig.rest, eig.rest] = np.sqrt(d)
-    root[eig.core[:, None], eig.core] = (eig.v * np.sqrt(w)) @ eig.v.conj().T
+    root[eig.rest, eig.rest] = np.sqrt(eig.d)
+    root[eig.core[:, None], eig.core] = core
     return root
 
 

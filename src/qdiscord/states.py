@@ -6,9 +6,10 @@ The density-matrix JSON interchange format is
 ``im`` the real and imaginary parts of the full matrix, row-major.
 """
 
+import cmath
 import json
 from dataclasses import dataclass, field, replace
-from math import comb, sqrt
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
@@ -191,7 +192,7 @@ def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
     dev = hermiticity_deviation(m)
     if dev > HERMITICITY_TOL:
         violations.append(f"hermiticity violated: max |m - m^dagger| = {dev:.12g}")
-    tr = float(np.trace(m).real)
+    tr = float(m.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         violations.append(f"trace violated: trace = {tr:.12g}")
     split = _split_eig(m, "density matrix")
@@ -273,8 +274,11 @@ class NoonChannelParams:
     def __post_init__(self):
         object.__setattr__(self, "n", as_count(self.n, "photon number"))
         t, r, phi = complex(self.t), complex(self.r), float(self.phi)
-        if not np.all(np.isfinite((t, r, phi))):
+        if not (cmath.isfinite(t) and cmath.isfinite(r) and isfinite(phi)):
             raise InvalidInputError(f"t, r and phi must be finite, got {t}, {r}, {phi}")
+        # n * phi is the coherent branch's phase; an n beyond a double fails _loss_weights
+        if self.n < 2**1023 and not isfinite(self.n * phi):
+            raise InvalidInputError(f"n * phi must be finite, got {self.n} * {phi}")
         total = abs(t) ** 2 + abs(r) ** 2
         if abs(total - 1.0) > NORM_TOL:
             raise InvalidInputError(
@@ -355,8 +359,7 @@ def noon_lossy_density(params: NoonChannelParams) -> DensityMatrix:
     weights = _loss_weights(params)
     v = _coherent_branch(params)
     rho = 0.5 * np.outer(v, v.conj())
-    k = np.arange(n)
-    rho[k, k] += weights[:n]
+    rho.reshape(-1)[:n * (v.size + 1):v.size + 1] += weights[:n]  # rho[k, k] for k < n
     return DensityMatrix(rho, 2, n + 1)
 
 

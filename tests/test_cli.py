@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,15 @@ class TestDiscordCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: photon number 1100 is too large")
+
+    @pytest.mark.parametrize("command", ["discord", "qfi"])
+    def test_overflowing_phase_is_invalid_input(self, capsys, command):
+        # n * phi = inf used to reach np.exp and print RuntimeWarnings first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = invoke(capsys, command, "--noon", "N=2", "t2=0.5", "phi=1e308")
+        assert (code, out, caught) == (2, "", [])
+        assert err == "error: n * phi must be finite, got 2 * 1e+308\n"
 
     @pytest.mark.parametrize("text", ["2.0", "2.5"])
     def test_photon_number_must_be_an_integer_literal(self, capsys, text):

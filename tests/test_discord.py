@@ -346,6 +346,19 @@ class TestPureClosedForms:
         assert not np.signbit(out[0]) and np.signbit(out[1]) and not np.signbit(out[3])
         scalar = _clamp_uncertainty(-0.0)
         assert type(scalar) is float and np.signbit(scalar)
+        # floats and np.float64 skip the array round trip, with the same result
+        values = [-1e-13, -0.0, 0.0, 0.25, -1e-12, 5e-324]
+        for x, ref in zip(values, _clamp_uncertainty(np.array(values))):
+            for scalar in (x, np.float64(x)):
+                got = _clamp_uncertainty(scalar)
+                assert type(got) is float and got == ref and np.signbit(got) == np.signbit(ref)
+        for bad in (np.nan, -2e-12, -np.inf):
+            with pytest.raises(NotPSDError) as from_array:
+                _clamp_uncertainty(np.array([bad]))
+            for scalar in (bad, np.float64(bad)):
+                with pytest.raises(NotPSDError) as from_scalar:
+                    _clamp_uncertainty(scalar)
+                assert str(from_scalar.value) == str(from_array.value)
 
     def test_assignment_equals_loop_reference(self):
         # exact equality of value and ordering, including all-equal weights

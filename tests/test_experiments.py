@@ -229,12 +229,15 @@ class TestRunFig4:
 
 #: SHA-256 of each helpers.PIPELINES CSV, keyed by the numpy version it was
 #: recorded on (x86-64 with AVX-512, OpenBLAS 0.3.31). No BLAS or LAPACK
-#: call reaches these bytes, but numpy's own loops (log1p, cos, sin,
-#: einsum) may round differently in another version.
+#: call reaches fig1's bytes; fig4 and qfi take the probe's 2 x 2 cores and
+#: the fidelity through LAPACK, with one hash under every core type tried.
+#: numpy's own loops (log1p, cos, sin, einsum) may round differently in
+#: another version.
 PIPELINE_SHA256 = {
     "2.4.6": {
         "fig1": "65d1b4051bef897424e29b9cfa967cfa6b2e04335399e54e6050ef74ec0b5734",
         "fig4": "0e350cf516eb4bca9829be26675022dae5fbd9089cd2be4061dee71466f36dbc",
+        "fig4_n50": "b4f56cc45487d44447dc78298adf00a6fbff91f918e14153bd7312143705a4ba",
         "qfi": "706eea52160fb688c54319316afe08b696683ff2dcef0c1f7269e6c5ffcc2249",
     },
 }
@@ -246,8 +249,9 @@ class TestPipelineBytes:
     def test_one_hash_under_every_blas_core_type(self):
         # The draw, the block traces, the Q/U kernel and a pure state's root
         # make no BLAS call. What still goes through LAPACK (validation, the
-        # probe's 2 x 2 core root, the 3 x 3 LQU eigh, the negativity and the
-        # fidelity) gives the same bits under every kernel here.
+        # probe's 2 x 2 core root, the negativity and the fidelity; the
+        # probe's LQU matrix is diagonal, so no eigh) gives the same bits
+        # under every kernel here.
         script = "import json\nfrom helpers import pipeline_hashes\nprint(json.dumps(pipeline_hashes()))\n"
         assert len(outputs_under_core_types(script)) == 1
 

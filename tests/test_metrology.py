@@ -181,6 +181,15 @@ class TestFisherEstimate:
             estimate = qd.qfi_fidelity_estimate(noon_family(n, t2), phi=0.2)
             assert abs(estimate - closed) / closed < 1e-3
 
+    def test_roundoff_floor_is_bounded(self):
+        # Where F_Q is far below it (2e-28, 5e-47) the oracle reads the
+        # floor, 2e-26 to 2e-24 under every BLAS core type, not F_Q.
+        for n, t2 in ((10, 0.001), (50, 0.1), (100, 0.5)):
+            params, _ = noon_state(n, t2)
+            closed = qd.qfi_noon_closed(params)
+            estimate = qd.qfi_fidelity_estimate(noon_family(n, t2))
+            assert abs(estimate - closed) <= 1e-5 * closed + 1e-23
+
     def test_delta_validation(self):
         family = noon_family(2, 0.5)
         for delta in (0.0, -1e-3, 0.2):

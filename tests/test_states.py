@@ -243,9 +243,14 @@ class TestNoonChannelParams:
             qd.NoonChannelParams.from_transmittance(2, 1.5)
 
     def test_rejects_non_finite_values(self):
-        for args in ((2, np.nan, 0.5), (2, complex(0.6, np.nan), 0.8), (2, 0.6, 0.8, np.nan)):
+        for args in ((2, np.nan, 0.5), (2, complex(0.6, np.nan), 0.8), (2, 0.6, 0.8, np.nan),
+                     (2, 0.6, 0.8, 1e308), (3, 0.6, 0.8, -1e308)):
             with pytest.raises(InvalidInputError, match="finite"):
                 qd.NoonChannelParams(*args)
+        # the phase n * phi is what overflows, not phi
+        assert qd.NoonChannelParams(1, 0.6, 0.8, 1e308).phi == 1e308
+        with pytest.raises(InvalidInputError, match="too large"):
+            qd.noon_lossy_density(qd.NoonChannelParams(2**1100, 0.6, 0.8, 1.0))
         with pytest.raises(InvalidInputError, match="finite"):
             qd.NoonChannelParams.from_transmittance(2, 0.5, phi=np.nan)
         with pytest.raises(InvalidInputError):
