@@ -142,8 +142,7 @@ def _split_eig(m: np.ndarray, name: str = "matrix") -> SplitEig:
     off = h != 0
     off.reshape(-1)[::len(h) + 1] = False
     coupled = off.any(axis=1)
-    core, rest = ((np.arange(len(h)), np.arange(0)) if coupled.all()
-                  else (coupled.nonzero()[0], (~coupled).nonzero()[0]))
+    core, rest = coupled.nonzero()[0], (~coupled).nonzero()[0]
     block = h if rest.size == 0 else h[core[:, None], core]
     try:
         w, v = np.linalg.eigh(block) if core.size else (np.zeros(0), block)
@@ -177,9 +176,9 @@ def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
     raises :class:`NotPSDError`. Tiny positive eigenvalues below
     ``ZERO_EIGENVALUE_CUTOFF`` relative to the largest one are also clamped,
     see the constant's note. Both bounds are taken over the whole spectrum;
-    the clamps write into ``eig``. The root is sqrt(d) on the split-off
-    diagonal and V sqrt(W) V^dagger on the core, which is the whole root
-    when no row is split off. An empty spectrum gives the 0 x 0 root.
+    the clamps write into ``eig``. The root is built block by block:
+    sqrt(d) on the split-off diagonal and V sqrt(W) V^dagger on the core.
+    An empty spectrum gives the 0 x 0 root.
     """
     lo = eig.lowest
     if lo < -PSD_TOL:
@@ -189,13 +188,10 @@ def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
     cut = ZERO_EIGENVALUE_CUTOFF * max(eig.highest, 0.0)
     eig.w[eig.w < cut] = 0.0
     eig.d[eig.d < cut] = 0.0
-    core = (eig.v * np.sqrt(eig.w)) @ eig.v.conj().T
-    if eig.rest.size == 0:
-        return core
     n = eig.core.size + eig.rest.size
     root = np.zeros((n, n), dtype=complex)
     root[eig.rest, eig.rest] = np.sqrt(eig.d)
-    root[eig.core[:, None], eig.core] = core
+    root[eig.core[:, None], eig.core] = (eig.v * np.sqrt(eig.w)) @ eig.v.conj().T
     return root
 
 
