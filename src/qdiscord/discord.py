@@ -31,8 +31,8 @@ from .linalg import (
     _splitmix64,
     as_count,
     as_matrix,
+    as_reals,
     as_seed,
-    is_real_number,
     require_hermitian,
 )
 from .states import (
@@ -90,21 +90,10 @@ class MeasurementSpectrum:
     values: tuple
 
     def __post_init__(self):
-        values = self.values.tolist() if isinstance(self.values, np.ndarray) else self.values
-        if not isinstance(values, (list, tuple)) or not all(map(is_real_number, values)):
-            raise InvalidInputError(
-                f"spectrum must be a sequence of real numbers, got {self.values!r}"
-            )
-        not_finite = "spectrum values and their squared gaps must be finite"
-        try:
-            vals = tuple(float(v) for v in values)
-        except OverflowError:  # an int beyond the float range
-            raise InvalidInputError(not_finite) from None
-        if len(vals) < 2:
-            raise InvalidInputError("spectrum needs at least two eigenvalues")
+        vals = tuple(as_reals(self.values, "spectrum", 2))
         spread = float(np.ptp(vals))
         if not np.isfinite(spread * spread):
-            raise InvalidInputError(not_finite)
+            raise InvalidInputError("spectrum values and their squared gaps must be finite")
         for a, b in combinations(vals, 2):
             if abs(a - b) <= MIN_SPECTRUM_GAP:
                 raise DegenerateSpectrumError(
@@ -348,12 +337,7 @@ def _as_probabilities(state) -> np.ndarray:
         return state.probabilities
     if isinstance(state, PureBipartiteState):
         return schmidt_decompose(state).probabilities
-    p = np.asarray(state, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise InvalidInputError(
-            "expected Schmidt data or a 1-D probability sequence of length >= 2"
-        )
-    return _schmidt_weights(p)
+    return _schmidt_weights(state)
 
 
 def geometric_discord_pure(state) -> float:

@@ -20,7 +20,7 @@ from .discord import (
     scan_uncertainty,
 )
 from .errors import InvalidInputError
-from .linalg import as_count, as_seed
+from .linalg import as_count, as_real, as_reals, as_seed
 from .metrology import identity_sweep, negativity
 from .states import DensityMatrix, PureBipartiteState, _schmidt_weights
 from .tables import write_csv, write_sidecar
@@ -53,13 +53,11 @@ class Fig1Config:
             raise InvalidInputError("s2 only applies to dim_a = 3")
         if dim_a == 3 and self.s2 is None:
             raise InvalidInputError("dim_a = 3 needs a fixed s2")
-        grid = tuple(float(s) for s in self.s1_grid)
-        if not grid:
-            raise InvalidInputError("s1_grid must be non-empty")
+        grid = tuple(as_reals(self.s1_grid, "s1_grid"))
         spectrum = MeasurementSpectrum.default(dim_a) if self.spectrum is None else self.spectrum
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "s1_grid", grid)
-        object.__setattr__(self, "s2", None if self.s2 is None else float(self.s2))
+        object.__setattr__(self, "s2", None if self.s2 is None else as_real(self.s2, "s2"))
         object.__setattr__(self, "spectrum", _as_spectrum(spectrum, dim_a))
         object.__setattr__(self, "samples", as_count(self.samples, "samples"))
         object.__setattr__(self, "seed", as_seed(self.seed))
@@ -160,9 +158,7 @@ def run_fig4(n: int, t2_grid) -> Fig4Result:
     from it on the grid. A grid on which every DG is equal leaves the slope
     undefined and raises :class:`InvalidInputError`.
     """
-    grid = np.asarray(t2_grid, dtype=float).ravel()
-    if grid.size < 2:
-        raise InvalidInputError("t2 grid needs at least two points")
+    grid = as_reals(t2_grid, "t2 grid", 2)
     points = [
         (t2, f, dg, negativity(rho), residual)
         for t2, _, rho, f, dg, residual in identity_sweep(n, grid)

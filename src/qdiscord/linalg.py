@@ -49,20 +49,38 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def is_real_number(value) -> bool:
-    """True for Python and numpy integers and floats; False for bools."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def as_real(value, name: str) -> float:
+    """A Python or numpy integer or float that is not a bool, as a float. Any
+    other value, or an int beyond the double range, raises
+    :class:`InvalidInputError` naming the input; NaN and inf pass, for each
+    caller checks its own range."""
+    if type(value) is float:  # plain floats skip the type checks
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} must be finite, got an int beyond a double") from None
+
+
+def as_reals(values, name: str, minimum: int = 1) -> list:
+    """Coerce a list, tuple or 1-D array of at least ``minimum`` real
+    numbers to a list of floats, each entry through :func:`as_real`."""
+    seq = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(seq, (list, tuple)):
+        raise InvalidInputError(f"{name} must be a list, tuple or 1-D array of reals: {values!r}")
+    if len(seq) < minimum:
+        raise InvalidInputError(f"{name} must have length >= {minimum}, got {len(seq)}")
+    return [as_real(v, f"{name}[{i}]") for i, v in enumerate(seq)]
 
 
 def as_count(value, name: str, minimum: int = 1) -> int:
-    """Coerce a count, dimension, seed or index to a Python int >= ``minimum``.
-
-    Python and numpy integers and integral floats (2.0) are accepted;
-    bools, strings, non-integral or non-finite numbers and values below
-    ``minimum`` raise :class:`InvalidInputError` naming the input.
-    """
+    """Coerce a count, dimension, seed or index to a Python int >= ``minimum``:
+    an :func:`as_real` with an integral value, such as 2 or 2.0. Any other
+    value raises :class:`InvalidInputError` naming the input."""
     if type(value) is not int:  # plain ints skip the type checks
-        if not is_real_number(value) or not float(value).is_integer():
+        if not as_real(value, name).is_integer():
             raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if value < minimum:
@@ -133,8 +151,9 @@ def _split_eig(m: np.ndarray, name: str = "matrix") -> SplitEig:
     ``m``, running ``eigh`` only on the rows an exactly nonzero off-diagonal
     entry of h couples.
 
-    ``m`` is not checked. When every row is coupled the core is h itself and
-    the call is ``np.linalg.eigh(h)``; when none is, ``eigh`` is not called.
+    ``m`` is not checked. When every row is coupled the core block is a copy
+    of h and the call is bitwise ``np.linalg.eigh(h)``; when none is,
+    ``eigh`` is not called.
     Convergence failures raise :class:`EigensolverError`.
     """
     h = _hermitian_part(m)
@@ -143,7 +162,7 @@ def _split_eig(m: np.ndarray, name: str = "matrix") -> SplitEig:
     off.reshape(-1)[::len(h) + 1] = False
     coupled = off.any(axis=1)
     core, rest = coupled.nonzero()[0], (~coupled).nonzero()[0]
-    block = h if rest.size == 0 else h[core[:, None], core]
+    block = h[core[:, None], core]
     try:
         w, v = np.linalg.eigh(block) if core.size else (np.zeros(0), block)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger

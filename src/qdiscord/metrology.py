@@ -16,7 +16,7 @@ import numpy as np
 
 from .discord import _clamp_uncertainty, _require_state, local_quantum_uncertainty
 from .errors import DimensionMismatchError, InvalidInputError
-from .linalg import _split_eig, partial_transpose
+from .linalg import _split_eig, as_real, as_reals, partial_transpose
 from .states import (
     DensityMatrix,
     NoonChannelParams,
@@ -117,10 +117,10 @@ def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> 
     """
     if not callable(rho_of_phi):
         raise InvalidInputError("rho_of_phi must be callable")
-    delta = float(delta)
+    delta = as_real(delta, "delta")
     if not 0.0 < delta <= 0.1:
         raise InvalidInputError(f"delta must lie in (0, 0.1], got {delta}")
-    phi = float(phi)
+    phi = as_real(phi, "phi")
     sa = _require_state(rho_of_phi(phi)).sqrt
     sb = _require_state(rho_of_phi(phi + delta)).sqrt
     return 4.0 * _uhlmann_overlap(sa, sb)[1] / (delta * delta)
@@ -158,10 +158,10 @@ def identity_sweep(n: int, t2_grid, phi: float = 0.0):
     more from it (negativity, the fidelity oracle) take ``params`` or
     ``rho`` from the yielded point.
     """
-    grid = np.asarray(t2_grid, dtype=float).ravel()
-    if grid.size == 0:
+    grid = as_reals(t2_grid, "t2 grid", 0)
+    if not grid:
         raise InvalidInputError("the t2 grid is empty")
-    for t2 in grid.tolist():
+    for t2 in grid:
         params = NoonChannelParams.from_transmittance(n, t2, phi)
         rho = noon_lossy_density(params)
         f = qfi_noon_closed(params)

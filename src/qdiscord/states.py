@@ -22,6 +22,8 @@ from .linalg import (
     _split_eig,
     as_count,
     as_matrix,
+    as_real,
+    as_reals,
     hermiticity_deviation,
     partial_trace,
 )
@@ -43,11 +45,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _schmidt_weights(probabilities, name: str = "probabilities") -> np.ndarray:
-    """Schmidt probability weights as a float array: a non-empty 1-D sequence
-    of finite, nonnegative numbers summing to 1, to the tolerances above."""
-    p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise InvalidInputError(f"{name} must be a non-empty 1-D sequence")
+    """Schmidt probability weights as a float array: a non-empty :func:`as_reals`
+    sequence of finite, nonnegative numbers summing to 1, to the tolerances above."""
+    p = np.array(as_reals(probabilities, name))
     if not np.all(np.isfinite(p)):
         raise InvalidInputError(f"{name} must be finite, got {p.tolist()}")
     if np.any(p < -WEIGHT_NEGATIVE_TOL):
@@ -273,7 +273,7 @@ class NoonChannelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_count(self.n, "photon number"))
-        t, r, phi = complex(self.t), complex(self.r), float(self.phi)
+        t, r, phi = complex(self.t), complex(self.r), as_real(self.phi, "phi")
         if not (cmath.isfinite(t) and cmath.isfinite(r) and isfinite(phi)):
             raise InvalidInputError(f"t, r and phi must be finite, got {t}, {r}, {phi}")
         # n * phi is the coherent branch's phase; an n beyond a double fails _loss_weights
@@ -291,7 +291,7 @@ class NoonChannelParams:
     @classmethod
     def from_transmittance(cls, n: int, t2: float, phi: float = 0.0):
         """Build params from the intensity transmittance T = |t|^2."""
-        t2 = float(t2)
+        t2 = as_real(t2, "transmittance")
         if not 0.0 <= t2 <= 1.0:
             raise InvalidInputError(f"transmittance must lie in [0, 1], got {t2}")
         return cls(n, sqrt(t2), sqrt(1.0 - t2), phi)
@@ -390,19 +390,18 @@ def noon_eigenvalues(params: NoonChannelParams) -> np.ndarray:
 
 
 def _json_numbers(value, key: str) -> np.ndarray:
-    """Float array of a nested list whose entries are all JSON numbers: not
-    strings or booleans, which float() takes, nor the lists of a ragged one."""
+    """Float array of a nested list whose entries are all JSON numbers within
+    the double range: not strings or booleans, which float() takes, nor the
+    lists of a ragged one."""
     try:
         entries = np.asarray(value, dtype=object)
-    except (TypeError, ValueError) as exc:
+        for kind in set(map(type, entries.flat)):
+            if kind is bool or not issubclass(kind, (int, float)):
+                bad = next(x for x in entries.flat if type(x) is kind)
+                raise TypeError(f"entry {bad!r} is a {kind.__name__}")
+        return entries.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond a double
         raise InvalidInputError(f"density JSON '{key}' is not a matrix of numbers: {exc}") from None
-    for kind in set(map(type, entries.flat)):
-        if kind is bool or not issubclass(kind, (int, float)):
-            bad = next(x for x in entries.flat if type(x) is kind)
-            raise InvalidInputError(
-                f"density JSON '{key}' is not a matrix of numbers: entry {bad!r} is a {kind.__name__}"
-            )
-    return entries.astype(float)
 
 
 def matrix_from_json(data: dict) -> tuple:

@@ -396,7 +396,8 @@ class TestValidateCommand:
         assert "cannot parse" in err
 
     @pytest.mark.parametrize("command", ["validate", "discord"])
-    @pytest.mark.parametrize("entry", ["{}", '"x"', "[0.5]", '"0.5"', "true"])
+    @pytest.mark.parametrize("entry", ["{}", '"x"', "[0.5]", '"0.5"', "true",
+                                       pytest.param("1" + "0" * 400, id="int-beyond-a-double")])
     def test_malformed_matrix_is_invalid_input(self, capsys, tmp_path, command, entry):
         path = tmp_path / "malformed.json"
         path.write_text(
@@ -405,6 +406,7 @@ class TestValidateCommand:
         code, out, err = invoke(capsys, command, "--file", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: density JSON 're' is not a matrix of numbers")
+        assert err.count("\n") == 1
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "validate", "--file", str(tmp_path / "nope.json"))

@@ -315,6 +315,7 @@ class TestPureClosedForms:
 
     def test_product_state_has_no_discord(self):
         assert qd.geometric_discord_pure([1.0, 0.0]) == 0.0
+        assert qd.geometric_discord_pure([1.0]) == 0.0  # one Schmidt weight
 
     def test_bell_state(self):
         assert abs(qd.geometric_discord_pure([0.5, 0.5]) - 0.5) < 1e-15

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -19,6 +20,8 @@ from qdiscord.linalg import (
     _splitmix64,
     as_count,
     as_matrix,
+    as_real,
+    as_reals,
     hermiticity_deviation,
     require_hermitian,
 )
@@ -453,6 +456,112 @@ class TestAsCount:
                 as_count(value, "widgets")
         with pytest.raises(InvalidInputError, match="widgets must be >= 2, got 1"):
             as_count(1, "widgets", minimum=2)
+
+
+class TestAsReal:
+    def test_accepts_python_and_numpy_reals(self):
+        for value in (3, 3.0, np.int64(3), np.uint8(3), np.float32(3.0), np.float64(3.0)):
+            real = as_real(value, "x")
+            assert real == 3.0 and type(real) is float
+        assert np.isnan(as_real(np.nan, "x")) and as_real(-np.inf, "x") == -np.inf
+        assert as_real(2**1023, "x") == 2.0**1023
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, 1j, [0.5],
+                                       np.array(0.5)])
+    def test_rejects_anything_else(self, value):
+        with pytest.raises(InvalidInputError, match="widget must be a real number"):
+            as_real(value, "widget")
+
+    def test_rejects_ints_beyond_a_double(self):
+        for value in (2**1024, -(10**400)):
+            with pytest.raises(InvalidInputError, match="widget must be finite"):
+                as_real(value, "widget")
+
+    def test_reals_from_lists_tuples_and_1d_arrays(self):
+        for values in ([1, 2.5], (np.int64(1), 2.5), np.array([1.0, 2.5]),
+                       [np.int8(1), np.float32(2.5)]):
+            out = as_reals(values, "xs")
+            assert out == [1.0, 2.5] and all(type(v) is float for v in out)
+        assert as_reals((), "xs", 0) == []
+
+    @pytest.mark.parametrize("values, match", [
+        (0.5, "xs must be a list, tuple or 1-D array"),
+        ("0.5", "xs must be a list, tuple or 1-D array"),
+        (np.array(0.5), "xs must be a list, tuple or 1-D array"),
+        (range(2), "xs must be a list, tuple or 1-D array"),
+        ([[0.5], [0.5]], re.escape("xs[0] must be a real number")),
+        (np.ones((2, 2)), re.escape("xs[0] must be a real number")),
+        ((0.5, True), re.escape("xs[1] must be a real number")),
+        ([0.5, 10**400], re.escape("xs[1] must be finite")),
+        ([0.5], "xs must have length >= 2, got 1"),
+    ], ids=["scalar", "string", "0-d array", "range", "2-d list", "2-d array", "bool entry",
+            "huge int entry", "too short"])
+    def test_reals_reject_other_sequences(self, values, match):
+        with pytest.raises(InvalidInputError, match=match):
+            as_reals(values, "xs", 2)
+
+
+_PHASE_FAMILY = qd.noon_family(qd.NoonChannelParams.from_transmittance(2, 0.5))
+
+#: Every entry point that takes a real or a sequence of reals from a caller,
+#: with a bool, a numeric string, an int beyond a double, and a scalar or
+#: 2-D list where a sequence is expected: (test id, input name, call).
+NON_REAL_INPUTS = [
+    ("pure-discord-bool", "probabilities", lambda: qd.geometric_discord_pure([True, False])),
+    ("pure-discord-string", "probabilities", lambda: qd.geometric_discord_pure(["0.5", "0.5"])),
+    ("pure-discord-huge", "probabilities", lambda: qd.geometric_discord_pure([10**400, 0.0])),
+    ("pure-discord-scalar", "probabilities", lambda: qd.geometric_discord_pure("ab")),
+    ("assignment-string", "probabilities",
+     lambda: qd.min_uncertainty_assignment(["0.5", "0.5"], (1.0, -1.0))),
+    ("from-probabilities-bool", "probabilities",
+     lambda: qd.PureBipartiteState.from_probabilities([True, False])),
+    ("from-probabilities-string", "probabilities",
+     lambda: qd.PureBipartiteState.from_probabilities(["0.5", "0.5"])),
+    ("from-probabilities-huge", "probabilities",
+     lambda: qd.PureBipartiteState.from_probabilities([10**400, 0.0])),
+    ("noon-phi-bool", "phi", lambda: qd.NoonChannelParams(2, 0.6, 0.8, True)),
+    ("noon-phi-string", "phi", lambda: qd.NoonChannelParams(2, 0.6, 0.8, "0.5")),
+    ("noon-phi-huge", "phi", lambda: qd.NoonChannelParams(2, 0.6, 0.8, 10**400)),
+    ("transmittance-bool", "transmittance",
+     lambda: qd.NoonChannelParams.from_transmittance(2, True)),
+    ("transmittance-string", "transmittance",
+     lambda: qd.NoonChannelParams.from_transmittance(2, "0.5")),
+    ("transmittance-huge", "transmittance",
+     lambda: qd.NoonChannelParams.from_transmittance(2, 10**400)),
+    ("s1-grid-bool", "s1_grid", lambda: qd.Fig1Config(2, (True,))),
+    ("s1-grid-string", "s1_grid", lambda: qd.Fig1Config(2, ("0.5",))),
+    ("s1-grid-huge", "s1_grid", lambda: qd.Fig1Config(2, (10**400,))),
+    ("s1-grid-scalar", "s1_grid", lambda: qd.Fig1Config(2, 0.5)),
+    ("s1-grid-scalar-string", "s1_grid", lambda: qd.Fig1Config(2, "0.5")),
+    ("s1-grid-none", "s1_grid", lambda: qd.Fig1Config(2, None)),
+    ("s1-grid-2d", "s1_grid", lambda: qd.Fig1Config(2, [[0.5]])),
+    ("s2-bool", "s2", lambda: qd.Fig1Config(3, (0.0,), s2=True)),
+    ("s2-string", "s2", lambda: qd.Fig1Config(3, (0.0,), s2="0.2")),
+    ("s2-huge", "s2", lambda: qd.Fig1Config(3, (0.0,), s2=10**400)),
+    ("fig4-bool", "t2 grid", lambda: qd.run_fig4(2, [True, False])),
+    ("fig4-string", "t2 grid", lambda: qd.run_fig4(2, ["0.1", "0.2"])),
+    ("fig4-huge", "t2 grid", lambda: qd.run_fig4(2, [10**400, 0.5])),
+    ("fig4-2d", "t2 grid", lambda: qd.run_fig4(2, [[0.1, 0.2], [0.3, 0.4]])),
+    ("sweep-bool", "t2 grid", lambda: list(qd.identity_sweep(2, [True, False]))),
+    ("sweep-string", "t2 grid", lambda: list(qd.identity_sweep(2, ["0.5"]))),
+    ("sweep-huge", "t2 grid", lambda: list(qd.identity_sweep(2, [10**400]))),
+    ("sweep-2d", "t2 grid", lambda: list(qd.identity_sweep(2, [[0.5]]))),
+    ("sweep-phi-bool", "phi", lambda: list(qd.identity_sweep(2, [0.5], phi=True))),
+    ("fidelity-delta-string", "delta",
+     lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, 0.0, "0.001")),
+    ("fidelity-delta-huge", "delta",
+     lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, 0.0, 10**400)),
+    ("fidelity-phi-bool", "phi", lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, True)),
+    ("fidelity-phi-string", "phi", lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, "0.0")),
+    ("fidelity-phi-huge", "phi", lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, 10**400)),
+]
+
+
+@pytest.mark.parametrize("name, call", [row[1:] for row in NON_REAL_INPUTS],
+                         ids=[row[0] for row in NON_REAL_INPUTS])
+def test_entry_points_reject_non_reals(name, call):
+    with pytest.raises(InvalidInputError, match=re.escape(name)):
+        call()
 
 
 def test_hermiticity_helpers():

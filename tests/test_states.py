@@ -409,7 +409,8 @@ class TestJsonInterchange:
     def test_malformed_parts_are_invalid_input(self, tmp_path):
         good = [[0.5, 0.0], [0.0, 0.5]]
         for bad in ([[{}, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.5]], [["a", 0.0], [0.0, 0.5]],
-                    [["0.5", "0"], ["0", "0.5"]], [[True, 0.0], [0.0, 0.5]], [[0.5, 0], [False, 0.5]]):
+                    [["0.5", "0"], ["0", "0.5"]], [[True, 0.0], [0.0, 0.5]], [[0.5, 0], [False, 0.5]],
+                    [[10**400, 0], [0, 0.5]]):  # an int beyond a double
             for key in ("re", "im"):
                 data = {"dimA": 2, "dimB": 1, "re": good, "im": good, key: bad}
                 with pytest.raises(InvalidInputError, match=f"'{key}' is not a matrix of numbers"):
