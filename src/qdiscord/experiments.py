@@ -158,11 +158,12 @@ def run_fig4(n: int, t2_grid) -> Fig4Result:
     from it on the grid. A grid on which every DG is equal leaves the slope
     undefined and raises :class:`InvalidInputError`.
     """
-    grid = as_reals(t2_grid, "t2 grid", 2)
     points = [
         (t2, f, dg, negativity(rho), residual)
-        for t2, _, rho, f, dg, residual in identity_sweep(n, grid)
+        for t2, _, rho, f, dg, residual in identity_sweep(n, t2_grid)
     ]
+    if len(points) < 2:
+        raise InvalidInputError(f"t2 grid must have length >= 2, got {len(points)}")
     _, f_values, dg_values, _, residuals = zip(*points)
     if min(dg_values) == max(dg_values):
         raise InvalidInputError(

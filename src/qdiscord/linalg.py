@@ -54,8 +54,6 @@ def as_real(value, name: str) -> float:
     other value, or an int beyond the double range, raises
     :class:`InvalidInputError` naming the input; NaN and inf pass, for each
     caller checks its own range."""
-    if type(value) is float:  # plain floats skip the type checks
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
     try:
