@@ -30,10 +30,9 @@ from .discord import (
     minimize_uncertainty,
 )
 from .errors import InvalidInputError
-from .experiments import Fig1Config, Fig2Config, write_fig1, write_fig2, write_fig4
+from .experiments import Fig1Config, Fig2Config, write_fig1, write_fig2, write_fig4, write_qfi
 from .linalg import as_count, as_seed
 from .metrology import (
-    identity_sweep,
     negativity,
     qfi_fidelity_estimate,
     qfi_noon_closed,
@@ -47,7 +46,7 @@ from .states import (
     noon_lossy_density,
     validation_report,
 )
-from .tables import format_number, write_csv, write_sidecar
+from .tables import format_number
 from .version import __version__
 
 
@@ -153,16 +152,7 @@ def _cmd_qfi(args) -> int:
 
     if not args.out:
         raise InvalidInputError("--grid needs --out for the CSV")
-    sweep = identity_sweep(params.n, _t2_grid(args.grid), params.phi)
-    rows = [
-        (t2, f, qfi_fidelity_estimate(noon_family(point), point.phi, args.delta), dg, residual)
-        for t2, point, _, f, dg, residual in sweep
-    ]
-    write_csv(args.out, ("t2", "F_closed", "F_oracle", "DG", "residual"), rows)
-    write_sidecar(args.out, {
-        "command": "qfi", "n": params.n, "phi": params.phi, "delta": args.delta,
-        "tolerance": tol, "t2_grid": [row[0] for row in rows],
-    })
+    rows = write_qfi(params.n, _t2_grid(args.grid), params.phi, args.delta, tol, args.out)
     max_residual = max(row[4] for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     print(f"max |F - DG*n^2| = {_fmt(max_residual)}")

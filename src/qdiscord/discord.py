@@ -39,6 +39,8 @@ from .states import (
     DensityMatrix,
     PureBipartiteState,
     SchmidtDecomposition,
+    _readonly,
+    _require,
     _schmidt_weights,
     schmidt_decompose,
 )
@@ -156,9 +158,7 @@ class VonNeumannBasis:
             raise InvalidInputError(
                 f"basis is not unitary: max |U^dagger U - I| = {dev:.3e}"
             )
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitary", _readonly(u))
 
     @property
     def dim(self) -> int:
@@ -186,14 +186,6 @@ class VonNeumannBasis:
         """
         dim, seed = as_count(dim, "dimension"), as_seed(seed)
         return cls(_haar_stack(_seeded_normals([seed], (2, dim, dim)))[0])
-
-
-def _require_state(rho) -> DensityMatrix:
-    if not isinstance(rho, DensityMatrix):
-        raise InvalidInputError(
-            "expected a DensityMatrix (wrap raw arrays so dimensions are explicit)"
-        )
-    return rho
 
 
 def _block_traces(rho: DensityMatrix) -> np.ndarray:
@@ -276,8 +268,8 @@ def _form_uncertainties(form: tuple, unitaries: np.ndarray, spectrum=None) -> tu
 
 
 def _check_basis(rho, basis: VonNeumannBasis) -> DensityMatrix:
-    rho = _require_state(rho)
-    if basis.dim != rho.dim_a:
+    rho = _require(rho, DensityMatrix)
+    if _require(basis, VonNeumannBasis).dim != rho.dim_a:
         raise DimensionMismatchError(
             f"basis dimension {basis.dim} does not match dim_a = {rho.dim_a}"
         )
@@ -292,7 +284,7 @@ def skew_information(rho, observable) -> float:
     Both terms read rho as sqrt(rho)^2, so the value is computed as
     ||[sqrt(rho), M]||_F^2 / 2 and is >= 0 for every validated state.
     """
-    rho = _require_state(rho)
+    rho = _require(rho, DensityMatrix)
     m = require_hermitian(observable, name="observable")
     if m.shape[0] != rho.dim:
         raise DimensionMismatchError(
@@ -410,7 +402,7 @@ def local_quantum_uncertainty(rho) -> float:
     sum T_abba and W_ij = sum s_i[b,c] s_j[d,a] T_abcd. Only defined for
     dim_a = 2, where the minimization is exact.
     """
-    rho = _require_state(rho)
+    rho = _require(rho, DensityMatrix)
     if rho.dim_a != 2:
         raise DimensionMismatchError(
             f"closed form requires dim_a = 2, got dim_a = {rho.dim_a}"
@@ -510,7 +502,7 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     (with the state's form built once), so each row is bitwise their value
     for the basis :meth:`VonNeumannBasis.from_seed` rebuilds.
     """
-    rho = _require_state(rho)
+    rho = _require(rho, DensityMatrix)
     samples = as_count(samples, "samples")
     master_seed = as_seed(master_seed, "master_seed")
     spectrum = None if spectrum is None else _as_spectrum(spectrum, rho.dim_a)

@@ -1,9 +1,10 @@
-"""Deterministic dataset pipelines behind the package's three figures.
+"""Deterministic dataset pipelines behind the package's three figures and
+the ``qfi --grid`` table.
 
-Each pipeline has a frozen config, a ``run_*`` function returning plain
-rows, and a ``write_*`` wrapper that also produces the CSV file plus a
-``<csv>.json`` sidecar recording the exact configuration and package
-version. Identical configs give byte-identical files.
+Each ``write_*`` function writes the CSV file plus a ``<csv>.json`` sidecar
+recording the exact configuration and package version; fig1, fig2 and fig4
+also have a ``run_*`` function returning the plain rows, and fig1 and fig2
+a frozen config. Identical configs give byte-identical files.
 """
 
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from .discord import (
 )
 from .errors import InvalidInputError
 from .linalg import as_count, as_real, as_reals, as_seed
-from .metrology import identity_sweep, negativity
-from .states import DensityMatrix, PureBipartiteState, _schmidt_weights
+from .metrology import identity_sweep, negativity, qfi_fidelity_estimate
+from .states import DensityMatrix, PureBipartiteState, _schmidt_weights, noon_family
 from .tables import write_csv, write_sidecar
 
 _SIMPLEX_TOL = 1e-12
@@ -185,3 +186,19 @@ def write_fig4(n: int, t2_grid, path) -> Fig4Result:
         },
     )
     return result
+
+
+def write_qfi(n: int, t2_grid, phi: float, delta: float, tolerance: float, path) -> list:
+    """Rows (t2, F_closed, F_oracle, DG, residual) of :func:`identity_sweep`
+    with the fidelity oracle at step ``delta``, written to the CSV; the
+    sidecar also records ``tolerance``, against which the caller checks them."""
+    rows = [
+        (t2, f, qfi_fidelity_estimate(noon_family(point), point.phi, delta), dg, residual)
+        for t2, point, _, f, dg, residual in identity_sweep(n, t2_grid, phi)
+    ]
+    write_csv(path, ("t2", "F_closed", "F_oracle", "DG", "residual"), rows)
+    write_sidecar(path, {
+        "command": "qfi", "n": n, "phi": phi, "delta": delta,
+        "tolerance": tolerance, "t2_grid": [row[0] for row in rows],
+    })
+    return rows

@@ -37,29 +37,57 @@ RECONSTRUCT_TOL = 1e-9
 ZERO_EIGENVALUE_CUTOFF = 64 * np.finfo(float).eps
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a square complex matrix, validating shape and finiteness."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(
-            f"{name} must be square 2-D, got shape {arr.shape}"
-        )
+def _is_number(kind, dtype: type) -> bool:
+    """The one number test, of an entry's type or an array's dtype ``kind``:
+    numpy reads it as an int, an unsigned int, a float or, for a complex
+    ``dtype``, a complex number; never a bool, a str or any other object."""
+    return np.dtype(kind).kind in ("iufc" if dtype is complex else "iuf")
+
+
+def as_number(value, name: str, dtype: type = complex):
+    """``value`` as a Python ``dtype`` (float or complex) if its type passes
+    :func:`_is_number`; any other value, or an int beyond a double, raises
+    :class:`InvalidInputError` naming the input. NaN and inf pass, for each
+    caller checks its own range."""
+    if not _is_number(type(value), dtype):
+        kind = "real number" if dtype is float else "number"
+        raise InvalidInputError(f"{name} must be a {kind}, got {value!r}")
+    try:
+        return dtype(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} must be finite, got an int beyond a double") from None
+
+
+def as_real(value, name: str) -> float:
+    """:func:`as_number` for a Python or numpy int or float, as a float."""
+    return as_number(value, name, float)
+
+
+def as_2d(m, name: str, dtype: type = complex) -> np.ndarray:
+    """``m`` as a 2-D array of ``dtype`` with finite entries that pass
+    :func:`_is_number`, else :class:`InvalidInputError` naming the input (or
+    :class:`DimensionMismatchError` if not 2-D); an array of ``dtype`` is not copied."""
+    try:
+        arr = m if isinstance(m, np.ndarray) else np.asarray(m, dtype=object)
+        for kind in set(map(type, arr.flat)) if arr.dtype == object else (arr.dtype.type,):
+            if not _is_number(kind, dtype):
+                raise TypeError(f"an entry is a {kind.__name__}")
+        arr = np.asarray(arr, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows; ints beyond a double
+        raise InvalidInputError(f"{name} is not a matrix of numbers: {exc}") from None
+    if arr.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():  # a complex entry is finite when both parts are
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
 
-def as_real(value, name: str) -> float:
-    """A Python or numpy integer or float that is not a bool, as a float. Any
-    other value, or an int beyond the double range, raises
-    :class:`InvalidInputError` naming the input; NaN and inf pass, for each
-    caller checks its own range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidInputError(f"{name} must be finite, got an int beyond a double") from None
+def as_matrix(m, name: str = "matrix") -> np.ndarray:
+    """:func:`as_2d` for a square complex matrix."""
+    arr = as_2d(m, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatchError(f"{name} must be square 2-D, got shape {arr.shape}")
+    return arr
 
 
 def as_reals(values, name: str, minimum: int = 1) -> list:

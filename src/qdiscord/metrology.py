@@ -14,13 +14,14 @@ tolerance on them; the command line's ``--tol`` decides pass or fail.
 
 import numpy as np
 
-from .discord import _clamp_uncertainty, _require_state, local_quantum_uncertainty
+from .discord import _clamp_uncertainty, local_quantum_uncertainty
 from .errors import DimensionMismatchError, InvalidInputError
 from .linalg import _split_eig, as_real, as_reals, partial_transpose
 from .states import (
     DensityMatrix,
     NoonChannelParams,
     _coherent_branch,
+    _require,
     noon_eigenvalues,
     noon_lossy_density,
 )
@@ -99,7 +100,7 @@ def _uhlmann_overlap(sa: np.ndarray, sb: np.ndarray) -> tuple:
 def uhlmann_fidelity(rho, sigma) -> float:
     """Uhlmann fidelity F(rho, sigma) = (Tr |sqrt(rho) sqrt(sigma)|)^2 in [0, 1]
     of two DensityMatrix states, from their own roots."""
-    root_f, _ = _uhlmann_overlap(_require_state(rho).sqrt, _require_state(sigma).sqrt)
+    root_f, _ = _uhlmann_overlap(_require(rho, DensityMatrix).sqrt, _require(sigma, DensityMatrix).sqrt)
     return root_f ** 2
 
 
@@ -121,8 +122,8 @@ def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> 
     if not 0.0 < delta <= 0.1:
         raise InvalidInputError(f"delta must lie in (0, 0.1], got {delta}")
     phi = as_real(phi, "phi")
-    sa = _require_state(rho_of_phi(phi)).sqrt
-    sb = _require_state(rho_of_phi(phi + delta)).sqrt
+    sa = _require(rho_of_phi(phi), DensityMatrix).sqrt
+    sb = _require(rho_of_phi(phi + delta), DensityMatrix).sqrt
     return 4.0 * _uhlmann_overlap(sa, sb)[1] / (delta * delta)
 
 
@@ -134,7 +135,7 @@ def negativity(rho: DensityMatrix) -> float:
     only. The state's own trace, not 1, so a trace within TRACE_TOL of 1
     never pushes the value below zero: ||X||_1 >= |Tr X| for Hermitian X.
     """
-    rho = _require_state(rho)
+    rho = _require(rho, DensityMatrix)
     eig = _split_eig(partial_transpose(rho.matrix, (rho.dim_a, rho.dim_b)), "partial transpose")
     norm = np.abs(eig.w).sum() + np.abs(eig.d).sum()
     val = 0.5 * (norm - rho.matrix.trace().real)

@@ -20,8 +20,10 @@ from .linalg import (
     SplitEig,
     _psd_root,
     _split_eig,
+    as_2d,
     as_count,
     as_matrix,
+    as_number,
     as_real,
     as_reals,
     hermiticity_deviation,
@@ -42,6 +44,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _require(value, cls: type):
+    """``value`` if it is a ``cls``; anything else, a raw array included,
+    raises :class:`InvalidInputError` here instead of an AttributeError later."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"expected a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _schmidt_weights(probabilities, name: str = "probabilities") -> np.ndarray:
@@ -68,13 +78,7 @@ class PureBipartiteState:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.ndim != 2:
-            raise DimensionMismatchError(
-                f"coefficient matrix must be 2-D, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
-            raise InvalidInputError("coefficient matrix contains non-finite entries")
+        c = as_2d(self.coefficients, "coefficient matrix")
         norm = float(np.linalg.norm(c))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvalidInputError(
@@ -129,11 +133,12 @@ class SchmidtDecomposition:
     basis_b: np.ndarray
 
     def __post_init__(self):
-        coeff = np.array(self.coefficients, dtype=float)
+        coeff = np.array(as_reals(self.coefficients, "Schmidt coefficients"))
+        _schmidt_weights(coeff * coeff, "squared Schmidt coefficients")
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
-        object.__setattr__(self, "basis_a", _readonly(self.basis_a))
-        object.__setattr__(self, "basis_b", _readonly(self.basis_b))
+        object.__setattr__(self, "basis_a", _readonly(as_2d(self.basis_a, "basis_a")))
+        object.__setattr__(self, "basis_b", _readonly(as_2d(self.basis_b, "basis_b")))
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -152,7 +157,7 @@ def schmidt_decompose(state: PureBipartiteState) -> SchmidtDecomposition:
     RECONSTRUCT_TOL and the probability weights sum to 1.
     """
     if not isinstance(state, PureBipartiteState):
-        state = PureBipartiteState(np.asarray(state, dtype=complex))
+        state = PureBipartiteState(state)
     u, s, vh = np.linalg.svd(state.coefficients)
     r = s.size
     return SchmidtDecomposition(s, u[:, :r], vh[:r, :].T)
@@ -238,7 +243,7 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, state: PureBipartiteState):
         """|v><v|, validated, with the exact root rho / |v| (rho^2 = |v|^2 rho)."""
-        v = state.vector
+        v = _require(state, PureBipartiteState).vector
         rho = cls(np.outer(v, v.conj()), state.dim_a, state.dim_b)
         object.__setattr__(rho, "sqrt", _readonly(rho.matrix / np.sqrt(np.trace(rho.matrix).real)))
         return rho
@@ -273,7 +278,7 @@ class NoonChannelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_count(self.n, "photon number"))
-        t, r, phi = complex(self.t), complex(self.r), as_real(self.phi, "phi")
+        t, r, phi = as_number(self.t, "t"), as_number(self.r, "r"), as_real(self.phi, "phi")
         if not (cmath.isfinite(t) and cmath.isfinite(r) and isfinite(phi)):
             raise InvalidInputError(f"t, r and phi must be finite, got {t}, {r}, {phi}")
         # n * phi is the coherent branch's phase; an n beyond a double fails _loss_weights
@@ -389,27 +394,12 @@ def noon_eigenvalues(params: NoonChannelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _json_numbers(value, key: str) -> np.ndarray:
-    """Float array of a nested list whose entries are all JSON numbers within
-    the double range: not strings or booleans, which float() takes, nor the
-    lists of a ragged one."""
-    try:
-        entries = np.asarray(value, dtype=object)
-        for kind in set(map(type, entries.flat)):
-            if kind is bool or not issubclass(kind, (int, float)):
-                bad = next(x for x in entries.flat if type(x) is kind)
-                raise TypeError(f"entry {bad!r} is a {kind.__name__}")
-        return entries.astype(float)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond a double
-        raise InvalidInputError(f"density JSON '{key}' is not a matrix of numbers: {exc}") from None
-
-
 def matrix_from_json(data: dict) -> tuple:
     """Decode (matrix, dim_a, dim_b) from the JSON dict, without validation.
 
-    Key errors and ragged, non-numeric or unequal ``re``/``im`` raise; the
-    shape and state quality are left to :func:`validation_report`, which
-    every path runs next, so a caller can report them all at once.
+    Key errors, unequal ``re``/``im`` and parts that fail :func:`as_2d`
+    raise; the size and state quality are left to :func:`validation_report`,
+    which every path runs next, so a caller can report them all at once.
     """
     if not isinstance(data, dict):
         raise InvalidInputError("density JSON must be an object")
@@ -418,7 +408,7 @@ def matrix_from_json(data: dict) -> tuple:
             raise InvalidInputError(f"density JSON missing key '{key}'")
     dim_a = as_count(data["dimA"], "dimA")
     dim_b = as_count(data["dimB"], "dimB")
-    re, im = (_json_numbers(data[key], key) for key in ("re", "im"))
+    re, im = (as_2d(data[key], f"density JSON '{key}'", float) for key in ("re", "im"))
     if re.shape != im.shape:
         raise DimensionMismatchError(
             f"re has shape {re.shape} but im has shape {im.shape}"
@@ -444,6 +434,7 @@ def load_density(path) -> DensityMatrix:
 
 def save_density(rho: DensityMatrix, path) -> None:
     """Write a density matrix to a JSON file."""
+    _require(rho, DensityMatrix)
     data = {"dimA": rho.dim_a, "dimB": rho.dim_b,
             "re": rho.matrix.real.tolist(), "im": rho.matrix.imag.tolist()}
     with open(path, "w", encoding="utf-8") as fh:

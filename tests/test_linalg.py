@@ -1,3 +1,4 @@
+import json
 import re
 from itertools import permutations
 
@@ -18,8 +19,10 @@ from qdiscord.linalg import (
     _seeded_normals,
     _split_eig,
     _splitmix64,
+    as_2d,
     as_count,
     as_matrix,
+    as_number,
     as_real,
     as_reals,
     hermiticity_deviation,
@@ -572,3 +575,164 @@ def test_hermiticity_helpers():
         require_hermitian([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(DimensionMismatchError):
         as_matrix(np.zeros(3))
+
+
+def _load_density(m, path):
+    """Write ``m`` as the real part of a 2 x 1 density JSON and load it."""
+    re_part = m.tolist() if isinstance(m, np.ndarray) else m
+    path.write_text(json.dumps({"dimA": 2, "dimB": 1, "re": re_part, "im": [[0, 0], [0, 0]]}))
+    return qd.load_density(path)
+
+
+_QUBIT = qd.DensityMatrix(np.eye(2) / 2, 2, 1)
+
+#: Every entry point that takes a matrix (a vector for the Schmidt
+#: coefficients) from a caller: (test id, input name, call(m, path), an
+#: input the call accepts).
+MATRIX_ENTRY_POINTS = [
+    ("density-matrix", "density matrix", lambda m, _: qd.DensityMatrix(m, 2, 1),
+     [[0.5, 0.0], [0.0, 0.5]]),
+    ("pure-state", "coefficient matrix", lambda m, _: qd.PureBipartiteState(m),
+     [[0.6, 0.0], [0.0, 0.8]]),
+    ("schmidt-coefficients", "Schmidt coefficients",
+     lambda m, _: qd.SchmidtDecomposition(m, np.eye(2), np.eye(2)), [0.6, 0.8]),
+    ("schmidt-basis-a", "basis_a",
+     lambda m, _: qd.SchmidtDecomposition([0.6, 0.8], m, np.eye(2)), [[1.0, 0.0], [0.0, 1.0]]),
+    ("schmidt-basis-b", "basis_b",
+     lambda m, _: qd.SchmidtDecomposition([0.6, 0.8], np.eye(2), m), [[1.0, 0.0], [0.0, 1.0]]),
+    ("basis", "basis", lambda m, _: qd.VonNeumannBasis(m), [[1.0, 0.0], [0.0, 1.0]]),
+    ("skew-observable", "observable", lambda m, _: qd.skew_information(_QUBIT, m),
+     [[1.0, 0.0], [0.0, -1.0]]),
+    ("partial-trace", "matrix", lambda m, _: qd.partial_trace(m, (2, 1), 0),
+     [[0.5, 0.0], [0.0, 0.5]]),
+    ("partial-transpose", "matrix", lambda m, _: qd.partial_transpose(m, (2, 1)),
+     [[0.5, 0.0], [0.0, 0.5]]),
+    ("hermitian-eig", "matrix", lambda m, _: qd.hermitian_eig(m), [[0.5, 0.0], [0.0, 0.5]]),
+    ("psd-sqrt", "matrix", lambda m, _: qd.psd_sqrt(m), [[0.5, 0.0], [0.0, 0.5]]),
+    ("trace-norm", "matrix", lambda m, _: qd.trace_norm(m), [[0.5, 0.0], [0.0, 0.5]]),
+    ("load-density", "density JSON 're'", _load_density, [[0.5, 0.0], [0.0, 0.5]]),
+]
+
+
+def _with_first(good, value):
+    """``good`` with its first scalar entry replaced by ``value``."""
+    if isinstance(good[0], list):
+        return [[value] + good[0][1:]] + good[1:]
+    return [value] + good[1:]
+
+
+def _with_last(good, value):
+    """``good`` with its last scalar entry replaced by ``value``."""
+    if isinstance(good[0], list):
+        return good[:-1] + [good[-1][:-1] + [value]]
+    return good[:-1] + [value]
+
+
+def _ragged(good):
+    """``good`` with its last row one entry short; a vector nests its first entry."""
+    if isinstance(good[0], list):
+        return good[:-1] + [good[-1][:-1]]
+    return [[good[0]]] + good[1:]
+
+
+#: Inputs no matrix entry point takes, each made from the accepted input
+#: of a row: (test id, make(good)).
+BAD_MATRICES = [
+    ("strings", lambda g: np.array(g).astype(str).tolist()),
+    ("bool-array", lambda g: np.array(g) != 0),
+    ("bool-float-mix", lambda g: _with_first(g, True)),
+    ("ragged-rows", _ragged),
+    ("huge-int", lambda g: _with_last(g, 10**400)),
+    ("nan", lambda g: _with_last(g, float("nan"))),
+]
+
+
+@pytest.mark.parametrize("name, call, good", [row[1:] for row in MATRIX_ENTRY_POINTS],
+                         ids=[row[0] for row in MATRIX_ENTRY_POINTS])
+@pytest.mark.parametrize("make", [row[1] for row in BAD_MATRICES],
+                         ids=[row[0] for row in BAD_MATRICES])
+def test_matrix_entry_points_reject_non_numbers(tmp_path, name, call, good, make):
+    call(good, tmp_path / "good.json")
+    with pytest.raises(InvalidInputError, match=re.escape(name)):
+        call(make(good), tmp_path / "bad.json")
+
+
+#: Matrices the coercion accepts: arrays of an integer, float or complex
+#: dtype, nested lists of Python numbers or numpy scalars, and lists of rows.
+ACCEPTED_MATRICES = {
+    "complex-array": np.array([[0.5, 0.25j], [-0.25j, 0.5]]),
+    "float-array": np.array([[0.5, 0.25], [0.25, 0.5]]),
+    "float32-array": np.array([[0.5, 0.1], [0.1, 0.5]], dtype=np.float32),
+    "int-array": np.array([[2, 1], [1, 2]]),
+    "uint-array": np.array([[2, 1], [1, 2]], dtype=np.uint8),
+    "list": [[0.5, 0.1], [0.1, 0.5]],
+    "int-list": [[2, 1], [1, 2]],
+    "complex-list": [[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]],
+    "numpy-scalars": [[np.float64(0.5), np.int64(0)], [np.complex64(0.1j), np.float32(0.3)]],
+    "array-rows": [np.array([0.5, 0.1]), np.array([0.1, 0.5])],
+}
+
+
+@pytest.mark.parametrize("m", ACCEPTED_MATRICES.values(), ids=ACCEPTED_MATRICES.keys())
+def test_accepted_matrices_keep_their_bits(m):
+    """The matrix coercion gives bitwise the array numpy's complex conversion
+    gives, and returns a complex array itself, uncopied."""
+    expected = np.asarray(m, dtype=complex)
+    out = as_matrix(m)
+    assert out.dtype == complex and out.tobytes() == expected.tobytes()
+    assert (as_matrix(out) is out) and (as_2d(out, "m") is out)
+    if not np.iscomplexobj(np.asarray(m)):
+        real = as_2d(m, "m", float)
+        assert real.dtype == float and real.tobytes() == np.asarray(m, dtype=float).tobytes()
+
+
+def test_json_parts_keep_their_bits():
+    rng = np.random.default_rng(5)
+    re_part, im_part = rng.standard_normal((2, 6, 6))
+    ints = rng.integers(-5, 5, (6, 6))
+    for data in ({"re": re_part.tolist(), "im": im_part.tolist()},
+                 {"re": ints.tolist(), "im": ints.T.tolist()}):
+        m, _, _ = qd.states.matrix_from_json({"dimA": 2, "dimB": 3, **data})
+        expected = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        assert m.tobytes() == expected.tobytes()
+
+
+class TestAsNumber:
+    def test_accepts_numbers(self):
+        for value in (3, 3.0, 3 + 0j, np.int64(3), np.uint8(3), np.float32(3.0), np.complex64(3)):
+            number = as_number(value, "z")
+            assert number == 3 and type(number) is complex
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "1", None, [1.0], np.array(1.0)])
+    def test_rejects_anything_else(self, value):
+        with pytest.raises(InvalidInputError, match="widget must be a number"):
+            as_number(value, "widget")
+
+    def test_rejects_ints_beyond_a_double(self):
+        with pytest.raises(InvalidInputError, match="widget must be finite"):
+            as_number(10**400, "widget")
+
+    @pytest.mark.parametrize("args, name", [
+        ((2, "1", 0), "t"), ((2, True, 0), "t"), ((2, 10**400, 0), "t"),
+        ((2, 1, "0"), "r"), ((2, 1, False), "r"), ((2, 0.6, np.array([0.8])), "r"),
+    ], ids=["t-string", "t-bool", "t-huge", "r-string", "r-bool", "r-array"])
+    def test_noon_amplitudes(self, args, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+            qd.NoonChannelParams(*args)
+
+    def test_noon_amplitudes_accept_complex_numbers(self):
+        params = qd.NoonChannelParams(2, np.complex128(0.6j), np.float64(0.8))
+        assert params.t == 0.6j and type(params.t) is complex and type(params.r) is complex
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda path: qd.measurement_uncertainty(_QUBIT, np.eye(2)), "VonNeumannBasis"),
+    (lambda path: qd.observable_uncertainty(_QUBIT, np.eye(2), (1.0, -1.0)), "VonNeumannBasis"),
+    (lambda path: qd.DensityMatrix.from_pure(np.eye(2)), "PureBipartiteState"),
+    (lambda path: qd.save_density(np.eye(2) / 2, path), "DensityMatrix"),
+], ids=["measurement-uncertainty", "observable-uncertainty", "from-pure", "save-density"])
+def test_wrong_objects_are_invalid_input(tmp_path, call, expected):
+    path = tmp_path / "rho.json"
+    with pytest.raises(InvalidInputError, match=f"expected a {expected}, got ndarray"):
+        call(path)
+    assert not path.exists()
