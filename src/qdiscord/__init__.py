@@ -64,7 +64,6 @@ from .states import (
     DensityMatrix,
     NoonChannelParams,
     PureBipartiteState,
-    SchmidtDecomposition,
     StateReport,
     load_density,
     noon_eigenvalues,

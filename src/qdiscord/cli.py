@@ -31,7 +31,7 @@ from .discord import (
 )
 from .errors import InvalidInputError
 from .experiments import Fig1Config, Fig2Config, write_fig1, write_fig2, write_fig4, write_qfi
-from .linalg import as_count, as_seed
+from .linalg import as_count, as_seed, as_tolerance
 from .metrology import (
     negativity,
     qfi_fidelity_estimate,
@@ -121,13 +121,6 @@ def _cmd_discord(args) -> int:
     return 0
 
 
-def _as_tolerance(tol: float) -> float:
-    """A ``--tol`` value, checked to be finite and >= 0."""
-    if not 0.0 <= tol < np.inf:
-        raise InvalidInputError(f"tolerance must be finite and >= 0, got {tol}")
-    return tol
-
-
 def _t2_grid(points) -> np.ndarray:
     """``--grid`` points spread evenly over t2 in [0, 1]."""
     return np.linspace(0.0, 1.0, as_count(points, "grid", 0))
@@ -136,7 +129,7 @@ def _t2_grid(points) -> np.ndarray:
 def _cmd_qfi(args) -> int:
     params = _parse_noon(args.noon, sweep=args.grid is not None)
     default_tol = 1e-10 if args.grid is None else 1e-9
-    tol = _as_tolerance(default_tol if args.tol is None else args.tol)
+    tol = as_tolerance(default_tol if args.tol is None else args.tol)
     if args.grid is None:
         if args.out:
             raise InvalidInputError("--out needs --grid")
@@ -192,7 +185,7 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_fig4(args) -> int:
-    tol = _as_tolerance(args.tol)
+    tol = as_tolerance(args.tol)
     result = write_fig4(args.N, _t2_grid(args.grid), args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     print(

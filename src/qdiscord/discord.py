@@ -38,7 +38,6 @@ from .linalg import (
 from .states import (
     DensityMatrix,
     PureBipartiteState,
-    SchmidtDecomposition,
     _readonly,
     _require,
     _schmidt_weights,
@@ -324,11 +323,10 @@ def observable_uncertainty(rho, basis: VonNeumannBasis, spectrum) -> float:
 
 
 def _as_probabilities(state) -> np.ndarray:
-    """Schmidt probability weights from any of the accepted state forms."""
-    if isinstance(state, SchmidtDecomposition):
-        return state.probabilities
+    """Schmidt probability weights: a PureBipartiteState's squared singular
+    values, descending, or weights given directly, through the weight check."""
     if isinstance(state, PureBipartiteState):
-        return schmidt_decompose(state).probabilities
+        return schmidt_decompose(state)[0] ** 2
     return _schmidt_weights(state)
 
 
@@ -337,8 +335,8 @@ def geometric_discord_pure(state) -> float:
 
     For pure states the minimum of Q over measurements is attained in the
     Schmidt basis and equals 2 * sum_{j<k} p_j p_k = 1 - sum_j p_j^2 with
-    p the Schmidt probabilities. Accepts a SchmidtDecomposition, a
-    PureBipartiteState, or the probabilities directly.
+    p the Schmidt probabilities. Accepts a PureBipartiteState or the
+    probabilities directly.
     """
     p = _as_probabilities(state)
     return _clamp_uncertainty(float(1.0 - np.sum(p * p)))
@@ -349,7 +347,7 @@ class AssignmentResult(NamedTuple):
 
     ``assignment[j]`` is the index into the spectrum of the eigenvalue
     placed on weight slot j, with slots in the order the weights were
-    given (descending when they come from a Schmidt decomposition).
+    given (descending, then zeros up to dim_a, for a PureBipartiteState).
     """
 
     value: float
@@ -379,9 +377,14 @@ def min_uncertainty_assignment(state, spectrum) -> AssignmentResult:
     a is a permutation of the spectrum; the minimum over the measurement
     then only requires searching the permutations. Ties are resolved toward
     the lexicographically smallest assignment tuple, which makes region
-    labels on probability grids deterministic.
+    labels on probability grids deterministic. A PureBipartiteState
+    measured on A has one weight per level of A, zero past its Schmidt rank.
     """
     p = _as_probabilities(state)
+    if isinstance(state, PureBipartiteState):
+        # Padded here only: past 8 entries, trailing zeros regroup np.sum's
+        # partial sums and would move geometric_discord_pure's last bit.
+        p = np.pad(p, (0, state.dim_a - p.size))
     perms, cost = _assignment_costs(p[None, :], _as_spectrum(spectrum, p.size))
     best = int(np.argmin(cost[:, 0]))
     return AssignmentResult(float(cost[best, 0]), tuple(perms[best].tolist()))

@@ -21,7 +21,7 @@ from .discord import (
     scan_uncertainty,
 )
 from .errors import InvalidInputError
-from .linalg import as_count, as_real, as_reals, as_seed
+from .linalg import as_count, as_real, as_reals, as_seed, as_tolerance
 from .metrology import identity_sweep, negativity, qfi_fidelity_estimate
 from .states import DensityMatrix, PureBipartiteState, _schmidt_weights, noon_family
 from .tables import write_csv, write_sidecar
@@ -190,15 +190,16 @@ def write_fig4(n: int, t2_grid, path) -> Fig4Result:
 
 def write_qfi(n: int, t2_grid, phi: float, delta: float, tolerance: float, path) -> list:
     """Rows (t2, F_closed, F_oracle, DG, residual) of :func:`identity_sweep`
-    with the fidelity oracle at step ``delta``, written to the CSV; the
-    sidecar also records ``tolerance``, against which the caller checks them."""
-    rows = [
-        (t2, f, qfi_fidelity_estimate(noon_family(point), point.phi, delta), dg, residual)
-        for t2, point, _, f, dg, residual in identity_sweep(n, t2_grid, phi)
-    ]
+    with the fidelity oracle at step ``delta``, written to the CSV once every
+    input has passed its check; the sidecar records n and phi as the sweep
+    coerced them, and ``tolerance``, against which the caller checks the rows."""
+    delta, tolerance = as_real(delta, "delta"), as_tolerance(tolerance)
+    rows = []
+    for t2, point, _, f, dg, residual in identity_sweep(n, t2_grid, phi):
+        rows.append((t2, f, qfi_fidelity_estimate(noon_family(point), point.phi, delta), dg, residual))
     write_csv(path, ("t2", "F_closed", "F_oracle", "DG", "residual"), rows)
     write_sidecar(path, {
-        "command": "qfi", "n": n, "phi": phi, "delta": delta,
+        "command": "qfi", "n": point.n, "phi": point.phi, "delta": delta,
         "tolerance": tolerance, "t2_grid": [row[0] for row in rows],
     })
     return rows

@@ -121,6 +121,13 @@ def as_seed(value, name: str = "seed") -> int:
     return seed
 
 
+def as_tolerance(value) -> float:
+    """:func:`as_real` for a residual tolerance, which must be finite and >= 0."""
+    if not 0.0 <= (tol := as_real(value, "tolerance")) < np.inf:
+        raise InvalidInputError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 def hermiticity_deviation(m: np.ndarray) -> float:
     """Max absolute entry of m - m^dagger."""
     return float(abs(m - m.conj().T).max()) if m.size else 0.0

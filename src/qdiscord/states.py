@@ -119,48 +119,19 @@ class PureBipartiteState:
         return cls(c)
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Schmidt form of a pure bipartite state.
-
-    ``coefficients`` are the nonnegative Schmidt coefficients in descending
-    order (length min(dim_a, dim_b), zeros included); column j of ``basis_a``
-    and ``basis_b`` holds the local vector paired with coefficients[j].
-    """
-
-    coefficients: np.ndarray
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-
-    def __post_init__(self):
-        coeff = np.array(as_reals(self.coefficients, "Schmidt coefficients"))
-        _schmidt_weights(coeff * coeff, "squared Schmidt coefficients")
-        coeff.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeff)
-        object.__setattr__(self, "basis_a", _readonly(as_2d(self.basis_a, "basis_a")))
-        object.__setattr__(self, "basis_b", _readonly(as_2d(self.basis_b, "basis_b")))
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Squared Schmidt coefficients, descending."""
-        return self.coefficients ** 2
-
-    def reconstruct(self) -> np.ndarray:
-        """Coefficient matrix rebuilt from the decomposition."""
-        return (self.basis_a * self.coefficients) @ self.basis_b.T
-
-
-def schmidt_decompose(state: PureBipartiteState) -> SchmidtDecomposition:
+def schmidt_decompose(state: PureBipartiteState) -> tuple:
     """Schmidt-decompose a pure bipartite state via the SVD.
 
-    The returned pieces satisfy ``reconstruct() == state.coefficients`` to
-    RECONSTRUCT_TOL and the probability weights sum to 1.
+    Returns ``(coefficients, basis_a, basis_b)``: the min(dim_a, dim_b)
+    Schmidt coefficients, descending, and in column j of each basis the local
+    vector paired with coefficients[j]; ``(basis_a * coefficients) @ basis_b.T``
+    rebuilds ``state.coefficients``.
     """
     if not isinstance(state, PureBipartiteState):
         state = PureBipartiteState(state)
     u, s, vh = np.linalg.svd(state.coefficients)
     r = s.size
-    return SchmidtDecomposition(s, u[:, :r], vh[:r, :].T)
+    return s, u[:, :r], vh[:r, :].T
 
 
 @dataclass(frozen=True)

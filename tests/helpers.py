@@ -338,11 +338,12 @@ def outputs_under_core_types(script):
     return outputs
 
 
-#: CLI runs whose CSVs are hashed, without --out: fig1 at the size CI
-#: reruns, fig4 at N = 10 and at N = 50 (the probe's widest split: a 2 x 2
-#: core in a 102 x 102 state), and the qfi grid.
+#: CLI runs whose CSVs are hashed, without --out: fig1 and fig2 at the
+#: sizes CI reruns, fig4 at N = 10 and at N = 50 (the probe's widest split:
+#: a 2 x 2 core in a 102 x 102 state), and the qfi grid.
 PIPELINES = {
     "fig1": ["fig1", "--dimA", "3", "--s1", "0.1,0.3", "--s2", "0.2", "--samples", "2000"],
+    "fig2": ["fig2", "--spectrum", "2,4,1", "--resolution", "200"],
     "fig4": ["fig4", "--N", "10", "--grid", "101"],
     "fig4_n50": ["fig4", "--N", "50", "--grid", "101"],
     "qfi": ["qfi", "--noon", "N=10", "--grid", "11"],

@@ -102,7 +102,7 @@ def test_criterion_03_pure_state_scan_bounds():
     for dim_b in (2, 3, 4):
         state = random_pure(2, dim_b, rng)
         rho = qd.DensityMatrix.from_pure(state)
-        s1 = float(qd.schmidt_decompose(state).probabilities[0])
+        s1 = float((qd.schmidt_decompose(state)[0] ** 2)[0])
         closed = 2.0 * s1 * (1.0 - s1)
         bounds = qd.minimize_uncertainty(rho, samples=10000, master_seed=20250814)
         assert bounds.minimum >= closed - 1e-9

@@ -309,8 +309,7 @@ class TestPureClosedForms:
     def test_frozen_value_from_all_input_forms(self):
         probs = [0.7, 0.2, 0.1]
         state = qd.PureBipartiteState.from_probabilities(probs)
-        dec = qd.schmidt_decompose(state)
-        for arg in (probs, state, dec):
+        for arg in (probs, state):
             assert abs(qd.geometric_discord_pure(arg) - 0.46) < 1e-12
 
     def test_product_state_has_no_discord(self):
@@ -404,6 +403,59 @@ class TestPureClosedForms:
     def test_assignment_size_checked(self):
         with pytest.raises(DimensionMismatchError):
             qd.min_uncertainty_assignment([0.5, 0.5], (1, 2, 3))
+
+    def test_pure_state_has_one_weight_per_level_of_a(self):
+        # A 3 x 2 state has two Schmidt weights on a three-level A: it takes a
+        # 3-value spectrum, as its weights with a zero appended and its
+        # density matrix do, and no sampled basis goes below its minimum.
+        state = random_pure(3, 2, np.random.default_rng(26))
+        weights = [*qd.schmidt_decompose(state)[0] ** 2, 0.0]
+        best = qd.min_uncertainty_assignment(state, (4, 3, 2))
+        assert best == qd.min_uncertainty_assignment(weights, (4, 3, 2))
+        scan = qd.scan_uncertainty(qd.DensityMatrix.from_pure(state), (4, 3, 2), 2000, 26)
+        assert scan.u_values.min() >= best.value - 1e-12
+        with pytest.raises(DimensionMismatchError, match="expected 3"):
+            qd.min_uncertainty_assignment(state, (4, 3))
+
+    def test_pure_state_discord_sums_its_schmidt_weights_only(self):
+        # Zeros padded past 8 entries would regroup np.sum's partial sums:
+        # this 9 x 4 state's value would move by one bit.
+        state = random_pure(9, 4, np.random.default_rng(17))
+        weights = qd.schmidt_decompose(state)[0] ** 2
+        assert qd.geometric_discord_pure(state) == qd.geometric_discord_pure(weights)
+
+
+def isotropic_state(dim, weight=0.6):
+    """weight |phi+><phi+| + (1 - weight) I / dim^2, invariant under U x U*."""
+    phi = np.eye(dim).reshape(-1) / sqrt(dim)
+    rho = weight * np.outer(phi, phi) + (1.0 - weight) * np.eye(dim * dim) / (dim * dim)
+    return qd.DensityMatrix(rho, dim, dim)
+
+
+def werner_state(dim):
+    """(I - SWAP / 2) / Tr, invariant under U x U."""
+    swap = np.eye(dim * dim).reshape(dim, dim, dim, dim).transpose(1, 0, 2, 3).reshape(dim * dim, -1)
+    m = np.eye(dim * dim) - 0.5 * swap
+    return qd.DensityMatrix(m / np.trace(m), dim, dim)
+
+
+class TestBasisIndependentStates:
+    """A local unitary on A of an isotropic or Werner state moves to B, where
+    it commutes with P x I, so Q and U take one value in every basis: an exact
+    gate on the scan at dim_a >= 3, with no sampling bound."""
+
+    @pytest.mark.parametrize("make", [isotropic_state, werner_state], ids=["isotropic", "werner"])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_every_sampled_basis_gives_the_computational_value(self, make, dim):
+        rho, spectrum = make(dim), tuple(range(dim, 0, -1))
+        scan = qd.scan_uncertainty(rho, spectrum, samples=2000, master_seed=dim)
+        basis = qd.VonNeumannBasis.computational(dim)
+        q = qd.measurement_uncertainty(rho, basis)
+        u = qd.observable_uncertainty(rho, basis, spectrum)
+        assert q > 0.01 and u > 0.01
+        assert np.ptp(scan.q_values) <= 1e-13 and np.ptp(scan.u_values) <= 1e-13
+        assert np.abs(scan.q_values - q).max() <= 1e-13
+        assert np.abs(scan.u_values - u).max() <= 1e-13
 
 
 class TestQubitClosedForms:

@@ -6,6 +6,7 @@ import pytest
 
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
+from qdiscord.experiments import write_qfi
 
 from helpers import forceable_core_types, loop_region_map, outputs_under_core_types, pipeline_hashes
 
@@ -227,15 +228,45 @@ class TestRunFig4:
         assert sidecar["t2_grid"] == [0.3, 0.6, 0.9]
 
 
+class TestWriteQfi:
+    @pytest.mark.parametrize("n, phi", [
+        (np.int64(2), np.int64(0)),
+        (2.0, 0),
+        (np.float64(2.0), np.float64(0.0)),
+    ], ids=["numpy-ints", "float-n-int-phi", "numpy-floats"])
+    def test_sidecar_records_the_sweep_values(self, tmp_path, n, phi):
+        write_qfi(2, (0.5, 1.0), 0.0, 1e-3, 1e-9, tmp_path / "ref.csv")
+        write_qfi(n, (0.5, 1.0), phi, 1e-3, 1e-9, tmp_path / "got.csv")
+        for suffix in (".csv", ".csv.json"):
+            assert (tmp_path / f"got{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
+        sidecar = json.loads((tmp_path / "got.csv.json").read_text())
+        assert type(sidecar["n"]) is int and type(sidecar["phi"]) is float
+
+    @pytest.mark.parametrize("name, delta, tolerance", [
+        ("tolerance", 1e-3, float("nan")),
+        ("tolerance", 1e-3, float("inf")),
+        ("tolerance", 1e-3, -1e-9),
+        ("tolerance", 1e-3, "x"),
+        ("delta", "0.001", 1e-9),
+        ("delta", 0.5, 1e-9),
+    ], ids=["nan-tolerance", "inf-tolerance", "negative-tolerance", "string-tolerance",
+            "string-delta", "large-delta"])
+    def test_bad_step_or_tolerance_writes_nothing(self, tmp_path, name, delta, tolerance):
+        with pytest.raises(InvalidInputError, match=name):
+            write_qfi(2, (0.5, 1.0), 0.0, delta, tolerance, tmp_path / "qfi.csv")
+        assert list(tmp_path.iterdir()) == []
+
+
 #: SHA-256 of each helpers.PIPELINES CSV, keyed by the numpy version it was
 #: recorded on (x86-64 with AVX-512, OpenBLAS 0.3.31). No BLAS or LAPACK
-#: call reaches fig1's bytes; fig4 and qfi take the probe's 2 x 2 cores and
+#: call reaches fig1's or fig2's bytes; fig4 and qfi take the probe's 2 x 2 cores and
 #: the fidelity through LAPACK, with one hash under every core type tried.
 #: numpy's own loops (log1p, cos, sin, einsum) may round differently in
 #: another version.
 PIPELINE_SHA256 = {
     "2.4.6": {
         "fig1": "65d1b4051bef897424e29b9cfa967cfa6b2e04335399e54e6050ef74ec0b5734",
+        "fig2": "5429c4dde320f34fcc9b13320d53384eab6ac3b7a6067f0fe0b14310a9be1912",
         "fig4": "0e350cf516eb4bca9829be26675022dae5fbd9089cd2be4061dee71466f36dbc",
         "fig4_n50": "b4f56cc45487d44447dc78298adf00a6fbff91f918e14153bd7312143705a4ba",
         "qfi": "706eea52160fb688c54319316afe08b696683ff2dcef0c1f7269e6c5ffcc2249",

@@ -586,20 +586,13 @@ def _load_density(m, path):
 
 _QUBIT = qd.DensityMatrix(np.eye(2) / 2, 2, 1)
 
-#: Every entry point that takes a matrix (a vector for the Schmidt
-#: coefficients) from a caller: (test id, input name, call(m, path), an
-#: input the call accepts).
+#: Every entry point that takes a matrix from a caller: (test id, input
+#: name, call(m, path), an input the call accepts).
 MATRIX_ENTRY_POINTS = [
     ("density-matrix", "density matrix", lambda m, _: qd.DensityMatrix(m, 2, 1),
      [[0.5, 0.0], [0.0, 0.5]]),
     ("pure-state", "coefficient matrix", lambda m, _: qd.PureBipartiteState(m),
      [[0.6, 0.0], [0.0, 0.8]]),
-    ("schmidt-coefficients", "Schmidt coefficients",
-     lambda m, _: qd.SchmidtDecomposition(m, np.eye(2), np.eye(2)), [0.6, 0.8]),
-    ("schmidt-basis-a", "basis_a",
-     lambda m, _: qd.SchmidtDecomposition([0.6, 0.8], m, np.eye(2)), [[1.0, 0.0], [0.0, 1.0]]),
-    ("schmidt-basis-b", "basis_b",
-     lambda m, _: qd.SchmidtDecomposition([0.6, 0.8], np.eye(2), m), [[1.0, 0.0], [0.0, 1.0]]),
     ("basis", "basis", lambda m, _: qd.VonNeumannBasis(m), [[1.0, 0.0], [0.0, 1.0]]),
     ("skew-observable", "observable", lambda m, _: qd.skew_information(_QUBIT, m),
      [[1.0, 0.0], [0.0, -1.0]]),

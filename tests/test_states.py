@@ -63,31 +63,37 @@ class TestSchmidtDecomposition:
     def test_product_state(self):
         c = np.zeros((2, 2), dtype=complex)
         c[0, 0] = 1.0
-        dec = qd.schmidt_decompose(qd.PureBipartiteState(c))
-        assert np.allclose(dec.probabilities, [1.0, 0.0], atol=1e-14)
+        coeff, _, _ = qd.schmidt_decompose(qd.PureBipartiteState(c))
+        assert np.allclose(coeff ** 2, [1.0, 0.0], atol=1e-14)
 
     def test_bell_state(self):
         c = np.eye(2, dtype=complex) / sqrt(2.0)
-        dec = qd.schmidt_decompose(qd.PureBipartiteState(c))
-        assert np.allclose(dec.probabilities, [0.5, 0.5], atol=1e-12)
+        coeff, _, _ = qd.schmidt_decompose(qd.PureBipartiteState(c))
+        assert np.allclose(coeff ** 2, [0.5, 0.5], atol=1e-12)
 
     def test_random_3x5_reconstruction(self):
         rng = np.random.default_rng(21)
         state = random_pure(3, 5, rng)
-        dec = qd.schmidt_decompose(state)
-        assert np.all(np.diff(dec.coefficients) <= 1e-15)
-        assert abs(dec.probabilities.sum() - 1.0) < 1e-12
-        assert np.allclose(dec.reconstruct(), state.coefficients, atol=1e-10)
+        coeff, basis_a, basis_b = qd.schmidt_decompose(state)
+        assert np.all(np.diff(coeff) <= 1e-15)
+        assert abs((coeff ** 2).sum() - 1.0) < 1e-12
+        assert np.allclose((basis_a * coeff) @ basis_b.T, state.coefficients, atol=1e-10)
+
+    def test_returns_the_svd_slices(self):
+        state = random_pure(4, 3, np.random.default_rng(23))
+        u, s, vh = np.linalg.svd(state.coefficients)
+        for got, want in zip(qd.schmidt_decompose(state), (s, u[:, :3], vh[:3, :].T), strict=True):
+            assert np.array_equal(got, want)
 
     def test_bases_orthonormal(self):
         rng = np.random.default_rng(22)
-        dec = qd.schmidt_decompose(random_pure(4, 3, rng))
-        r = dec.coefficients.size
+        coeff, basis_a, basis_b = qd.schmidt_decompose(random_pure(4, 3, rng))
+        r = coeff.size
         assert np.allclose(
-            dec.basis_a.conj().T @ dec.basis_a, np.eye(r), atol=1e-12
+            basis_a.conj().T @ basis_a, np.eye(r), atol=1e-12
         )
         assert np.allclose(
-            dec.basis_b.conj().T @ dec.basis_b, np.eye(r), atol=1e-12
+            basis_b.conj().T @ basis_b, np.eye(r), atol=1e-12
         )
 
 
