@@ -63,6 +63,7 @@ from .metrology import (
 from .states import (
     DensityMatrix,
     NoonChannelParams,
+    NoonProbe,
     PureBipartiteState,
     StateReport,
     load_density,

@@ -410,7 +410,11 @@ def local_quantum_uncertainty(rho) -> float:
         raise DimensionMismatchError(
             f"closed form requires dim_a = 2, got dim_a = {rho.dim_a}"
         )
-    t = _block_traces(rho)
+    return _lqu_from_traces(_block_traces(rho))
+
+
+def _lqu_from_traces(t: np.ndarray) -> float:
+    """Clamped Tr(sqrt(rho) sqrt(rho)) - lambda_max(W) from a qubit-A state's block traces T."""
     # Complex, so W takes the same zheevd as every other Hermitian matrix here.
     w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, t).real.astype(complex)
     top = _split_eig(w, "correlation matrix").highest

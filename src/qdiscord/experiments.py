@@ -22,7 +22,7 @@ from .discord import (
 )
 from .errors import InvalidInputError
 from .linalg import as_count, as_real, as_reals, as_seed, as_tolerance
-from .metrology import identity_sweep, negativity, qfi_fidelity_estimate
+from .metrology import identity_sweep, qfi_fidelity_estimate
 from .states import DensityMatrix, PureBipartiteState, _schmidt_weights, noon_family
 from .tables import write_csv, write_sidecar
 
@@ -153,15 +153,15 @@ class Fig4Result(NamedTuple):
 def run_fig4(n: int, t2_grid) -> Fig4Result:
     """Rows (t2, F, DG, negativity) plus the fitted F-vs-DG slope.
 
-    DG is the computed local quantum uncertainty of the lossy state. The
-    slope of F against DG recovers n^2 wherever the proportionality
-    F = DG * n^2 holds; ``max_residual`` is the largest pointwise deviation
-    from it on the grid. A grid on which every DG is equal leaves the slope
-    undefined and raises :class:`InvalidInputError`.
+    DG and the negativity come from the lossy state's block form
+    (:class:`NoonProbe`), never a dense matrix. The slope of F against DG
+    recovers n^2 wherever F = DG * n^2 holds; ``max_residual`` is the largest
+    pointwise deviation from it on the grid. A grid on which every DG is
+    equal leaves the slope undefined and raises :class:`InvalidInputError`.
     """
     points = [
-        (t2, f, dg, negativity(rho), residual)
-        for t2, _, rho, f, dg, residual in identity_sweep(n, t2_grid)
+        (t2, f, dg, probe.negativity(), residual)
+        for t2, _, probe, f, dg, residual in identity_sweep(n, t2_grid)
     ]
     if len(points) < 2:
         raise InvalidInputError(f"t2 grid must have length >= 2, got {len(points)}")
@@ -192,7 +192,8 @@ def write_qfi(n: int, t2_grid, phi: float, delta: float, tolerance: float, path)
     """Rows (t2, F_closed, F_oracle, DG, residual) of :func:`identity_sweep`
     with the fidelity oracle at step ``delta``, written to the CSV once every
     input has passed its check; the sidecar records n and phi as the sweep
-    coerced them, and ``tolerance``, against which the caller checks the rows."""
+    coerced them, and ``tolerance``, against which the caller checks the rows.
+    DG is the sweep's; the oracle's dense :func:`noon_family` limits n to 1029."""
     delta, tolerance = as_real(delta, "delta"), as_tolerance(tolerance)
     rows = []
     for t2, point, _, f, dg, residual in identity_sweep(n, t2_grid, phi):

@@ -14,16 +14,16 @@ tolerance on them; the command line's ``--tol`` decides pass or fail.
 
 import numpy as np
 
-from .discord import _clamp_uncertainty, local_quantum_uncertainty
+from .discord import _clamp_uncertainty, _lqu_from_traces
 from .errors import DimensionMismatchError, InvalidInputError
-from .linalg import _split_eig, as_real, as_reals, partial_transpose
+from .linalg import _split_eig, as_real, as_reals
 from .states import (
     DensityMatrix,
     NoonChannelParams,
+    NoonProbe,
     _coherent_branch,
     _require,
     noon_eigenvalues,
-    noon_lossy_density,
 )
 
 
@@ -136,7 +136,9 @@ def negativity(rho: DensityMatrix) -> float:
     never pushes the value below zero: ||X||_1 >= |Tr X| for Hermitian X.
     """
     rho = _require(rho, DensityMatrix)
-    eig = _split_eig(partial_transpose(rho.matrix, (rho.dim_a, rho.dim_b)), "partial transpose")
+    a, b = rho.dim_a, rho.dim_b  # partial_transpose of the validated matrix, not coerced again
+    pt = rho.matrix.reshape(a, b, a, b).transpose(2, 1, 0, 3).reshape(rho.dim, rho.dim)
+    eig = _split_eig(pt, "partial transpose")
     norm = np.abs(eig.w).sum() + np.abs(eig.d).sum()
     val = 0.5 * (norm - rho.matrix.trace().real)
     return _clamp_uncertainty(val, "negativity")
@@ -148,23 +150,21 @@ def negativity(rho: DensityMatrix) -> float:
 
 
 def identity_sweep(n: int, t2_grid, phi: float = 0.0):
-    """Yield (t2, params, rho, F, DG, |F - DG * n^2|) over a transmittance grid.
+    """Yield (t2, params, probe, F, DG, |F - DG * n^2|) over a transmittance grid.
 
-    F is the closed-form Fisher information and DG the computed local
-    quantum uncertainty of the lossy state (not the closed-form candidate),
-    so each residual is a real cross-route comparison: roundoff for
-    n >= 2, the gap to the exact single-photon LQU at n = 1. The phase
-    ``phi`` is a local unitary on B; it leaves F unchanged and moves DG by
-    roundoff. Each state is built and validated once; callers that need
-    more from it (negativity, the fidelity oracle) take ``params`` or
-    ``rho`` from the yielded point.
+    ``probe`` is the lossy state as a :class:`NoonProbe`, with no dense matrix.
+    F is the closed-form Fisher information and DG the local quantum uncertainty
+    computed from the probe's block traces as :func:`local_quantum_uncertainty`
+    does (not the closed-form candidate), so each residual is a real cross-route
+    comparison: roundoff for n >= 2, the gap to the exact single-photon LQU at
+    n = 1. The phase ``phi`` is a local unitary on B: F ignores it, DG to roundoff.
     """
     grid = as_reals(t2_grid, "t2 grid", 0)
     if not grid:
         raise InvalidInputError("the t2 grid is empty")
     for t2 in grid:
         params = NoonChannelParams.from_transmittance(n, t2, phi)
-        rho = noon_lossy_density(params)
+        probe = NoonProbe(params)
         f = qfi_noon_closed(params)
-        dg = local_quantum_uncertainty(rho)
-        yield t2, params, rho, f, dg, abs(f - dg * params.n * params.n)
+        dg = _lqu_from_traces(probe.block_traces())
+        yield t2, params, probe, f, dg, abs(f - dg * params.n * params.n)

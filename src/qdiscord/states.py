@@ -9,7 +9,8 @@ The density-matrix JSON interchange format is
 import cmath
 import json
 from dataclasses import dataclass, field, replace
-from math import comb, isfinite, sqrt
+from functools import lru_cache
+from math import comb, hypot, isfinite, lgamma, log, sqrt
 
 import numpy as np
 
@@ -277,20 +278,32 @@ class NoonChannelParams:
         return abs(self.t) ** 2
 
 
-def _loss_weights(params: NoonChannelParams) -> np.ndarray:
-    """Half-weights 0.5 C(n, k) T^k (1 - T)^(n - k) of k = 0..n photons
-    surviving the lossy arm. C(n, k) overflows a double from n = 1030 on,
-    which raises here, before any state of that size is allocated."""
+def _loss_weights(params: NoonChannelParams, dense: bool = True) -> np.ndarray:
+    """Half-weights 0.5 C(n, k) T^k (1 - T)^(n - k) of k = 0..n photons surviving
+    the lossy arm, C(n, k) exact below n = 1030, where C(n, n/2) overflows a
+    double. Past that a ``dense`` state raises, before any matrix is allocated;
+    the block form takes C(n, k) from lgamma, whose roundoff moves the sum by up
+    to 6e-12 at n = 10**4 and 7e-11 at 10**5 (measured), near TRACE_TOL."""
     n = params.n
     tt, rr = abs(params.t) ** 2, abs(params.r) ** 2
-    try:
-        return np.array(
-            [0.5 * float(comb(n, k)) * tt ** k * rr ** (n - k) for k in range(n + 1)]
-        )
-    except OverflowError:
-        raise InvalidInputError(
-            f"photon number {n} is too large: C(n, k) overflows a double"
-        ) from None
+    if n < 1030:
+        return np.array([0.5 * float(comb(n, k)) * tt ** k * rr ** (n - k) for k in range(n + 1)])
+    if dense or n > 10**5:
+        raise InvalidInputError(f"photon number {n} is too large: C(n, k) overflows a double"
+                                + ("" if dense else " and lgamma's roundoff nears TRACE_TOL"))
+    k = np.arange(n + 1)
+    if tt * rr == 0.0:  # T = 0 or 1: the one nonzero weight has C(n, k) = 1
+        return 0.5 * tt ** k * rr ** (n - k)
+    lg = _log_factorials(n)
+    return 0.5 * np.exp(lg[n] - lg - lg[::-1] + k * log(tt) + (n - k) * log(rr))
+
+
+@lru_cache(maxsize=4)
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, read-only, kept for the few n a sweep reuses."""
+    lg = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)
+    lg.setflags(write=False)
+    return lg
 
 
 def _coherent_branch(params: NoonChannelParams) -> np.ndarray:
@@ -358,6 +371,47 @@ def noon_eigenvalues(params: NoonChannelParams) -> np.ndarray:
     weights = _loss_weights(params)
     weights[-1] += 0.5  # the k = n weight joins the intact branch's 1/2
     return np.sort(weights)[::-1]
+
+
+@dataclass(frozen=True)
+class NoonProbe:
+    """The state :func:`noon_lossy_density` builds, in block form, to n = 10**5:
+    ``weights`` w_k on rows |0>_A |k>_B, k < n, and the core (1/2) [[|c|^2, c],
+    [c*, 1]] on rows n, n + 1, c = t^n e^(i n phi) (``coherence``). A weight
+    below 0 or a ``trace`` off 1 by over TRACE_TOL raises InvalidInputError."""
+
+    params: NoonChannelParams
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    coherence: complex = field(init=False, repr=False, compare=False)
+    trace: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p = _require(self.params, NoonChannelParams)
+        w, c = _loss_weights(p, dense=False)[:p.n], complex(_coherent_branch(p)[p.n])
+        trace = float(w.sum()) + 0.5 * abs(c) ** 2 + 0.5
+        if not w.min() >= 0.0 or abs(trace - 1.0) > TRACE_TOL:
+            raise InvalidInputError(f"not a state: min weight {w.min():.12g}, trace {trace:.12g}")
+        w.setflags(write=False)
+        for name, value in (("weights", w), ("coherence", c), ("trace", trace)):
+            object.__setattr__(self, name, value)
+
+    def block_traces(self) -> np.ndarray:
+        """:func:`discord._block_traces` in O(n), from the exact root diag(sqrt(w_k))
+        + [[|c|^2, c], [c*, 1]] / s, s^2 = 2 (1 + |c|^2), whose blocks S_00 =
+        diag(sqrt(w_k), |c|^2 / s), S_11 = E_00 / s, S_01 = c E_n0 / s = S_10^dagger."""
+        x = abs(self.coherence) ** 2
+        s2 = 2.0 * (1.0 + x)
+        t = np.zeros((2, 2, 2, 2))
+        t[0, 0, 0, 0], t[1, 1, 1, 1] = self.weights.sum() + x * x / s2, 1.0 / s2
+        t[0, 0, 1, 1] = t[1, 1, 0, 0] = sqrt(self.weights[0] / s2)
+        t[0, 1, 1, 0] = t[1, 0, 0, 1] = x / s2
+        return t
+
+    def negativity(self) -> float:
+        """(||rho^(T_A)||_1 - Tr rho) / 2 = (hypot(w_0, |c|) - w_0) / 2, minus the lower
+        eigenvalue of [[w_0, c*/2], [c/2, 0]] on rows 0, 2n + 1; the rest is diagonal, >= 0."""
+        w0 = float(self.weights[0])
+        return 0.5 * (hypot(w0, abs(self.coherence)) - w0)
 
 
 # ---------------------------------------------------------------------------

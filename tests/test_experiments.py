@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ class TestRunFig4:
             qd.run_fig4(50, grid)
         assert capfd.readouterr().err == ""
 
+    def test_ten_thousand_photons_in_block_form(self):
+        # Past the dense builders' n = 1029: no 2(n+1) x 2(n+1) matrix is made.
+        n = 10_000
+        tracemalloc.start()
+        try:
+            result = qd.run_fig4(n, np.linspace(0.0, 1.0, 101))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.max_residual / n**2 <= 1e-12
+        assert peak < 50e6
+        assert result.rows[-1] == (1.0, 1e8, 1.0, 0.5)
+
     def test_write_outputs_and_reruns_identical(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -259,17 +273,18 @@ class TestWriteQfi:
 
 #: SHA-256 of each helpers.PIPELINES CSV, keyed by the numpy version it was
 #: recorded on (x86-64 with AVX-512, OpenBLAS 0.3.31). No BLAS or LAPACK
-#: call reaches fig1's or fig2's bytes; fig4 and qfi take the probe's 2 x 2 cores and
-#: the fidelity through LAPACK, with one hash under every core type tried.
+#: call reaches fig1's, fig2's or fig4's bytes (fig4 runs from the probe's
+#: block form); qfi takes its oracle's dense states and fidelity through
+#: LAPACK, with one hash under every core type tried.
 #: numpy's own loops (log1p, cos, sin, einsum) may round differently in
 #: another version.
 PIPELINE_SHA256 = {
     "2.4.6": {
         "fig1": "65d1b4051bef897424e29b9cfa967cfa6b2e04335399e54e6050ef74ec0b5734",
         "fig2": "5429c4dde320f34fcc9b13320d53384eab6ac3b7a6067f0fe0b14310a9be1912",
-        "fig4": "0e350cf516eb4bca9829be26675022dae5fbd9089cd2be4061dee71466f36dbc",
-        "fig4_n50": "b4f56cc45487d44447dc78298adf00a6fbff91f918e14153bd7312143705a4ba",
-        "qfi": "706eea52160fb688c54319316afe08b696683ff2dcef0c1f7269e6c5ffcc2249",
+        "fig4": "d284f0e3126d0ee85548cf2df1ef3ea98a1e204715f0d4d94e6edae32f98bc55",
+        "fig4_n50": "3727ca41262b8694e0e8da62e8a465ceac99af93411cdc7a94a0f99ba731dabe",
+        "qfi": "3b5674f792366f8f182fb2b20016a1efaf26a33aa45c17dafb9c69c9d3fa076b",
     },
 }
 

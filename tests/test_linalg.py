@@ -608,24 +608,18 @@ MATRIX_ENTRY_POINTS = [
 
 
 def _with_first(good, value):
-    """``good`` with its first scalar entry replaced by ``value``."""
-    if isinstance(good[0], list):
-        return [[value] + good[0][1:]] + good[1:]
-    return [value] + good[1:]
+    """The matrix ``good`` with its first entry replaced by ``value``."""
+    return [[value] + good[0][1:]] + good[1:]
 
 
 def _with_last(good, value):
-    """``good`` with its last scalar entry replaced by ``value``."""
-    if isinstance(good[0], list):
-        return good[:-1] + [good[-1][:-1] + [value]]
-    return good[:-1] + [value]
+    """The matrix ``good`` with its last entry replaced by ``value``."""
+    return good[:-1] + [good[-1][:-1] + [value]]
 
 
 def _ragged(good):
-    """``good`` with its last row one entry short; a vector nests its first entry."""
-    if isinstance(good[0], list):
-        return good[:-1] + [good[-1][:-1]]
-    return [[good[0]]] + good[1:]
+    """The matrix ``good`` with its last row one entry short."""
+    return good[:-1] + [good[-1][:-1]]
 
 
 #: Inputs no matrix entry point takes, each made from the accepted input

@@ -274,3 +274,44 @@ class TestIdentitySweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError, match="empty"):
             list(qd.identity_sweep(2, []))
+
+
+class TestNoonProbe:
+    """The block-form probe against the dense state it stands for."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_agrees_with_the_dense_state(self, n, phi):
+        grid = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0)
+        for t2, params, probe, _, dg, _ in qd.identity_sweep(n, grid, phi):
+            rho = qd.noon_lossy_density(params)
+            assert abs(dg - qd.local_quantum_uncertainty(rho)) <= 1e-12, t2
+            assert abs(probe.negativity() - qd.negativity(rho)) <= 1e-12, t2
+            assert abs(probe.trace - rho.matrix.trace().real) <= 1e-12, t2
+
+    def test_runs_past_the_dense_limit(self):
+        params = qd.NoonChannelParams.from_transmittance(1030, 0.5)
+        with pytest.raises(InvalidInputError, match="photon number 1030 is too large"):
+            qd.noon_lossy_density(params)
+        probe = qd.NoonProbe(params)
+        assert abs(probe.trace - 1.0) <= 1e-12
+        assert probe.weights.shape == (1030,)
+
+    def test_rejects_photon_numbers_past_its_own_limit(self):
+        params = qd.NoonChannelParams.from_transmittance(10**5 + 1, 0.5)
+        with pytest.raises(InvalidInputError, match="lgamma.s roundoff nears TRACE_TOL"):
+            qd.NoonProbe(params)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda w: w * (1.0 + 1e-9), "trace 1.0000000005"),
+        (lambda w: w * np.where(np.arange(w.size) == 1, -1.0, 1.0), "min weight -"),
+    ], ids=["trace", "negative-weight"])
+    def test_checks_its_weights(self, monkeypatch, change, message):
+        loss_weights = qd.states._loss_weights
+        monkeypatch.setattr(qd.states, "_loss_weights", lambda *args, **kw: change(loss_weights(*args, **kw)))
+        with pytest.raises(InvalidInputError, match=message):
+            qd.NoonProbe(qd.NoonChannelParams.from_transmittance(10, 0.5))
+
+    def test_rejects_raw_parameters(self):
+        with pytest.raises(InvalidInputError, match="NoonChannelParams"):
+            qd.NoonProbe((10, 0.5))
