@@ -314,7 +314,11 @@ def partial_transpose(m, dims: Sequence[int]) -> np.ndarray:
     dims = _check_dims(arr, dims)
     if len(dims) != 2:
         raise DimensionMismatchError(f"partial transpose needs two subsystems, got {len(dims)}")
-    da, db = dims
+    return _partial_transpose(arr, *dims)
+
+
+def _partial_transpose(arr: np.ndarray, da: int, db: int) -> np.ndarray:
+    """:func:`partial_transpose` of an already checked (da db) x (da db) array."""
     return arr.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .discord import _clamp_uncertainty, _lqu_from_traces
 from .errors import DimensionMismatchError, InvalidInputError
-from .linalg import _split_eig, as_real, as_reals
+from .linalg import _partial_transpose, _split_eig, as_real, as_reals
 from .states import (
     DensityMatrix,
     NoonChannelParams,
@@ -136,9 +136,7 @@ def negativity(rho: DensityMatrix) -> float:
     never pushes the value below zero: ||X||_1 >= |Tr X| for Hermitian X.
     """
     rho = _require(rho, DensityMatrix)
-    a, b = rho.dim_a, rho.dim_b  # partial_transpose of the validated matrix, not coerced again
-    pt = rho.matrix.reshape(a, b, a, b).transpose(2, 1, 0, 3).reshape(rho.dim, rho.dim)
-    eig = _split_eig(pt, "partial transpose")
+    eig = _split_eig(_partial_transpose(rho.matrix, rho.dim_a, rho.dim_b), "partial transpose")
     norm = np.abs(eig.w).sum() + np.abs(eig.d).sum()
     val = 0.5 * (norm - rho.matrix.trace().real)
     return _clamp_uncertainty(val, "negativity")

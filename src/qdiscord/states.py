@@ -9,7 +9,6 @@ The density-matrix JSON interchange format is
 import cmath
 import json
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from math import comb, hypot, isfinite, lgamma, log, sqrt
 
 import numpy as np
@@ -294,16 +293,8 @@ def _loss_weights(params: NoonChannelParams, dense: bool = True) -> np.ndarray:
     k = np.arange(n + 1)
     if tt * rr == 0.0:  # T = 0 or 1: the one nonzero weight has C(n, k) = 1
         return 0.5 * tt ** k * rr ** (n - k)
-    lg = _log_factorials(n)
+    lg = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)  # log k!, k = 0..n
     return 0.5 * np.exp(lg[n] - lg - lg[::-1] + k * log(tt) + (n - k) * log(rr))
-
-
-@lru_cache(maxsize=4)
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..n, read-only, kept for the few n a sweep reuses."""
-    lg = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)
-    lg.setflags(write=False)
-    return lg
 
 
 def _coherent_branch(params: NoonChannelParams) -> np.ndarray:

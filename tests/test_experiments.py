@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,16 @@ class TestRunFig4:
         assert result.max_residual / n**2 <= 1e-12
         assert peak < 50e6
         assert result.rows[-1] == (1.0, 1e8, 1.0, 0.5)
+
+    def test_ten_thousand_photons_near_full_transmission(self):
+        # On a 0..1 grid T^n underflows below T = 1; here T^n = e^-j runs from 1 to 2e-9.
+        n = 10_000
+        result = qd.run_fig4(n, [1.0 - j / n for j in range(21)])
+        assert result.max_residual / n**2 <= 1e-12
+        for t2, f, dg, neg in result.rows:
+            assert 0.0 < dg <= 1.0 and f > 0.0, t2
+            a = 0.5 * (1.0 - t2) ** n
+            assert abs(neg - 0.5 * (math.hypot(a, t2 ** (n / 2)) - a)) <= 1e-12, t2
 
     def test_write_outputs_and_reruns_identical(self, tmp_path):
         first = tmp_path / "a.csv"
