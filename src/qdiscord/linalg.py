@@ -225,11 +225,13 @@ def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
     """V sqrt(W) V^dagger from a split eigendecomposition, clamping roundoff.
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; a value below -PSD_TOL
-    raises :class:`NotPSDError`. Tiny positive eigenvalues below
+    raises :class:`NotPSDError`. Tiny positive eigenvalues of the core below
     ``ZERO_EIGENVALUE_CUTOFF`` relative to the largest one are also clamped,
-    see the constant's note. Both bounds are taken over the whole spectrum;
-    the clamps write into ``eig``. The root is built block by block:
-    sqrt(d) on the split-off diagonal and V sqrt(W) V^dagger on the core.
+    see the constant's note; the split-off diagonal ``d`` holds exact matrix
+    entries, not eigensolver output, and keeps them. Both bounds are taken
+    over the whole spectrum; the clamps write into ``eig``. The root is
+    built block by block: sqrt(d) on the split-off diagonal and
+    V sqrt(W) V^dagger on the core.
     An empty spectrum gives the 0 x 0 root.
     """
     lo = eig.lowest
@@ -239,7 +241,7 @@ def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
         )
     cut = ZERO_EIGENVALUE_CUTOFF * max(eig.highest, 0.0)
     eig.w[eig.w < cut] = 0.0
-    eig.d[eig.d < cut] = 0.0
+    eig.d[eig.d < 0.0] = 0.0
     n = eig.core.size + eig.rest.size
     root = np.zeros((n, n), dtype=complex)
     root[eig.rest, eig.rest] = np.sqrt(eig.d)

@@ -12,6 +12,14 @@ configuration is byte-identical. One per-type rule renders every cell:
 :func:`write_csv` formats a block of up to ``_BLOCK_ROWS`` rows with one
 template and one ``%``: the template holds a directive per cell, chosen by
 that cell's type, so mixed types within a column still follow the rule.
+
+Equal float cells are formatted once: a block whose cells are all exact
+``float`` or ``str`` and mostly repeat (fig2's grid values and labels)
+formats each distinct cell once and reuses its text, so its bytes follow
+the same per-type rule. Cells that compare equal but print differently
+never share a text: ``-0.0`` and ``0.0`` are formatted cell by cell, and
+cells of different types (``1`` and ``1.0``, ``np.float32(0.5)`` and
+``0.5``) send their block through the per-cell template.
 """
 
 import json
@@ -30,6 +38,9 @@ _FLOAT_CELL = f"%.{SIGNIFICANT_DIGITS}g"
 #: never held in memory as one string.
 _BLOCK_ROWS = 4096
 
+#: Cell types whose equal values always print alike, zeros apart.
+_SHARED_KINDS = frozenset({float, str})
+
 
 def _cell_format(kind: type) -> str:
     """The ``%`` directive for cells of type ``kind``."""
@@ -41,6 +52,17 @@ def _cell_format(kind: type) -> str:
 def format_number(value) -> str:
     """Render one cell by the module's per-type rule."""
     return _cell_format(type(value)) % (value,)
+
+
+class _CellTexts(dict):
+    """Text of each distinct cell of one block, by :func:`format_number` on
+    first use. A zero is never stored, as ``0.0 == -0.0`` would share it."""
+
+    def __missing__(self, cell):
+        text = format_number(cell)
+        if cell:
+            self[cell] = text
+        return text
 
 
 def write_csv(path, header, rows) -> None:
@@ -63,7 +85,13 @@ def write_csv(path, header, rows) -> None:
                 )
             cells = tuple(chain.from_iterable(block))
             kinds = list(map(type, cells))
-            for kind in set(kinds).difference(inner):
+            seen = set(kinds)
+            if seen <= _SHARED_KINDS and 2 * len(set(cells)) < len(cells):
+                # Mostly repeats: one text per distinct cell, the rule's text.
+                texts = map(_CellTexts().__getitem__, cells)
+                fh.write("\n".join(map(",".join, zip(*[texts] * width))) + "\n")
+                continue
+            for kind in seen.difference(inner):
                 directive = _cell_format(kind)
                 inner[kind], last[kind] = directive + ",", directive + "\n"
             template = list(map(inner.__getitem__, kinds))

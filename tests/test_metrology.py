@@ -105,6 +105,13 @@ class TestClosedForms:
             computed = qd.local_quantum_uncertainty(rho)
             assert abs(computed - qd.lqu_noon_closed(params)) < 1e-9
 
+    @pytest.mark.parametrize("t2", [1.0 - 1e-14, 1.0 - 1e-15])
+    def test_single_photon_near_full_transmission(self, t2):
+        # The loss weight w_0 = (1 - T) / 2 is an exact diagonal entry far
+        # below 64 eps of the top eigenvalue; the dense root must keep it.
+        _, rho = noon_state(1, t2)
+        assert abs(qd.local_quantum_uncertainty(rho) - single_photon_lqu(t2)) <= 1e-15
+
 
 class TestUhlmannFidelity:
     def test_identical_states_exactly_one(self):

@@ -7,7 +7,7 @@ import pytest
 
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
-from qdiscord.linalg import RECONSTRUCT_TOL, ZERO_EIGENVALUE_CUTOFF
+from qdiscord.linalg import RECONSTRUCT_TOL
 from qdiscord.states import matrix_from_json
 
 from helpers import (
@@ -357,18 +357,18 @@ class TestNoonLossyDensity:
         assert qd.qfi_noon_closed(params) == pytest.approx(1030**2 * 2 * 0.5**1030)
 
     def test_root_matches_closed_form(self):
-        # sqrt of each loss weight (clamped below the relative cutoff) on
-        # |0>_A |k>_B, k < n, and the rank-1 root P / sqrt(lambda) of the
-        # coherent block P = |v><v| / 2 on rows n and n + 1.
+        # sqrt of each loss weight on |0>_A |k>_B, k < n, however small (the
+        # weights are exact diagonal entries, not eigensolver output), and the
+        # rank-1 root P / sqrt(lambda) of the coherent block P = |v><v| / 2 on
+        # rows n and n + 1.
         for n in range(1, 51):
             for t2 in (0.0, 0.05, 0.3, 0.5, 0.8, 1.0):
                 params, rho = noon(n, t2, 0.7)
                 lam = 0.5 * (1.0 + t2 ** n)
-                cut = ZERO_EIGENVALUE_CUTOFF * lam
                 weights = np.array([0.5 * comb(n, k) * t2 ** k * (1.0 - t2) ** (n - k)
                                     for k in range(n)])
                 expected = np.zeros((rho.dim, rho.dim), dtype=complex)
-                expected[range(n), range(n)] = np.sqrt(np.where(weights < cut, 0.0, weights))
+                expected[range(n), range(n)] = np.sqrt(weights)
                 v = np.array([params.t ** n * np.exp(1j * n * 0.7), 1.0])
                 expected[n:n + 2, n:n + 2] = 0.5 * np.outer(v, v.conj()) / sqrt(lam)
                 assert np.max(np.abs(rho.sqrt - expected)) <= 1e-14, (n, t2)

@@ -1,6 +1,9 @@
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 
+from qdiscord import tables
 from qdiscord.errors import DimensionMismatchError
 from qdiscord.tables import _BLOCK_ROWS, format_number, write_csv
 
@@ -98,3 +101,85 @@ class TestWriteCsv:
         lines = written(tmp_path, rows, ("a", "b", "c")).split("\n")
         assert len(lines) == len(rows) + 2
         assert lines[1:-1] == [",".join(map(format_number, row)) for row in rows]
+
+
+def first_difference(tmp_path, header, rows):
+    """First (line number, written, expected) where ``write_csv`` differs
+    from a per-cell ``format_number`` reference, or None. Large tables are
+    not compared with a bare ``==``, whose failure report diffs them whole."""
+    lines = [",".join(header)] + [",".join(map(format_number, row)) for row in rows] + [""]
+    got = written(tmp_path, rows, header).split("\n")
+    return next(((i, a, b) for i, (a, b) in enumerate(zip_longest(got, lines)) if a != b), None)
+
+
+class TestSharedTexts:
+    """A block of exact floats and strs that mostly repeat formats each
+    distinct cell once; its bytes must equal the per-cell rule's."""
+
+    HEADER = ("a", "b", "c", "d")
+    # Equal under == but printed differently, or printed alike but unequal.
+    PATTERN = [
+        (0.0, -0.0, "0.1", 0.1),
+        (-0.0, 0.0, "1e+12", 1e12),
+        (float("nan"), float("inf"), float("-inf"), "nan"),
+        (16777216.0, 2.0 ** 53, "16777216", 0.0),
+        (1e12, 0.1, -0.0, "-0"),
+    ]
+
+    @staticmethod
+    def rows(count):
+        # Repeats cross _BLOCK_ROWS and end in a partial block; NaNs are fresh
+        # objects, so they never hit the memo by identity.
+        pattern = TestSharedTexts.PATTERN
+        return [tuple(float("nan") if c != c else c for c in pattern[i % len(pattern)])
+                for i in range(count)]
+
+    def counting_format(self, monkeypatch):
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return format_number(value)
+
+        monkeypatch.setattr(tables, "format_number", counted)
+        return calls
+
+    def test_repeated_floats_and_strs_share_texts(self, tmp_path, monkeypatch):
+        rows = self.rows(2 * _BLOCK_ROWS + 123)
+        calls = self.counting_format(monkeypatch)
+        assert first_difference(tmp_path, self.HEADER, rows) is None
+        # Each block formats its distinct cells, its zeros and its NaNs.
+        assert 0 < len(calls) < len(rows) * len(self.HEADER) / 2
+
+    @pytest.mark.parametrize(
+        "cell",
+        [np.float64(16777216.0), np.float32(16777216.0), np.float32(0.1), 2**53, 10**12,
+         np.int64(10**12), 0],
+        ids=repr,
+    )
+    def test_other_cell_types_keep_their_own_text(self, tmp_path, cell):
+        # One cell of another type, equal to a float of the block (the row
+        # holds 16777216.0 and 2.0**53; 1e12 and 0.0 recur), in the second
+        # block: that block takes the per-cell template.
+        rows = self.rows(2 * _BLOCK_ROWS + 123)
+        rows[_BLOCK_ROWS + 7] = (cell, *rows[_BLOCK_ROWS + 7][1:])
+        assert first_difference(tmp_path, self.HEADER, rows) is None
+
+    def test_mostly_distinct_floats_take_the_template(self, tmp_path, monkeypatch):
+        rows = [(i / 7, -i / 9, 0.5, 0.25) for i in range(101)]
+        calls = self.counting_format(monkeypatch)
+        assert first_difference(tmp_path, self.HEADER, rows) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("cell", [True, np.bool_(False)], ids=repr)
+    def test_bool_in_a_shared_block_raises(self, tmp_path, cell):
+        rows = self.rows(_BLOCK_ROWS + 123)
+        rows[_BLOCK_ROWS + 5] = (*rows[_BLOCK_ROWS + 5][:3], cell)
+        with pytest.raises(TypeError, match="booleans"):
+            written(tmp_path, rows, self.HEADER)
+
+    def test_short_row_in_a_shared_block_raises(self, tmp_path):
+        rows = self.rows(_BLOCK_ROWS + 123)
+        rows[_BLOCK_ROWS + 5] = rows[_BLOCK_ROWS + 5][:3]
+        with pytest.raises(DimensionMismatchError, match="needs 4 cells"):
+            written(tmp_path, rows, self.HEADER)
