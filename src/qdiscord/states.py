@@ -151,13 +151,11 @@ class StateReport:
         return not self.violations
 
 
-def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
-    """Check a matrix against the density-matrix invariants.
-
-    Structural problems (wrong shape for the declared dimensions) raise;
-    quality problems (hermiticity, trace, positivity) are collected into the
-    report so a caller can show all of them at once.
-    """
+def _check_state(matrix, dim_a: int, dim_b: int) -> tuple:
+    """(m, dim_a, dim_b, hermiticity deviation, trace, violations) of a candidate
+    density matrix, every check but positivity. A matrix that is not square,
+    finite and numeric or does not match dim_a * dim_b raises; a Hermiticity
+    or trace violation is listed in ``violations``, which the caller extends."""
     m = as_matrix(matrix, "density matrix")
     dim_a, dim_b = as_count(dim_a, "dim_a"), as_count(dim_b, "dim_b")
     if m.shape[0] != dim_a * dim_b:
@@ -171,6 +169,17 @@ def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
     tr = float(m.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         violations.append(f"trace violated: trace = {tr:.12g}")
+    return m, dim_a, dim_b, dev, tr, violations
+
+
+def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
+    """Check a matrix against the density-matrix invariants.
+
+    Structural problems (wrong shape for the declared dimensions) raise;
+    quality problems (hermiticity, trace, positivity) are collected into the
+    report so a caller can show all of them at once.
+    """
+    m, dim_a, dim_b, dev, tr, violations = _check_state(matrix, dim_a, dim_b)
     split = _split_eig(m, "density matrix")
     lo = split.lowest
     if lo < -PSD_TOL:
@@ -187,8 +196,14 @@ class DensityMatrix:
     roundoff). ``matrix`` is stored as given; ``sqrt`` is the principal
     root of its Hermitian part, built from the one eigendecomposition the
     positivity check made, so every measure of the state reads the root
-    that check accepted (:meth:`from_pure` sets an exact one). Both arrays
-    are read-only.
+    that check accepted. Both arrays are read-only.
+
+    :meth:`from_pure` and :func:`noon_lossy_density` know the exact root S
+    in closed form and make no eigendecomposition: they run the same shape,
+    finiteness, Hermiticity and trace checks, and prove positivity by
+    ||m - S S^dagger||_F <= PSD_TOL, which also verifies the root. Since
+    lambda_min((m + m^dagger) / 2) >= -||m - S S^dagger||_F, that accepts no
+    matrix the eigenvalue check rejects.
     """
 
     matrix: np.ndarray
@@ -212,12 +227,31 @@ class DensityMatrix:
         return self.dim_a * self.dim_b
 
     @classmethod
-    def from_pure(cls, state: PureBipartiteState):
-        """|v><v|, validated, with the exact root rho / |v| (rho^2 = |v|^2 rho)."""
-        v = _require(state, PureBipartiteState).vector
-        rho = cls(np.outer(v, v.conj()), state.dim_a, state.dim_b)
-        object.__setattr__(rho, "sqrt", _readonly(rho.matrix / np.sqrt(np.trace(rho.matrix).real)))
+    def _from_root(cls, m: np.ndarray, dim_a: int, dim_b: int, root: np.ndarray):
+        """The state ``m`` with the exact root ``root``, which its builder has
+        made Hermitian and PSD; both complex arrays are the builder's, and are
+        frozen here, not copied. Checked as the class docstring says: a root
+        with ||m - root root^dagger||_F above PSD_TOL, or NaN, raises."""
+        m, dim_a, dim_b, _, _, violations = _check_state(m, dim_a, dim_b)
+        r = m - root @ root.conj().T
+        err = sqrt(np.vdot(r, r).real)
+        if not err <= PSD_TOL:
+            violations.append(f"PSD violated: ||m - S S^dagger||_F = {err:.12g} for the root S")
+        if violations:
+            raise InvalidInputError("; ".join(violations))
+        m.setflags(write=False)
+        root.setflags(write=False)
+        rho = object.__new__(cls)
+        for name, value in (("matrix", m), ("dim_a", dim_a), ("dim_b", dim_b), ("sqrt", root)):
+            object.__setattr__(rho, name, value)
         return rho
+
+    @classmethod
+    def from_pure(cls, state: PureBipartiteState):
+        """|v><v|, validated through its exact root rho / |v| (rho^2 = |v|^2 rho)."""
+        v = _require(state, PureBipartiteState).vector
+        m = np.outer(v, v.conj())
+        return cls._from_root(m, state.dim_a, state.dim_b, m / np.sqrt(np.trace(m).real))
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -330,17 +364,23 @@ def noon_tripartite(params: NoonChannelParams) -> np.ndarray:
 def noon_lossy_density(params: NoonChannelParams) -> DensityMatrix:
     """System density matrix after the environment is discarded.
 
-    Half the projector on :func:`_coherent_branch` (off-diagonal weight
-    t^n e^(i n phi) / 2) plus the photon-loss mixture on |0>_A |k>_B for
+    Half the projector on :func:`_coherent_branch` v (off-diagonal weight
+    t^n e^(i n phi) / 2) plus the photon-loss mixture w_k on |0>_A |k>_B for
     k < n; equals the partial trace of :func:`noon_tripartite` over the
-    environment.
+    environment. The two parts sit on disjoint rows, so the state's root is
+    exact without an eigendecomposition: sqrt(rho) = v v^dagger / (sqrt(2) |v|)
+    + diag(sqrt(w_k)), which validates the state (:class:`DensityMatrix`).
     """
     n = params.n
     weights = _loss_weights(params)
     v = _coherent_branch(params)
-    rho = 0.5 * np.outer(v, v.conj())
-    rho.reshape(-1)[:n * (v.size + 1):v.size + 1] += weights[:n]  # rho[k, k] for k < n
-    return DensityMatrix(rho, 2, n + 1)
+    outer = np.outer(v, v.conj())
+    rho = 0.5 * outer
+    root = outer * (1.0 / sqrt(2.0 * (1.0 + abs(v[n]) ** 2)))
+    diagonal = slice(0, n * (v.size + 1), v.size + 1)  # [k, k] for k < n, flat
+    rho.reshape(-1)[diagonal] += weights[:n]
+    root.reshape(-1)[diagonal] = np.sqrt(weights[:n])
+    return DensityMatrix._from_root(rho, 2, n + 1, root)
 
 
 def noon_family(params: NoonChannelParams):

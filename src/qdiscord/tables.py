@@ -68,10 +68,13 @@ class _CellTexts(dict):
 def write_csv(path, header, rows) -> None:
     """Write a header line plus one comma-joined line per row.
 
-    Every row must have one cell per header column; a row of another length
-    raises :class:`DimensionMismatchError`.
+    Every row must have one cell per header column; a row of another length,
+    or an empty header, raises :class:`DimensionMismatchError`, the header
+    before the file is opened.
     """
     width = len(header)
+    if not width:
+        raise DimensionMismatchError("a CSV header needs at least one column")
     inner, last = {}, {}  # cell type -> directive + "," (inner cell) or + "\n" (row end)
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -484,20 +484,17 @@ class TestQubitClosedForms:
             assert 0.0 <= lqu <= 1.0 + 1e-12
 
     def test_one_state_size_eigendecomposition(self, monkeypatch):
-        # The state's positivity check and every root read one eigh, of the
-        # rows an off-diagonal entry couples: |0>|N> and |1>|0> for the
-        # lossy probe, every row for a dense state.
+        # A dense state's positivity check and every root read one eigh, of
+        # the rows an off-diagonal entry couples (every row here). The lossy
+        # probe is validated against its exact root and its LQU matrix is
+        # diagonal, so neither makes any eigh.
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append("eigvalsh"))
         params = qd.NoonChannelParams.from_transmittance(4, 0.6)
-        rho = qd.noon_lossy_density(params)
-        qd.local_quantum_uncertainty(rho)
-        assert "eigvalsh" not in calls
-        assert calls.count((2, 2)) == 1
-        assert (rho.dim, rho.dim) not in calls
-        calls.clear()
+        qd.local_quantum_uncertainty(qd.noon_lossy_density(params))
+        assert calls == []
         dense = random_state(2, 3, np.random.default_rng(48))
         qd.local_quantum_uncertainty(dense)
         assert "eigvalsh" not in calls

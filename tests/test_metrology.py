@@ -119,9 +119,12 @@ class TestUhlmannFidelity:
         assert qd.uhlmann_fidelity(rho, rho) == 1.0
 
     def test_equal_copies_exactly_one(self):
-        _, rho = noon_state(5, 0.3)
-        other = qd.DensityMatrix(rho.matrix.copy(), rho.dim_a, rho.dim_b)
-        assert qd.uhlmann_fidelity(rho, other) == 1.0
+        # Two builds of one state through the same constructor give the same
+        # root bits, whether exact (the probe builder) or from eigh.
+        params, rho = noon_state(5, 0.3)
+        assert qd.uhlmann_fidelity(rho, qd.noon_lossy_density(params)) == 1.0
+        copies = [qd.DensityMatrix(rho.matrix.copy(), rho.dim_a, rho.dim_b) for _ in range(2)]
+        assert qd.uhlmann_fidelity(*copies) == 1.0
 
     def test_orthogonal_pure_states(self):
         a = qd.DensityMatrix(np.diag([1.0, 0.0]), 2, 1)

@@ -19,6 +19,8 @@ from helpers import (
     random_pure,
 )
 
+EPS = np.finfo(float).eps
+
 #: Probe parameters on which the loss-table builders are compared with the
 #: per-k loop references; the first has complex t and r, whose phases the
 #: amplitudes carry.
@@ -155,10 +157,16 @@ class TestDensityMatrix:
             rho.matrix[0, 0] = 2.0
 
     def test_sqrt_is_read_only_psd_sqrt_of_matrix(self):
-        # Real t makes the probe exactly Hermitian, so the root of its
-        # Hermitian part is bitwise the root of the matrix as given.
-        _, rho = noon_state(6, 0.7)
-        assert rho.sqrt.tobytes() == qd.psd_sqrt(rho.matrix).tobytes()
+        # The probe's root is its closed form v v^dagger / (sqrt(2) |v|) +
+        # diag(sqrt(w_k)), read off the matrix: rho = v v^dagger / 2 on rows
+        # n, n + 1 and w_k on [k, k], k < n; it is psd_sqrt's to roundoff.
+        n = 6
+        _, rho = noon_state(n, 0.7)
+        m = rho.matrix
+        expected = (2.0 * m) * (1.0 / sqrt(2.0 * (1.0 + abs(2.0 * m[n, n + 1]) ** 2)))
+        expected[np.arange(n), np.arange(n)] = np.sqrt(m.diagonal()[:n].real)
+        assert rho.sqrt.tobytes() == expected.tobytes()
+        assert np.abs(rho.sqrt - qd.psd_sqrt(m)).max() <= 4 * EPS
         with pytest.raises(ValueError):
             rho.sqrt[0, 0] = 2.0
         with pytest.raises(FrozenInstanceError):
@@ -183,6 +191,59 @@ class TestDensityMatrix:
                 rho.reduced(subsystem)
         with pytest.raises(IndexError):
             rho.reduced(2)
+
+
+class TestExactRoot:
+    """A builder that knows the root S checks ||m - S S^dagger||_F <= PSD_TOL
+    in place of the eigendecomposition; the other checks are the constructor's."""
+
+    def test_root_missing_by_more_than_psd_tol_raises(self):
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        root = np.sqrt(m)
+        root[2, 2] = 5e-6  # S S^dagger is off by 2.5e-11 at [2, 2]
+        assert qd.DensityMatrix._from_root(m.copy(), 2, 2, root).sqrt is root
+        root = np.sqrt(m)
+        root[2, 2] = 2e-5  # 4e-10
+        with pytest.raises(InvalidInputError, match="PSD violated"):
+            qd.DensityMatrix._from_root(m, 2, 2, root)
+
+    def test_no_root_proves_a_negative_eigenvalue(self):
+        m = np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex)
+        with pytest.raises(InvalidInputError, match="PSD violated"):
+            qd.DensityMatrix._from_root(m, 2, 2, np.sqrt(np.abs(m)))
+
+    def test_nan_root_raises(self):
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        root = np.sqrt(m)
+        root[3, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="PSD violated.*nan"):
+            qd.DensityMatrix._from_root(m, 2, 2, root)
+
+    def test_other_checks_are_the_constructors(self):
+        m = np.diag([1.2, 0.6, -0.2, 0.0]).astype(complex)
+        m[0, 1] = 0.5
+        with pytest.raises(InvalidInputError) as err:
+            qd.DensityMatrix._from_root(m, 2, 2, np.zeros((4, 4), dtype=complex))
+        kinds = [v.split(" violated")[0] for v in str(err.value).split("; ")]
+        assert kinds == ["hermiticity", "trace", "PSD"]
+        with pytest.raises(DimensionMismatchError):
+            qd.DensityMatrix._from_root(np.eye(4) / 4, 2, 3, np.eye(4) / 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
+    def test_probe_root_is_psd_sqrt(self, n):
+        for t2 in (0.0, 1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0):
+            for phi in (0.0, 0.7):
+                _, rho = noon_state(n, t2, phi)
+                assert np.abs(rho.sqrt - qd.psd_sqrt(rho.matrix)).max() <= 4 * EPS
+                assert not (rho.matrix.flags.writeable or rho.sqrt.flags.writeable)
+
+    def test_pure_root_is_psd_sqrt(self):
+        rng = np.random.default_rng(25)
+        states = [random_pure(*dims, rng) for dims in ((2, 1), (2, 2), (2, 5), (3, 3), (4, 3))]
+        states += [qd.PureBipartiteState.from_probabilities(p, 3) for p in ([1.0, 0.0], [0.25, 0.75])]
+        for state in states:
+            rho = qd.DensityMatrix.from_pure(state)
+            assert np.abs(rho.sqrt - qd.psd_sqrt(rho.matrix)).max() <= 4 * EPS
 
 
 class TestValidationReport:

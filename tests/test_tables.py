@@ -91,6 +91,13 @@ class TestWriteCsv:
         with pytest.raises(DimensionMismatchError, match="needs 2 cells"):
             written(tmp_path, [(1, 2.0)] * _BLOCK_ROWS + [(1, 2.0, 3)])
 
+    def test_empty_header_raises_before_opening(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for rows in ([], [(), ()]):
+            with pytest.raises(DimensionMismatchError, match="header"):
+                write_csv(path, (), rows)
+            assert not path.exists()
+
     def test_type_signature_changes_mid_block_and_at_block_boundary(self, tmp_path):
         # New cell types appear inside the first block and again exactly at
         # the first row of the second, so each block's template differs.
