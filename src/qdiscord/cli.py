@@ -40,6 +40,7 @@ from .metrology import (
 )
 from .states import (
     NoonChannelParams,
+    NoonProbe,
     load_density,
     load_matrix,
     noon_family,
@@ -153,8 +154,12 @@ def _cmd_qfi(args) -> int:
 
 
 def _cmd_negativity(args) -> int:
-    rho = _state_from_args(args)
-    print(f"negativity = {_fmt(negativity(rho))}")
+    # --noon reads the probe's closed form, the value fig4 prints, to n = 10**5.
+    if args.noon:
+        value = NoonProbe(_parse_noon(args.noon)).negativity()
+    else:
+        value = negativity(load_density(args.file))
+    print(f"negativity = {_fmt(value)}")
     return 0
 
 

@@ -27,7 +27,6 @@ from .errors import (
 from .linalg import (
     _haar_stack,
     _seeded_normals,
-    _split_eig,
     _splitmix64,
     as_count,
     as_matrix,
@@ -415,9 +414,9 @@ def local_quantum_uncertainty(rho) -> float:
 
 def _lqu_from_traces(t: np.ndarray) -> float:
     """Clamped Tr(sqrt(rho) sqrt(rho)) - lambda_max(W) from a qubit-A state's block traces T."""
-    # Complex, so W takes the same zheevd as every other Hermitian matrix here.
-    w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, t).real.astype(complex)
-    top = _split_eig(w, "correlation matrix").highest
+    # W is real symmetric; its top eigenvalue needs no eigenvectors.
+    w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, t).real
+    top = np.linalg.eigvalsh(w)[-1]
     val = float(np.einsum("abba->", t).real - top)
     return _clamp_uncertainty(val, "local quantum uncertainty")
 

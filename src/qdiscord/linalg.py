@@ -2,12 +2,14 @@
 
 All routines work on complex numpy arrays and are meant for the matrix
 sizes that show up in this package (products of subsystem dimensions up
-to a few dozen). The Hermiticity, positivity and square-root tolerances
-live here; each other tolerance sits with the one module that checks it.
+to a few dozen). Every Hermitian matrix is decomposed by one ``eigh`` of
+its Hermitian part (:func:`_eigh`), whatever its structure. The
+Hermiticity, positivity and square-root tolerances live here; each other
+tolerance sits with the one module that checks it.
 """
 
 from math import prod
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,100 +155,35 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h
 
 
-class SplitEig(NamedTuple):
-    """Eigendecomposition of the Hermitian part h of a matrix, in split form.
-
-    ``core`` lists the rows of h with a nonzero off-diagonal entry and
-    ``(w, v)`` is the ascending ``eigh`` of their principal submatrix. Each
-    other row, listed in ``rest``, is its own unit eigenvector with its
-    diagonal entry in ``d`` as eigenvalue.
-    """
-
-    core: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-    rest: np.ndarray
-    d: np.ndarray
-
-    @property
-    def lowest(self) -> float:
-        """Smallest eigenvalue (``w`` is ascending); +inf for the 0 x 0 matrix."""
-        return float(min(self.w[0] if self.w.size else np.inf, self.d.min(initial=np.inf)))
-
-    @property
-    def highest(self) -> float:
-        """Largest eigenvalue; -inf for the 0 x 0 matrix."""
-        return float(max(self.w[-1] if self.w.size else -np.inf, self.d.max(initial=-np.inf)))
-
-
-def _split_eig(m: np.ndarray, name: str = "matrix") -> SplitEig:
-    """Eigendecompose h = :func:`_hermitian_part` of a validated square
-    ``m``, running ``eigh`` only on the rows an exactly nonzero off-diagonal
-    entry of h couples.
-
-    ``m`` is not checked. When every row is coupled the core block is a copy
-    of h and the call is bitwise ``np.linalg.eigh(h)``; when none is,
-    ``eigh`` is not called.
-    Convergence failures raise :class:`EigensolverError`.
-    """
-    h = _hermitian_part(m)
-    # A row is coupled when it has a nonzero entry off the diagonal.
-    off = h != 0
-    off.reshape(-1)[::len(h) + 1] = False
-    coupled = off.any(axis=1)
-    core, rest = coupled.nonzero()[0], (~coupled).nonzero()[0]
-    block = h[core[:, None], core]
+def _eigh(m: np.ndarray, name: str = "matrix") -> tuple:
+    """(w, v), w ascending and column v[:, j] for w[j]: the one ``np.linalg.eigh``
+    of every Hermitian matrix here, taken of :func:`_hermitian_part` of a square
+    ``m``, which is not checked. Convergence failures raise :class:`EigensolverError`."""
     try:
-        w, v = np.linalg.eigh(block) if core.size else (np.zeros(0), block)
+        return np.linalg.eigh(_hermitian_part(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise EigensolverError(f"eigendecomposition of {name} failed: {exc}") from exc
-    return SplitEig(core, w, v, rest, h.real[rest, rest])
 
 
 def hermitian_eig(m, name: str = "matrix") -> tuple:
-    """(w, v) of a Hermitian matrix: w ascending, column v[:, j] for w[j].
-
-    Checks Hermiticity to the package tolerance and decomposes the Hermitian
-    part (m + m^dagger) / 2 through :func:`_split_eig`, bitwise its ``eigh``
-    when every row is coupled; convergence failures raise
-    :class:`EigensolverError`.
-    """
-    eig = _split_eig(require_hermitian(m, name=name), name)
-    k, n = eig.core.size, eig.core.size + eig.rest.size
-    values = np.concatenate([eig.w, eig.d])
-    vectors = np.zeros((n, n), dtype=eig.v.dtype)
-    vectors[eig.core[:, None], np.arange(k)] = eig.v
-    vectors[eig.rest, np.arange(k, n)] = 1.0
-    order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order]
+    """(w, v) of a Hermitian matrix, w ascending, column v[:, j] for w[j]:
+    :func:`_eigh` of (m + m^dagger) / 2 once Hermiticity passes the package tolerance."""
+    return _eigh(require_hermitian(m, name=name), name)
 
 
-def _psd_root(eig: SplitEig, name: str) -> np.ndarray:
-    """V sqrt(W) V^dagger from a split eigendecomposition, clamping roundoff.
+def _psd_root(w: np.ndarray, v: np.ndarray, name: str) -> np.ndarray:
+    """V sqrt(W) V^dagger from an ascending eigendecomposition (w, v), which it
+    does not write to; an empty spectrum gives the 0 x 0 root.
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; a value below -PSD_TOL
-    raises :class:`NotPSDError`. Tiny positive eigenvalues of the core below
+    raises :class:`NotPSDError`. Tiny positive eigenvalues below
     ``ZERO_EIGENVALUE_CUTOFF`` relative to the largest one are also clamped,
-    see the constant's note; the split-off diagonal ``d`` holds exact matrix
-    entries, not eigensolver output, and keeps them. Both bounds are taken
-    over the whole spectrum; the clamps write into ``eig``. The root is
-    built block by block: sqrt(d) on the split-off diagonal and
-    V sqrt(W) V^dagger on the core.
-    An empty spectrum gives the 0 x 0 root.
+    see the constant's note.
     """
-    lo = eig.lowest
-    if lo < -PSD_TOL:
-        raise NotPSDError(
-            f"{name} is not positive semidefinite: min eigenvalue {lo:.3e}"
-        )
-    cut = ZERO_EIGENVALUE_CUTOFF * max(eig.highest, 0.0)
-    eig.w[eig.w < cut] = 0.0
-    eig.d[eig.d < 0.0] = 0.0
-    n = eig.core.size + eig.rest.size
-    root = np.zeros((n, n), dtype=complex)
-    root[eig.rest, eig.rest] = np.sqrt(eig.d)
-    root[eig.core[:, None], eig.core] = (eig.v * np.sqrt(eig.w)) @ eig.v.conj().T
-    return root
+    if (lo := w.min(initial=np.inf)) < -PSD_TOL:
+        raise NotPSDError(f"{name} is not positive semidefinite: min eigenvalue {lo:.3e}")
+    kept = np.where(w < ZERO_EIGENVALUE_CUTOFF * w.max(initial=0.0), 0.0, w)
+    return (v * np.sqrt(kept)) @ v.conj().T
 
 
 def psd_sqrt(m, name: str = "matrix") -> np.ndarray:
@@ -254,11 +191,11 @@ def psd_sqrt(m, name: str = "matrix") -> np.ndarray:
     :func:`_psd_root`; S @ S = m to RECONSTRUCT_TOL in relative Frobenius
     norm. A DensityMatrix carries its own root as ``sqrt``.
 
-    The root is taken of the Hermitian part (m + m^dagger) / 2, the matrix
-    DensityMatrix validates, not of the one triangle ``eigh`` reads; for
-    exactly Hermitian ``m`` the two are bitwise equal."""
-    arr = require_hermitian(m, name=name)
-    return _psd_root(_split_eig(arr, name), name)
+    The root is that of :func:`hermitian_eig`, so of the Hermitian part
+    (m + m^dagger) / 2, the matrix DensityMatrix validates, not of the one
+    triangle ``eigh`` reads; for exactly Hermitian ``m`` the two are bitwise
+    equal."""
+    return _psd_root(*hermitian_eig(m, name), name)
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

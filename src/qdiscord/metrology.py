@@ -16,7 +16,7 @@ import numpy as np
 
 from .discord import _clamp_uncertainty, _lqu_from_traces
 from .errors import DimensionMismatchError, InvalidInputError
-from .linalg import _partial_transpose, _split_eig, as_real, as_reals
+from .linalg import _eigh, _partial_transpose, as_real, as_reals
 from .states import (
     DensityMatrix,
     NoonChannelParams,
@@ -131,13 +131,14 @@ def negativity(rho: DensityMatrix) -> float:
     """Entanglement negativity, (||rho^(T_A)||_1 - Tr rho) / 2; rho^(T_B) = rho^(T_A)^T.
 
     The trace norm is the sum of |eigenvalue| of the Hermitian part of the
-    partial transpose, which :func:`_split_eig` takes on its coupled rows
-    only. The state's own trace, not 1, so a trace within TRACE_TOL of 1
-    never pushes the value below zero: ||X||_1 >= |Tr X| for Hermitian X.
+    partial transpose, from one dense :func:`_eigh`; :meth:`NoonProbe.negativity`
+    gives the lossy probe's in closed form. The state's own trace, not 1, so a
+    trace within TRACE_TOL of 1 never pushes the value below zero:
+    ||X||_1 >= |Tr X| for Hermitian X.
     """
     rho = _require(rho, DensityMatrix)
-    eig = _split_eig(_partial_transpose(rho.matrix, rho.dim_a, rho.dim_b), "partial transpose")
-    norm = np.abs(eig.w).sum() + np.abs(eig.d).sum()
+    w, _ = _eigh(_partial_transpose(rho.matrix, rho.dim_a, rho.dim_b), "partial transpose")
+    norm = np.abs(w).sum()
     val = 0.5 * (norm - rho.matrix.trace().real)
     return _clamp_uncertainty(val, "negativity")
 

@@ -17,9 +17,8 @@ from .errors import DimensionMismatchError, InvalidInputError
 from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
-    SplitEig,
+    _eigh,
     _psd_root,
-    _split_eig,
     as_2d,
     as_count,
     as_matrix,
@@ -136,7 +135,9 @@ def schmidt_decompose(state: PureBipartiteState) -> tuple:
 
 @dataclass(frozen=True)
 class StateReport:
-    """Validation findings for a candidate density matrix."""
+    """Validation findings for a candidate density matrix; ``eig`` is the
+    ascending (w, v) of its Hermitian part (m + m^dagger) / 2 from
+    :func:`_eigh`, which :class:`DensityMatrix` roots."""
 
     dim_a: int
     dim_b: int
@@ -144,7 +145,7 @@ class StateReport:
     trace: float
     min_eigenvalue: float
     violations: tuple = ()
-    split: SplitEig = field(default=None, repr=False, compare=False)  # of (m + m^dagger) / 2
+    eig: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -180,11 +181,11 @@ def validation_report(matrix, dim_a: int, dim_b: int) -> StateReport:
     report so a caller can show all of them at once.
     """
     m, dim_a, dim_b, dev, tr, violations = _check_state(matrix, dim_a, dim_b)
-    split = _split_eig(m, "density matrix")
-    lo = split.lowest
+    eig = _eigh(m, "density matrix")
+    lo = float(eig[0][0])
     if lo < -PSD_TOL:
         violations.append(f"PSD violated: min eigenvalue {lo:.12g}")
-    return StateReport(dim_a, dim_b, dev, tr, lo, tuple(violations), split)
+    return StateReport(dim_a, dim_b, dev, tr, lo, tuple(violations), eig)
 
 
 @dataclass(frozen=True)
@@ -194,9 +195,11 @@ class DensityMatrix:
     Construction rejects anything that is not Hermitian, unit trace, and
     positive semidefinite (eigenvalues in [-PSD_TOL, 0) are accepted as
     roundoff). ``matrix`` is stored as given; ``sqrt`` is the principal
-    root of its Hermitian part, built from the one eigendecomposition the
-    positivity check made, so every measure of the state reads the root
-    that check accepted. Both arrays are read-only.
+    root of its Hermitian part, built from the one ``eigh`` the positivity
+    check made, so every measure of the state reads the root that check
+    accepted. The rule is the same for every matrix: a row with no
+    off-diagonal entry gets eigh's eigenvalue and cut, like any other row.
+    Both arrays are read-only.
 
     :meth:`from_pure` and :func:`noon_lossy_density` know the exact root S
     in closed form and make no eigendecomposition: they run the same shape,
@@ -218,7 +221,7 @@ class DensityMatrix:
         object.__setattr__(self, "dim_a", report.dim_a)
         object.__setattr__(self, "dim_b", report.dim_b)
         object.__setattr__(self, "matrix", _readonly(self.matrix))
-        root = _psd_root(report.split, "density matrix")
+        root = _psd_root(*report.eig, "density matrix")
         root.setflags(write=False)
         object.__setattr__(self, "sqrt", root)
 

@@ -17,6 +17,7 @@ import numpy as np
 import qdiscord as qd
 from qdiscord.cli import main
 from qdiscord.discord import _block_traces, _clamp_uncertainty
+from qdiscord.linalg import ZERO_EIGENVALUE_CUTOFF
 
 
 def random_density_array(dim, rng, rank=None):
@@ -240,6 +241,27 @@ def loop_lossy_density(params):
     return rho
 
 
+def split_psd_sqrt(m):
+    """Square root of a PSD Hermitian array that runs eigh on the rows an
+    off-diagonal entry couples only, and takes the exact sqrt of each other
+    row's diagonal entry. The 64 eps cut, relative to the largest eigenvalue,
+    applies to the coupled rows. A reference for roots known in closed form,
+    whose isolated rows keep their entries however small."""
+    m = np.asarray(m, dtype=complex)
+    off = m != 0
+    np.fill_diagonal(off, False)
+    coupled = off.any(axis=1)
+    core, rest = coupled.nonzero()[0], (~coupled).nonzero()[0]
+    w, v = np.linalg.eigh(m[np.ix_(core, core)])
+    d = m.real[rest, rest]
+    top = max(w.max(initial=0.0), d.max(initial=0.0))
+    w = np.where(w < ZERO_EIGENVALUE_CUTOFF * top, 0.0, w)
+    root = np.zeros(m.shape, dtype=complex)
+    root[rest, rest] = np.sqrt(np.clip(d, 0.0, None))
+    root[np.ix_(core, core)] = (v * np.sqrt(w)) @ v.conj().T
+    return root
+
+
 def loop_eigenvalues(params):
     """Coherent eigenvalue (1 + T^n)/2 and the n loss weights, descending,
     one weight per loop pass."""
@@ -339,8 +361,8 @@ def outputs_under_core_types(script):
 
 
 #: CLI runs whose CSVs are hashed, without --out: fig1 and fig2 at the
-#: sizes CI reruns, fig4 at N = 10 and at N = 50 (the probe's widest split:
-#: a 2 x 2 core in a 102 x 102 state), and the qfi grid.
+#: sizes CI reruns, fig4 at N = 10 and at N = 50 (a 2 x 2 coherent core
+#: in a 102 x 102 state), and the qfi grid.
 PIPELINES = {
     "fig1": ["fig1", "--dimA", "3", "--s1", "0.1,0.3", "--s2", "0.2", "--samples", "2000"],
     "fig2": ["fig2", "--spectrum", "2,4,1", "--resolution", "200"],

@@ -294,6 +294,13 @@ class TestNegativityCommand:
         assert code == 0
         assert value_after(out, "negativity = ") == pytest.approx(0.5, abs=1e-12)
 
+    def test_noon_runs_past_the_dense_limit(self, capsys):
+        # C(1030, 515) overflows a double, so no dense state exists here. With
+        # w_0 = 2^-1031 far below |c| = 2^-515, the value is |c| / 2 = 2^-516.
+        code, out, err = invoke(capsys, "negativity", "--noon", "N=1030", "t2=0.5")
+        assert code == 0 and err == ""
+        assert value_after(out, "negativity = ") == pytest.approx(0.5 ** 516, rel=1e-11)
+
 
 class TestFigureCommands:
     def test_fig1(self, capsys, tmp_path):

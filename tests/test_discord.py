@@ -484,21 +484,21 @@ class TestQubitClosedForms:
             assert 0.0 <= lqu <= 1.0 + 1e-12
 
     def test_one_state_size_eigendecomposition(self, monkeypatch):
-        # A dense state's positivity check and every root read one eigh, of
-        # the rows an off-diagonal entry couples (every row here). The lossy
-        # probe is validated against its exact root and its LQU matrix is
-        # diagonal, so neither makes any eigh.
+        # A dense state's positivity check and its root read one eigh of the
+        # whole state. The lossy probe is validated against its exact root, so
+        # it makes no eigh. Either LQU then reads one 3 x 3 eigvalsh.
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append("eigvalsh"))
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(("eigh", m.shape)) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(("eigvalsh", m.shape)) or eigvalsh(m))
         params = qd.NoonChannelParams.from_transmittance(4, 0.6)
         qd.local_quantum_uncertainty(qd.noon_lossy_density(params))
-        assert calls == []
+        assert calls == [("eigvalsh", (3, 3))]
+        calls.clear()
         dense = random_state(2, 3, np.random.default_rng(48))
         qd.local_quantum_uncertainty(dense)
-        assert "eigvalsh" not in calls
-        assert calls.count((dense.dim, dense.dim)) == 1
+        assert calls == [("eigh", (dense.dim, dense.dim)), ("eigvalsh", (3, 3))]
 
     def test_requires_qubit_side(self):
         rng = np.random.default_rng(49)

@@ -284,9 +284,10 @@ class TestWriteQfi:
 
 #: SHA-256 of each helpers.PIPELINES CSV, keyed by the numpy version it was
 #: recorded on (x86-64 with AVX-512, OpenBLAS 0.3.31). No BLAS or LAPACK
-#: call reaches fig1's, fig2's or fig4's bytes (fig4 runs from the probe's
-#: block form); qfi takes its oracle's dense states and fidelity through
-#: LAPACK, with one hash under every core type tried.
+#: call reaches fig1's or fig2's bytes; fig4 runs from the probe's block
+#: form, whose one LAPACK call, the eigvalsh of a diagonal 3 x 3 matrix,
+#: returns its entries; qfi takes its oracle's dense states and fidelity
+#: through LAPACK. Each has one hash under every core type tried.
 #: numpy's own loops (log1p, cos, sin, einsum) may round differently in
 #: another version.
 PIPELINE_SHA256 = {
@@ -305,10 +306,9 @@ class TestPipelineBytes:
                         reason="no DYNAMIC_ARCH OpenBLAS with two core types this CPU runs")
     def test_one_hash_under_every_blas_core_type(self):
         # The draw, the block traces, the Q/U kernel and a pure state's root
-        # make no BLAS call. What still goes through LAPACK (validation, the
-        # probe's 2 x 2 core root, the negativity and the fidelity; the
-        # probe's LQU matrix is diagonal, so no eigh) gives the same bits
-        # under every kernel here.
+        # make no BLAS call. What still goes through BLAS or LAPACK (the exact
+        # roots' checks, the oracle's fidelity and the eigvalsh of the probe's
+        # diagonal LQU matrix) gives the same bits under every kernel here.
         script = "import json\nfrom helpers import pipeline_hashes\nprint(json.dumps(pipeline_hashes()))\n"
         assert len(outputs_under_core_types(script)) == 1
 

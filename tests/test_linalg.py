@@ -16,8 +16,8 @@ from qdiscord.linalg import (
     ZERO_EIGENVALUE_CUTOFF,
     _haar_stack,
     _hermitian_part,
+    _eigh,
     _seeded_normals,
-    _split_eig,
     _splitmix64,
     as_2d,
     as_count,
@@ -85,6 +85,8 @@ def block_hermitian(sizes, rng):
 
 
 class TestSplitEig:
+    """Hermitian matrices of any block structure, each decomposed whole by one eigh."""
+
     def check_decomposition(self, m):
         w, v = qd.hermitian_eig(m)
         scale = max(np.linalg.norm(m), 1.0)
@@ -99,32 +101,21 @@ class TestSplitEig:
             for _ in range(5):
                 self.check_decomposition(block_hermitian(sizes, rng))
 
-    def test_only_coupled_rows_reach_eigh(self):
-        rng = np.random.default_rng(102)
-        m = block_hermitian((2, 1, 3, 1), rng)
-        split = _split_eig(m)
-        rows = np.sort(np.concatenate([split.core, split.rest]))
-        assert np.array_equal(rows, np.arange(7))
-        assert split.core.size == 5 and split.w.shape == (5,)
-        assert np.array_equal(split.d, np.diag(m).real[split.rest])
-
     def test_tiny_coupling_stays_in_core(self):
         m = np.diag([0.3, 0.5, 0.2]).astype(complex)
         m[0, 2] = m[2, 0] = 1e-300
-        split = _split_eig(m)
-        assert split.core.tolist() == [0, 2] and split.rest.tolist() == [1]
         self.check_decomposition(m)
 
     def test_splits_the_hermitian_part_of_an_accepted_matrix(self):
-        # Hermitian to HERMITICITY_TOL, not exactly: the split is that of
-        # the Hermitian part, bit for bit, not of the lower triangle.
+        # Hermitian to HERMITICITY_TOL, not exactly: the decomposition is
+        # that of the Hermitian part, bit for bit, not of the lower triangle.
         m = np.array([[0.5, 0.5 + 4.1e-11], [0.5 + 1.39e-10, 0.5]], dtype=complex)
         require_hermitian(m)
-        got, want = _split_eig(m), _split_eig(_hermitian_part(m))
+        got, want = _eigh(m), np.linalg.eigh(_hermitian_part(m))
         assert not np.array_equal(m, _hermitian_part(m))
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert got.w.tobytes() != np.linalg.eigvalsh(m).tobytes()
+        assert got[0].tobytes() != np.linalg.eigh(m)[0].tobytes()
 
     def test_zero_matrix(self):
         w, v = qd.hermitian_eig(np.zeros((4, 4)))
@@ -138,20 +129,30 @@ class TestSplitEig:
         assert w.shape == (0,) and v.shape == (0, 0)
 
     def test_dense_state_is_bitwise_one_eigh(self):
-        # With every row coupled, the report's split, hermitian_eig and the
-        # root are bitwise those of one eigh of the Hermitian part.
+        # Whatever the structure (every row coupled, blocks with isolated
+        # rows, a diagonal state), the report's eig, hermitian_eig, the
+        # minimum eigenvalue and the root are bitwise those of one eigh of
+        # the Hermitian part.
         rng = np.random.default_rng(103)
-        for dim_a, dim_b, rank in ((2, 2, None), (2, 3, 2), (3, 4, None), (3, 16, 16)):
-            m = random_density_array(dim_a * dim_b, rng, rank)
+        cases = [(random_density_array(a * b, rng, rank), a, b)
+                 for a, b, rank in ((2, 2, None), (2, 3, 2), (3, 4, None), (3, 16, 16))]
+        for sizes in ((2, 1, 3), (1, 4, 1, 1, 2), (5, 1)):
+            g = block_hermitian(sizes, rng)
+            m = g @ g.conj().T  # PSD, with the blocks and isolated rows of g
+            cases.append((m / np.trace(m).real, 1, sum(sizes)))
+        cases.append((np.diag([1.0 - 1e-20, 1e-20, 0.0, 0.0]).astype(complex), 2, 2))
+        for m, dim_a, dim_b in cases:
             w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
             kept = np.where(w < ZERO_EIGENVALUE_CUTOFF * max(w.max(), 0.0), 0.0, w)
             root = (v * np.sqrt(kept)) @ v.conj().T
             report = qd.validation_report(m, dim_a, dim_b)
-            assert report.split.w.tobytes() == w.tobytes()
-            assert report.split.v.tobytes() == v.tobytes()
+            assert [a.tobytes() for a in report.eig] == [w.tobytes(), v.tobytes()]
+            assert report.min_eigenvalue == w[0]
             assert [a.tobytes() for a in qd.hermitian_eig(m)] == [w.tobytes(), v.tobytes()]
             assert qd.DensityMatrix(m, dim_a, dim_b).sqrt.tobytes() == root.tobytes()
             assert qd.psd_sqrt(m).tobytes() == root.tobytes()
+        # An isolated row gets eigh's eigenvalue and the 64 eps cut, not its entry.
+        assert qd.DensityMatrix(np.diag([1.0 - 1e-20, 1e-20]), 2, 1).sqrt[1, 1] == 0.0
 
 
 class TestPsdSqrt:
