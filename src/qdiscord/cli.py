@@ -154,7 +154,7 @@ def _cmd_qfi(args) -> int:
 
 
 def _cmd_negativity(args) -> int:
-    # --noon reads the probe's closed form, the value fig4 prints, to n = 10**5.
+    # --noon reads the probe's closed form, the value fig4 prints, to n = PROBE_MAX_N.
     if args.noon:
         value = NoonProbe(_parse_noon(args.noon)).negativity()
     else:

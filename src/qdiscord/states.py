@@ -9,7 +9,7 @@ The density-matrix JSON interchange format is
 import cmath
 import json
 from dataclasses import dataclass, field, replace
-from math import comb, hypot, isfinite, lgamma, log, sqrt
+from math import comb, hypot, isfinite, sqrt
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .linalg import (
 #: Absolute tolerance on trace(rho) = 1 and on unit norm of pure states.
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
+
+#: NoonProbe's photon-number limit, TRACE_TOL / eps: see its docstring.
+PROBE_MAX_N = int(TRACE_TOL / np.finfo(float).eps)
 
 #: Schmidt weights in [-WEIGHT_NEGATIVE_TOL, 0) are roundoff and clipped to
 #: zero; the weights must sum to 1 within WEIGHT_SUM_TOL.
@@ -289,7 +292,7 @@ class NoonChannelParams:
         t, r, phi = as_number(self.t, "t"), as_number(self.r, "r"), as_real(self.phi, "phi")
         if not (cmath.isfinite(t) and cmath.isfinite(r) and isfinite(phi)):
             raise InvalidInputError(f"t, r and phi must be finite, got {t}, {r}, {phi}")
-        # n * phi is the coherent branch's phase; an n beyond a double fails _loss_weights
+        # n * phi is the coherent branch's phase; an n beyond a double fails every n limit
         if self.n < 2**1023 and not isfinite(self.n * phi):
             raise InvalidInputError(f"n * phi must be finite, got {self.n} * {phi}")
         total = abs(t) ** 2 + abs(r) ** 2
@@ -314,24 +317,18 @@ class NoonChannelParams:
         return abs(self.t) ** 2
 
 
-def _loss_weights(params: NoonChannelParams, dense: bool = True) -> np.ndarray:
-    """Half-weights 0.5 C(n, k) T^k (1 - T)^(n - k) of k = 0..n photons surviving
-    the lossy arm, C(n, k) exact below n = 1030, where C(n, n/2) overflows a
-    double. Past that a ``dense`` state raises, before any matrix is allocated;
-    the block form takes C(n, k) from lgamma, whose roundoff moves the sum by up
-    to 6e-12 at n = 10**4 and 7e-11 at 10**5 (measured), near TRACE_TOL."""
-    n = params.n
-    tt, rr = abs(params.t) ** 2, abs(params.r) ** 2
-    if n < 1030:
-        return np.array([0.5 * float(comb(n, k)) * tt ** k * rr ** (n - k) for k in range(n + 1)])
-    if dense or n > 10**5:
-        raise InvalidInputError(f"photon number {n} is too large: C(n, k) overflows a double"
-                                + ("" if dense else " and lgamma's roundoff nears TRACE_TOL"))
-    k = np.arange(n + 1)
-    if tt * rr == 0.0:  # T = 0 or 1: the one nonzero weight has C(n, k) = 1
-        return 0.5 * tt ** k * rr ** (n - k)
-    lg = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)  # log k!, k = 0..n
-    return 0.5 * np.exp(lg[n] - lg - lg[::-1] + k * log(tt) + (n - k) * log(rr))
+def _loss_weights(params: NoonChannelParams) -> np.ndarray:
+    """Half-weights 0.5 C(n, k) T^k (1 - T)^(n - k) of k = 0..n photons surviving the lossy
+    arm, C(n, k) exact; from n = 1030 on, where C(n, n/2) overflows a double, this raises."""
+    n, tt, rr = params.n, abs(params.t) ** 2, abs(params.r) ** 2
+    if n >= 1030:
+        raise InvalidInputError(f"photon number {n} is too large: C(n, k) overflows a double")
+    return np.array([0.5 * float(comb(n, k)) * tt ** k * rr ** (n - k) for k in range(n + 1)])
+
+
+def _coherence(params: NoonChannelParams) -> complex:
+    """c = t^n e^(i n phi), the coherent branch's amplitude on |0>_A |n>_B."""
+    return (params.t ** params.n) * np.exp(1j * params.n * params.phi)
 
 
 def _coherent_branch(params: NoonChannelParams) -> np.ndarray:
@@ -340,7 +337,7 @@ def _coherent_branch(params: NoonChannelParams) -> np.ndarray:
     n = params.n
     v = np.zeros(2 * (n + 1), dtype=complex)
     v[n + 1] = 1.0
-    v[n] = (params.t ** n) * np.exp(1j * n * params.phi)
+    v[n] = _coherence(params)
     return v
 
 
@@ -407,45 +404,60 @@ def noon_eigenvalues(params: NoonChannelParams) -> np.ndarray:
     return np.sort(weights)[::-1]
 
 
+def _probe_weights(params: NoonChannelParams) -> tuple:
+    """(w_0, sum_{k<n} w_k) of :func:`_loss_weights`: |r|^2n / 2 and ((|t|^2 + |r|^2)^n - T^n) / 2.
+    |t|^2 + |r|^2 is kept as s + e, its rounded sum and that sum's exact error (Fast2Sum):
+    (s + e)^n = s^n (1 + n e / s) to roundoff, where s^n alone can be n eps / 2 off the binomial sum."""
+    n, tt, rr = params.n, abs(params.t) ** 2, abs(params.r) ** 2
+    s = tt + rr
+    e = (tt - s) + rr if tt >= rr else (rr - s) + tt
+    return 0.5 * rr ** n, 0.5 * (s ** n * (1.0 + n * e / s) - tt ** n)
+
+
 @dataclass(frozen=True)
 class NoonProbe:
-    """The state :func:`noon_lossy_density` builds, in block form, to n = 10**5:
-    ``weights`` w_k on rows |0>_A |k>_B, k < n, and the core (1/2) [[|c|^2, c],
-    [c*, 1]] on rows n, n + 1, c = t^n e^(i n phi) (``coherence``). A weight
-    below 0 or a ``trace`` off 1 by over TRACE_TOL raises InvalidInputError."""
+    """The state :func:`noon_lossy_density` builds, in block form and with no array:
+    ``w0`` and ``loss_total``, w_0 and the sum of the w_k on rows |0>_A |k>_B, k < n
+    (:func:`_probe_weights`), and the core (1/2) [[|c|^2, c], [c*, 1]] on rows n, n + 1,
+    c = t^n e^(i n phi) (``coherence``). A weight below 0 or a ``trace`` off 1 by over
+    TRACE_TOL raises InvalidInputError, as does n > PROBE_MAX_N = TRACE_TOL / eps, before any
+    power: |t|^2 + |r|^2 is off 1 by up to eps (measured), so its n-th power moves the trace
+    by up to n eps / 2, which is TRACE_TOL / 2 at that limit."""
 
     params: NoonChannelParams
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    w0: float = field(init=False, repr=False, compare=False)
+    loss_total: float = field(init=False, repr=False, compare=False)
     coherence: complex = field(init=False, repr=False, compare=False)
     trace: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = _require(self.params, NoonChannelParams)
-        w, c = _loss_weights(p, dense=False)[:p.n], complex(_coherent_branch(p)[p.n])
-        trace = float(w.sum()) + 0.5 * abs(c) ** 2 + 0.5
-        if not w.min() >= 0.0 or abs(trace - 1.0) > TRACE_TOL:
-            raise InvalidInputError(f"not a state: min weight {w.min():.12g}, trace {trace:.12g}")
-        w.setflags(write=False)
-        for name, value in (("weights", w), ("coherence", c), ("trace", trace)):
+        if p.n > PROBE_MAX_N:
+            raise InvalidInputError(f"photon number {p.n} is too large: past TRACE_TOL / eps = "
+                                    f"{PROBE_MAX_N}, (|t|^2 + |r|^2)^n can move the trace by TRACE_TOL / 2")
+        (w0, loss), c = _probe_weights(p), complex(_coherence(p))
+        trace = loss + 0.5 * abs(c) ** 2 + 0.5
+        if not min(w0, loss) >= 0.0 or abs(trace - 1.0) > TRACE_TOL:
+            raise InvalidInputError(f"not a state: min weight {min(w0, loss):.12g}, trace {trace:.12g}")
+        for name, value in (("w0", w0), ("loss_total", loss), ("coherence", c), ("trace", trace)):
             object.__setattr__(self, name, value)
 
     def block_traces(self) -> np.ndarray:
-        """:func:`discord._block_traces` in O(n), from the exact root diag(sqrt(w_k))
+        """:func:`discord._block_traces` in O(1), from the exact root diag(sqrt(w_k))
         + [[|c|^2, c], [c*, 1]] / s, s^2 = 2 (1 + |c|^2), whose blocks S_00 =
         diag(sqrt(w_k), |c|^2 / s), S_11 = E_00 / s, S_01 = c E_n0 / s = S_10^dagger."""
         x = abs(self.coherence) ** 2
         s2 = 2.0 * (1.0 + x)
         t = np.zeros((2, 2, 2, 2))
-        t[0, 0, 0, 0], t[1, 1, 1, 1] = self.weights.sum() + x * x / s2, 1.0 / s2
-        t[0, 0, 1, 1] = t[1, 1, 0, 0] = sqrt(self.weights[0] / s2)
+        t[0, 0, 0, 0], t[1, 1, 1, 1] = self.loss_total + x * x / s2, 1.0 / s2
+        t[0, 0, 1, 1] = t[1, 1, 0, 0] = sqrt(self.w0 / s2)
         t[0, 1, 1, 0] = t[1, 0, 0, 1] = x / s2
         return t
 
     def negativity(self) -> float:
         """(||rho^(T_A)||_1 - Tr rho) / 2 = (hypot(w_0, |c|) - w_0) / 2, minus the lower
         eigenvalue of [[w_0, c*/2], [c/2, 0]] on rows 0, 2n + 1; the rest is diagonal, >= 0."""
-        w0 = float(self.weights[0])
-        return 0.5 * (hypot(w0, abs(self.coherence)) - w0)
+        return 0.5 * (hypot(self.w0, abs(self.coherence)) - self.w0)
 
 
 # ---------------------------------------------------------------------------

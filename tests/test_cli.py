@@ -301,6 +301,11 @@ class TestNegativityCommand:
         assert code == 0 and err == ""
         assert value_after(out, "negativity = ") == pytest.approx(0.5 ** 516, rel=1e-11)
 
+    def test_noon_past_the_probe_limit_is_invalid_input(self, capsys):
+        code, out, err = invoke(capsys, "negativity", "--noon", "N=1000000000", "t2=0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: photon number 1000000000 is too large: past TRACE_TOL / eps")
+
 
 class TestFigureCommands:
     def test_fig1(self, capsys, tmp_path):
@@ -349,6 +354,13 @@ class TestFigureCommands:
         )
         assert code == 0
         assert value_after(out, "slope F vs DG = ") == pytest.approx(9.0, abs=1e-6)
+
+    def test_fig4_past_the_probe_limit_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "fig4.csv"
+        code, out, err = invoke(capsys, "fig4", "--N", "1000000000", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: photon number 1000000000 is too large: past TRACE_TOL / eps")
+        assert not path.exists()
 
     def test_fig4_negative_grid_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "fig4.csv"

@@ -294,9 +294,9 @@ PIPELINE_SHA256 = {
     "2.4.6": {
         "fig1": "65d1b4051bef897424e29b9cfa967cfa6b2e04335399e54e6050ef74ec0b5734",
         "fig2": "5429c4dde320f34fcc9b13320d53384eab6ac3b7a6067f0fe0b14310a9be1912",
-        "fig4": "d284f0e3126d0ee85548cf2df1ef3ea98a1e204715f0d4d94e6edae32f98bc55",
-        "fig4_n50": "3727ca41262b8694e0e8da62e8a465ceac99af93411cdc7a94a0f99ba731dabe",
-        "qfi": "3b5674f792366f8f182fb2b20016a1efaf26a33aa45c17dafb9c69c9d3fa076b",
+        "fig4": "ae6a976e27529f248e97e74ffb8871e80c0a5c86aa92aa4f6e9c167e447fef8b",
+        "fig4_n50": "7b4e1b8b3ddc837ab6e26bbe92b379d02c31cbc7c3dabe9ffc8c39aeb023aaf4",
+        "qfi": "7bf1f763487eebccfc267041054415cfc59cffb1e5805877394ededf752de547",
     },
 }
 

@@ -305,20 +305,46 @@ class TestNoonProbe:
             qd.noon_lossy_density(params)
         probe = qd.NoonProbe(params)
         assert abs(probe.trace - 1.0) <= 1e-12
-        assert probe.weights.shape == (1030,)
+        # w_0 = |r|^2060 / 2 is subnormal but kept; the loss rows hold the rest of 1/2
+        assert probe.w0 == 0.5 * (abs(params.r) ** 2) ** 1030 > 0.0
+        assert abs(probe.loss_total - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 200, 1029])
+    def test_closed_forms_match_the_dense_weights(self, n):
+        for t2 in (0.0, 0.1, 0.3, 0.36, 0.5, 0.7, 0.9, 0.99, 1.0):
+            params = qd.NoonChannelParams.from_transmittance(n, t2)
+            probe, weights = qd.NoonProbe(params), qd.states._loss_weights(params)
+            assert probe.w0 == weights[0], t2
+            assert abs(probe.loss_total - weights[:n].sum()) <= 1e-15, t2
+
+    def test_holds_at_its_limit(self):
+        limit = qd.states.PROBE_MAX_N
+        assert limit == 450359  # TRACE_TOL / eps
+        for phi in (0.0, 0.7):
+            for t2 in np.linspace(0.0, 1.0, 101):
+                probe = qd.NoonProbe(qd.NoonChannelParams.from_transmittance(limit, t2, phi))
+                assert abs(probe.trace - 1.0) <= qd.states.TRACE_TOL, t2
 
     def test_rejects_photon_numbers_past_its_own_limit(self):
-        params = qd.NoonChannelParams.from_transmittance(10**5 + 1, 0.5)
-        with pytest.raises(InvalidInputError, match="lgamma.s roundoff nears TRACE_TOL"):
+        params = qd.NoonChannelParams.from_transmittance(qd.states.PROBE_MAX_N + 1, 0.5)
+        with pytest.raises(InvalidInputError, match=r"photon number 450360 is too large: past TRACE_TOL / eps = 450359"):
+            qd.NoonProbe(params)
+
+    @pytest.mark.parametrize("n", [10**9, 10**20, 2**1100], ids=["1e9", "1e20", "2^1100"])
+    def test_rejects_photon_numbers_far_past_its_limit(self, n):
+        # raised before any power: 10**9 would fail the trace check, and the
+        # other two would raise OverflowError from a float power of n
+        params = qd.NoonChannelParams.from_transmittance(n, 0.5)
+        with pytest.raises(InvalidInputError, match=f"photon number {n} is too large: past TRACE_TOL / eps"):
             qd.NoonProbe(params)
 
     @pytest.mark.parametrize("change, message", [
-        (lambda w: w * (1.0 + 1e-9), "trace 1.0000000005"),
-        (lambda w: w * np.where(np.arange(w.size) == 1, -1.0, 1.0), "min weight -"),
+        (lambda w: tuple(x * (1.0 + 1e-9) for x in w), "trace 1.0000000005"),
+        (lambda w: (w[0], -w[1]), "min weight -"),
     ], ids=["trace", "negative-weight"])
     def test_checks_its_weights(self, monkeypatch, change, message):
-        loss_weights = qd.states._loss_weights
-        monkeypatch.setattr(qd.states, "_loss_weights", lambda *args, **kw: change(loss_weights(*args, **kw)))
+        probe_weights = qd.states._probe_weights
+        monkeypatch.setattr(qd.states, "_probe_weights", lambda params: change(probe_weights(params)))
         with pytest.raises(InvalidInputError, match=message):
             qd.NoonProbe(qd.NoonChannelParams.from_transmittance(10, 0.5))
 
