@@ -44,15 +44,10 @@ from .states import (
     load_density,
     load_matrix,
     noon_family,
-    noon_lossy_density,
     validation_report,
 )
 from .tables import format_number
 from .version import __version__
-
-
-def _fmt(x) -> str:
-    return format_number(float(x))
 
 
 def _parse_noon(tokens, sweep: bool = False) -> NoonChannelParams:
@@ -97,27 +92,22 @@ def _parse_spectrum(text):
     return MeasurementSpectrum(_parse_float_list(text)) if text else None
 
 
-def _state_from_args(args):
-    if getattr(args, "noon", None):
-        return noon_lossy_density(_parse_noon(args.noon))
-    return load_density(args.file)
-
-
 def _cmd_discord(args) -> int:
-    rho = _state_from_args(args)
+    # --noon reads the probe's block traces, with no dense matrix, to n = PROBE_MAX_N.
+    rho = NoonProbe(_parse_noon(args.noon)) if args.noon else load_density(args.file)
     # The scan's checks, made on every state, though a qubit side scans nothing.
     samples, seed = as_count(args.samples, "samples"), as_seed(args.seed, "master_seed")
     spectrum = _as_spectrum(_parse_float_list(args.spectrum), rho.dim_a) if args.spectrum else None
     print(f"dimA = {rho.dim_a}  dimB = {rho.dim_b}")
     if rho.dim_a == 2:
         lqu = local_quantum_uncertainty(rho)
-        print(f"LQU = {_fmt(lqu)}")
-        print(f"GQD = {_fmt(0.5 * lqu)}")
+        print(f"LQU = {format_number(lqu)}")
+        print(f"GQD = {format_number(0.5 * lqu)}")
         return 0
     scan = minimize_uncertainty(rho, spectrum, samples, seed)
     name = "U" if spectrum is not None else "Q"
-    print(f"{name} min = {_fmt(scan.minimum)}  (basis seed {scan.argmin_seed})")
-    print(f"{name} max = {_fmt(scan.maximum)}")
+    print(f"{name} min = {format_number(scan.minimum)}  (basis seed {scan.argmin_seed})")
+    print(f"{name} max = {format_number(scan.maximum)}")
     print(f"samples = {samples}  master seed = {seed}")
     return 0
 
@@ -138,10 +128,10 @@ def _cmd_qfi(args) -> int:
         f_spectral = qfi_noon_spectral(params)
         f_oracle = qfi_fidelity_estimate(noon_family(params), params.phi, args.delta)
         residual = abs(f_closed - f_spectral)
-        print(f"F_closed = {_fmt(f_closed)}")
-        print(f"F_spectral = {_fmt(f_spectral)}")
-        print(f"F_oracle = {_fmt(f_oracle)}")
-        print(f"|closed - spectral| = {_fmt(residual)}")
+        print(f"F_closed = {format_number(f_closed)}")
+        print(f"F_spectral = {format_number(f_spectral)}")
+        print(f"F_oracle = {format_number(f_oracle)}")
+        print(f"|closed - spectral| = {format_number(residual)}")
         return 0 if residual <= tol else 3
 
     if not args.out:
@@ -149,7 +139,7 @@ def _cmd_qfi(args) -> int:
     rows = write_qfi(params.n, _t2_grid(args.grid), params.phi, args.delta, tol, args.out)
     max_residual = max(row[4] for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
-    print(f"max |F - DG*n^2| = {_fmt(max_residual)}")
+    print(f"max |F - DG*n^2| = {format_number(max_residual)}")
     return 0 if max_residual <= tol else 3
 
 
@@ -159,7 +149,7 @@ def _cmd_negativity(args) -> int:
         value = NoonProbe(_parse_noon(args.noon)).negativity()
     else:
         value = negativity(load_density(args.file))
-    print(f"negativity = {_fmt(value)}")
+    print(f"negativity = {format_number(value)}")
     return 0
 
 
@@ -194,8 +184,8 @@ def _cmd_fig4(args) -> int:
     result = write_fig4(args.N, _t2_grid(args.grid), args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     print(
-        f"slope F vs DG = {_fmt(result.slope)}  "
-        f"max |F - DG*n^2| = {_fmt(result.max_residual)}"
+        f"slope F vs DG = {format_number(result.slope)}  "
+        f"max |F - DG*n^2| = {format_number(result.max_residual)}"
     )
     return 0 if result.max_residual <= tol else 3
 
@@ -204,9 +194,9 @@ def _cmd_validate(args) -> int:
     matrix, dim_a, dim_b = load_matrix(args.file)
     report = validation_report(matrix, dim_a, dim_b)
     print(f"dimA = {report.dim_a}  dimB = {report.dim_b}")
-    print(f"hermiticity deviation = {_fmt(report.hermiticity_deviation)}")
-    print(f"trace = {_fmt(report.trace)}")
-    print(f"min eigenvalue = {_fmt(report.min_eigenvalue)}")
+    print(f"hermiticity deviation = {format_number(report.hermiticity_deviation)}")
+    print(f"trace = {format_number(report.trace)}")
+    print(f"min eigenvalue = {format_number(report.min_eigenvalue)}")
     if report.ok:
         print("ok")
         return 0

@@ -36,6 +36,7 @@ from .linalg import (
 )
 from .states import (
     DensityMatrix,
+    NoonProbe,
     PureBipartiteState,
     _readonly,
     _require,
@@ -186,17 +187,6 @@ class VonNeumannBasis:
         return cls(_haar_stack(_seeded_normals([seed], (2, dim, dim)))[0])
 
 
-def _block_traces(rho: DensityMatrix) -> np.ndarray:
-    """T[a, b, c, d] = Tr_B(S_ab S_cd) over the B-space blocks S_ab of sqrt(rho).
-
-    Every pair trace below (Q, U, the scans and the qubit correlation
-    matrix) is a contraction of T with operators on A alone, so B is traced
-    out once per state, at O(dim_a^4 dim_b^2), in einsum's own loops, not BLAS.
-    """
-    s4 = rho.sqrt.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return np.einsum("aibj,cjdi->abcd", s4, s4)
-
-
 def _upper_pairs(dim: int) -> np.ndarray:
     """Row and column indices (i, j) of the entries above the diagonal."""
     return np.array(list(combinations(range(dim), 2)), dtype=int).reshape(-1, 2).T
@@ -300,7 +290,7 @@ def measurement_uncertainty(rho, basis: VonNeumannBasis) -> float:
     classical-quantum states measured in their classical basis.
     """
     rho = _check_basis(rho, basis)
-    return float(_form_uncertainties(_hermitian_form(_block_traces(rho)), basis.unitary[None])[0][0])
+    return float(_form_uncertainties(_hermitian_form(rho.block_traces()), basis.unitary[None])[0][0])
 
 
 def observable_uncertainty(rho, basis: VonNeumannBasis, spectrum) -> float:
@@ -312,7 +302,7 @@ def observable_uncertainty(rho, basis: VonNeumannBasis, spectrum) -> float:
     """
     rho = _check_basis(rho, basis)
     spectrum = _as_spectrum(spectrum, rho.dim_a)
-    form = _hermitian_form(_block_traces(rho))
+    form = _hermitian_form(rho.block_traces())
     return float(_form_uncertainties(form, basis.unitary[None], spectrum)[1][0])
 
 
@@ -400,20 +390,17 @@ def local_quantum_uncertainty(rho) -> float:
     Closed form: Tr(sqrt(rho) sqrt(rho)) minus the largest eigenvalue of the
     3x3 real symmetric Pauli correlation matrix
     W_ij = Tr[sqrt(rho) (s_i x I) sqrt(rho) (s_j x I)], the skew information
-    of the best unit Bloch direction. From the block traces T, the trace is
-    sum T_abba and W_ij = sum s_i[b,c] s_j[d,a] T_abcd. Only defined for
-    dim_a = 2, where the minimization is exact.
+    of the best unit Bloch direction. From the block traces T of a
+    DensityMatrix or a NoonProbe, the trace is sum T_abba and
+    W_ij = sum s_i[b,c] s_j[d,a] T_abcd. Only defined for dim_a = 2, where
+    the minimization is exact.
     """
-    rho = _require(rho, DensityMatrix)
+    rho = _require(rho, DensityMatrix, NoonProbe)
     if rho.dim_a != 2:
         raise DimensionMismatchError(
             f"closed form requires dim_a = 2, got dim_a = {rho.dim_a}"
         )
-    return _lqu_from_traces(_block_traces(rho))
-
-
-def _lqu_from_traces(t: np.ndarray) -> float:
-    """Clamped Tr(sqrt(rho) sqrt(rho)) - lambda_max(W) from a qubit-A state's block traces T."""
+    t = rho.block_traces()
     # W is real symmetric; its top eigenvalue needs no eigenvectors.
     w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, t).real
     top = np.linalg.eigvalsh(w)[-1]
@@ -512,7 +499,7 @@ def scan_uncertainty(rho, spectrum=None, samples: int = 1000, master_seed: int =
     samples = as_count(samples, "samples")
     master_seed = as_seed(master_seed, "master_seed")
     spectrum = None if spectrum is None else _as_spectrum(spectrum, rho.dim_a)
-    form = _hermitian_form(_block_traces(rho))
+    form = _hermitian_form(rho.block_traces())
     seeds = derive_child_seeds(master_seed, samples)
     shape = (2, rho.dim_a, rho.dim_a)
     draws = (_seeded_normals(seeds[i:i + _SCAN_CHUNK], shape) for i in range(0, samples, _SCAN_CHUNK))

@@ -3,8 +3,9 @@
 All routines work on complex numpy arrays and are meant for the matrix
 sizes that show up in this package (products of subsystem dimensions up
 to a few dozen). Every Hermitian matrix is decomposed by one ``eigh`` of
-its Hermitian part (:func:`_eigh`), whatever its structure. The
-Hermiticity, positivity and square-root tolerances live here; each other
+its Hermitian part (:func:`_eigh`), whatever its structure, save the LQU's
+real 3x3 Pauli correlation matrix, whose top eigenvalue comes from ``eigvalsh``.
+The Hermiticity, positivity and square-root tolerances live here; each other
 tolerance sits with the one module that checks it.
 """
 

@@ -12,9 +12,11 @@ other measure, the fidelity and the oracle take validated
 tolerance on them; the command line's ``--tol`` decides pass or fail.
 """
 
+import sys
+
 import numpy as np
 
-from .discord import _clamp_uncertainty, _lqu_from_traces
+from .discord import _clamp_uncertainty, local_quantum_uncertainty
 from .errors import DimensionMismatchError, InvalidInputError
 from .linalg import _eigh, _partial_transpose, as_real, as_reals
 from .states import (
@@ -35,6 +37,8 @@ def qfi_noon_closed(params: NoonChannelParams) -> float:
     coherence as T -> 0.
     """
     n = params.n
+    if 2 * n * n > sys.float_info.max:  # before the power, which fails from n = 2**1024
+        raise InvalidInputError(f"photon number {n} is too large: 2 n^2 overflows a double")
     tn = params.transmittance ** n
     return n * n * 2.0 * tn / (1.0 + tn)
 
@@ -152,9 +156,9 @@ def identity_sweep(n: int, t2_grid, phi: float = 0.0):
     """Yield (t2, params, probe, F, DG, |F - DG * n^2|) over a transmittance grid.
 
     ``probe`` is the lossy state as a :class:`NoonProbe`, with no dense matrix.
-    F is the closed-form Fisher information and DG the local quantum uncertainty
-    computed from the probe's block traces as :func:`local_quantum_uncertainty`
-    does (not the closed-form candidate), so each residual is a real cross-route
+    F is the closed-form Fisher information and DG the probe's
+    :func:`local_quantum_uncertainty`, from its block traces (not the
+    closed-form candidate), so each residual is a real cross-route
     comparison: roundoff for n >= 2, the gap to the exact single-photon LQU at
     n = 1. The phase ``phi`` is a local unitary on B: F ignores it, DG to roundoff.
     """
@@ -165,5 +169,5 @@ def identity_sweep(n: int, t2_grid, phi: float = 0.0):
         params = NoonChannelParams.from_transmittance(n, t2, phi)
         probe = NoonProbe(params)
         f = qfi_noon_closed(params)
-        dg = _lqu_from_traces(probe.block_traces())
+        dg = local_quantum_uncertainty(probe)
         yield t2, params, probe, f, dg, abs(f - dg * params.n * params.n)

@@ -48,11 +48,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require(value, cls: type):
-    """``value`` if it is a ``cls``; anything else, a raw array included,
+def _require(value, *classes: type):
+    """``value`` if it is one of ``classes``; anything else, a raw array included,
     raises :class:`InvalidInputError` here instead of an AttributeError later."""
-    if not isinstance(value, cls):
-        raise InvalidInputError(f"expected a {cls.__name__}, got {type(value).__name__}")
+    if not isinstance(value, classes):
+        names = " or ".join(cls.__name__ for cls in classes)
+        raise InvalidInputError(f"expected a {names}, got {type(value).__name__}")
     return value
 
 
@@ -259,6 +260,14 @@ class DensityMatrix:
         m = np.outer(v, v.conj())
         return cls._from_root(m, state.dim_a, state.dim_b, m / np.sqrt(np.trace(m).real))
 
+    def block_traces(self) -> np.ndarray:
+        """T[a, b, c, d] = Tr_B(S_ab S_cd) over the B-space blocks S_ab of sqrt(rho), as
+        :meth:`NoonProbe.block_traces` gives it. Every pair trace of the discord measures
+        contracts T with operators on A alone, so B is traced out once per state, at
+        O(dim_a^4 dim_b^2), in einsum's own loops, not BLAS."""
+        s4 = self.sqrt.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+        return np.einsum("aibj,cjdi->abcd", s4, s4)
+
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
@@ -429,6 +438,7 @@ class NoonProbe:
     loss_total: float = field(init=False, repr=False, compare=False)
     coherence: complex = field(init=False, repr=False, compare=False)
     trace: float = field(init=False, repr=False, compare=False)
+    dim_a = 2  # a class attribute, not a field: read-only on the frozen instance
 
     def __post_init__(self):
         p = _require(self.params, NoonChannelParams)
@@ -442,8 +452,12 @@ class NoonProbe:
         for name, value in (("w0", w0), ("loss_total", loss), ("coherence", c), ("trace", trace)):
             object.__setattr__(self, name, value)
 
+    @property
+    def dim_b(self) -> int:
+        return self.params.n + 1
+
     def block_traces(self) -> np.ndarray:
-        """:func:`discord._block_traces` in O(1), from the exact root diag(sqrt(w_k))
+        """:meth:`DensityMatrix.block_traces` in O(1), from the exact root diag(sqrt(w_k))
         + [[|c|^2, c], [c*, 1]] / s, s^2 = 2 (1 + |c|^2), whose blocks S_00 =
         diag(sqrt(w_k), |c|^2 / s), S_11 = E_00 / s, S_01 = c E_n0 / s = S_10^dagger."""
         x = abs(self.coherence) ** 2

@@ -16,7 +16,7 @@ import numpy as np
 
 import qdiscord as qd
 from qdiscord.cli import main
-from qdiscord.discord import _block_traces, _clamp_uncertainty
+from qdiscord.discord import _clamp_uncertainty
 from qdiscord.linalg import ZERO_EIGENVALUE_CUTOFF
 
 
@@ -147,7 +147,7 @@ def loop_haar_unitary(draw):
 def tensordot_block_traces(rho):
     """T[a, b, c, d] = Tr_B(S_ab S_cd) over the blocks of sqrt(rho) by one
     BLAS tensordot over the two B indices: the reference for the einsum of
-    _block_traces."""
+    DensityMatrix.block_traces."""
     s4 = rho.sqrt.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
     return np.tensordot(s4, s4, axes=([1, 3], [3, 1]))
 
@@ -159,7 +159,7 @@ def pair_trace_matrix(t, u):
     same shape. B_jk = sum_ab conj(u_aj) u_bk S_ab is the B-space block
     <u_j| sqrt(rho) |u_k> in the measurement basis with columns u_j, so
     V_jk = sum conj(u_aj) u_bk conj(u_ck) u_dj T_abcd for the block traces
-    T of _block_traces: the pair form of Q = sum V_jk and
+    T of DensityMatrix.block_traces: the pair form of Q = sum V_jk and
     U = sum (v_j - v_k)^2 V_jk / 2, a sum of terms >= 0. The reference for
     the quadratic forms the library evaluates.
     """
@@ -209,7 +209,7 @@ def loop_scan(rho, spectrum, samples, master_seed):
     gaps = None
     if spectrum is not None:
         gaps = qd.MeasurementSpectrum(spectrum).gap_squared_matrix()
-    t = _block_traces(rho)
+    t = rho.block_traces()
     seeds = qd.derive_child_seeds(master_seed, samples)
     q_values = np.empty(samples)
     u_values = np.empty(samples) if gaps is not None else None

@@ -13,6 +13,7 @@ import pytest
 import qdiscord as qd
 from qdiscord import cli
 from qdiscord.cli import main
+from qdiscord.states import PROBE_MAX_N
 from qdiscord.tables import format_number
 
 from helpers import bell_state
@@ -119,12 +120,30 @@ class TestDiscordCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("command", ["discord", "qfi"])
-    def test_large_photon_number_is_invalid_input(self, capsys, command):
-        code, out, err = invoke(capsys, command, "--noon", "N=1100", "t2=0.5")
+    @pytest.mark.parametrize("command, n, reason", [
+        ("discord", PROBE_MAX_N + 1, "past TRACE_TOL / eps"),
+        ("qfi", 1100, "C(n, k) overflows a double"),
+    ], ids=["discord", "qfi"])
+    def test_large_photon_number_is_invalid_input(self, capsys, command, n, reason):
+        # discord --noon reads the block-form probe, qfi's spectral route the dense weights
+        code, out, err = invoke(capsys, command, "--noon", f"N={n}", "t2=0.5")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: photon number 1100 is too large")
+        assert err.startswith(f"error: photon number {n} is too large: {reason}")
+
+    def test_noon_runs_to_the_probe_limit(self, capsys):
+        code, out, err = invoke(capsys, "discord", "--noon", f"N={PROBE_MAX_N}", "t2=0.999")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"dimA = 2  dimB = {PROBE_MAX_N + 1}\n")
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
+    def test_noon_prints_the_probe_lqu(self, capsys, n):
+        params = qd.NoonChannelParams.from_transmittance(n, 0.7, 0.3)
+        lqu = qd.local_quantum_uncertainty(qd.NoonProbe(params))
+        code, out, err = invoke(capsys, "discord", "--noon", f"N={n}", "t2=0.7", "phi=0.3")
+        assert (code, err) == (0, "")
+        assert out == (f"dimA = 2  dimB = {n + 1}\nLQU = {format_number(lqu)}\n"
+                       f"GQD = {format_number(0.5 * lqu)}\n")
 
     @pytest.mark.parametrize("command", ["discord", "qfi"])
     def test_overflowing_phase_is_invalid_input(self, capsys, command):
@@ -155,6 +174,13 @@ class TestQfiCommand:
         assert value_after(out, "F_spectral = ") == pytest.approx(4.0, abs=1e-10)
         assert value_after(out, "F_oracle = ") == pytest.approx(4.0, rel=1e-3)
         assert value_after(out, "|closed - spectral| = ") < 1e-10
+
+    @pytest.mark.parametrize("n", [10**155, 2**1100], ids=["1e155", "2^1100"])
+    def test_photon_number_past_a_double_is_invalid_input(self, capsys, n):
+        # 2 n^2 in the closed form used to raise OverflowError, exit 1 with a traceback
+        code, out, err = invoke(capsys, "qfi", "--noon", f"N={n}", "t2=0.5")
+        assert (code, out) == (2, "")
+        assert err == f"error: photon number {n} is too large: 2 n^2 overflows a double\n"
 
     def test_grid_writes_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -10,7 +10,7 @@ from qdiscord.errors import (
     InvalidInputError,
     NotPSDError,
 )
-from qdiscord.discord import _block_traces, _clamp_uncertainty, _form_uncertainties, _hermitian_form
+from qdiscord.discord import _clamp_uncertainty, _form_uncertainties, _hermitian_form
 from qdiscord.linalg import _haar_stack, _seeded_normals
 
 from helpers import (
@@ -689,10 +689,10 @@ class TestBlockTraceKernels:
         rng = np.random.default_rng(59)
         for dim_a in (2, 3, 4):
             for rho in reference_states(dim_a, rng):
-                assert np.max(np.abs(_block_traces(rho) - tensordot_block_traces(rho))) <= 1e-15
+                assert np.max(np.abs(rho.block_traces() - tensordot_block_traces(rho))) <= 1e-15
         for n in (2, 10, 50):
             rho = noon_state(n, 0.6)[1]
-            assert np.max(np.abs(_block_traces(rho) - tensordot_block_traces(rho))) <= 1e-15
+            assert np.max(np.abs(rho.block_traces() - tensordot_block_traces(rho))) <= 1e-15
 
     def test_lqu_matches_kron_correlation_matrix(self):
         rng = np.random.default_rng(60)
@@ -746,7 +746,7 @@ class TestQuadraticFormKernel:
         gaps = spectrum.gap_squared_matrix()
         bases = seeded_bases(dim_a, 200, dim_a * dim_b)
         for rank in (None, dim_b, 1):  # full rank, rank deficient, pure
-            t = _block_traces(random_state(dim_a, dim_b, rng, rank))
+            t = random_state(dim_a, dim_b, rng, rank).block_traces()
             v = pair_trace_matrix(t, bases)
             q, u = _form_uncertainties(_hermitian_form(t), bases, spectrum)
             assert np.max(np.abs(q - v.sum(axis=(1, 2)))) <= QUADRATIC_FORM_TOL
@@ -793,7 +793,7 @@ class TestQuadraticFormKernel:
             for _ in range(50)
         ])
         for _ in range(5):
-            t = _block_traces(classical_quantum_state(dim_a, dim_b, rng))
+            t = classical_quantum_state(dim_a, dim_b, rng).block_traces()
             q, u = _form_uncertainties(_hermitian_form(t), bases, spectrum)
             assert np.max(q) <= QUADRATIC_FORM_TOL
             assert np.max(u) <= QUADRATIC_FORM_TOL

@@ -718,7 +718,8 @@ class TestAsNumber:
     (lambda path: qd.observable_uncertainty(_QUBIT, np.eye(2), (1.0, -1.0)), "VonNeumannBasis"),
     (lambda path: qd.DensityMatrix.from_pure(np.eye(2)), "PureBipartiteState"),
     (lambda path: qd.save_density(np.eye(2) / 2, path), "DensityMatrix"),
-], ids=["measurement-uncertainty", "observable-uncertainty", "from-pure", "save-density"])
+    (lambda path: qd.local_quantum_uncertainty(np.eye(4) / 4), "DensityMatrix or NoonProbe"),
+], ids=["measurement-uncertainty", "observable-uncertainty", "from-pure", "save-density", "lqu"])
 def test_wrong_objects_are_invalid_input(tmp_path, call, expected):
     path = tmp_path / "rho.json"
     with pytest.raises(InvalidInputError, match=f"expected a {expected}, got ndarray"):

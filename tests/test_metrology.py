@@ -1,4 +1,5 @@
-from math import sqrt
+import sys
+from math import isqrt, sqrt
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ class TestClosedForms:
         # 2 T^3 / (1 + T^3) = 2/9 at T = 1/2, times n^2 = 9
         params, _ = noon_state(3, 0.5)
         assert abs(qd.qfi_noon_closed(params) - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [10**155, 2**1100], ids=["1e155", "2^1100"])
+    def test_fisher_information_past_a_double_is_invalid_input(self, n):
+        # raised before the power T^n, which itself overflows from n = 2**1024
+        params = qd.NoonChannelParams.from_transmittance(n, 0.5)
+        with pytest.raises(InvalidInputError, match=rf"photon number {n} is too large: 2 n\^2 overflows"):
+            qd.qfi_noon_closed(params)
+
+    def test_fisher_information_is_finite_up_to_its_limit(self):
+        n = isqrt(int(sys.float_info.max) // 2)  # the largest n with 2 n^2 <= max
+        for t2 in (0.0, 0.5, 1.0):
+            assert np.isfinite(qd.qfi_noon_closed(qd.NoonChannelParams.from_transmittance(n, t2)))
+        with pytest.raises(InvalidInputError, match="too large"):
+            qd.qfi_noon_closed(qd.NoonChannelParams.from_transmittance(n + 1, 1.0))
 
     def test_spectral_route_agrees(self):
         for n in range(1, 11):
@@ -298,6 +313,22 @@ class TestNoonProbe:
             assert abs(dg - qd.local_quantum_uncertainty(rho)) <= 1e-12, t2
             assert abs(probe.negativity() - qd.negativity(rho)) <= 1e-12, t2
             assert abs(probe.trace - rho.matrix.trace().real) <= 1e-12, t2
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_block_traces_match_the_dense_state(self, n, phi):
+        for t2 in np.linspace(0.0, 1.0, 21):
+            params = qd.NoonChannelParams.from_transmittance(n, t2, phi)
+            probe, rho = qd.NoonProbe(params), qd.noon_lossy_density(params)
+            assert (probe.dim_a, probe.dim_b) == (rho.dim_a, rho.dim_b) == (2, n + 1)
+            assert np.max(np.abs(probe.block_traces() - rho.block_traces())) <= 1e-15, t2
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_sweep_dg_is_the_probe_lqu(self, phi):
+        for n in (1, 2, 10, 1030, qd.states.PROBE_MAX_N):
+            for t2, params, _, _, dg, _ in qd.identity_sweep(n, np.linspace(0.0, 1.0, 11), phi):
+                lqu = qd.local_quantum_uncertainty(qd.NoonProbe(params))
+                assert dg.hex() == lqu.hex(), (n, t2)
 
     def test_runs_past_the_dense_limit(self):
         params = qd.NoonChannelParams.from_transmittance(1030, 0.5)
