@@ -57,6 +57,7 @@ from .metrology import (
     negativity,
     qfi_fidelity_estimate,
     qfi_noon_closed,
+    qfi_noon_oracle,
     qfi_noon_spectral,
     uhlmann_fidelity,
 )
@@ -67,8 +68,6 @@ from .states import (
     PureBipartiteState,
     StateReport,
     load_density,
-    noon_eigenvalues,
-    noon_family,
     noon_lossy_density,
     noon_tripartite,
     save_density,

@@ -32,20 +32,8 @@ from .discord import (
 from .errors import InvalidInputError
 from .experiments import Fig1Config, Fig2Config, write_fig1, write_fig2, write_fig4, write_qfi
 from .linalg import as_count, as_seed, as_tolerance
-from .metrology import (
-    negativity,
-    qfi_fidelity_estimate,
-    qfi_noon_closed,
-    qfi_noon_spectral,
-)
-from .states import (
-    NoonChannelParams,
-    NoonProbe,
-    load_density,
-    load_matrix,
-    noon_family,
-    validation_report,
-)
+from .metrology import negativity, qfi_noon_closed, qfi_noon_oracle, qfi_noon_spectral
+from .states import NoonChannelParams, NoonProbe, load_density, load_matrix, validation_report
 from .tables import format_number
 from .version import __version__
 
@@ -126,7 +114,7 @@ def _cmd_qfi(args) -> int:
             raise InvalidInputError("--out needs --grid")
         f_closed = qfi_noon_closed(params)
         f_spectral = qfi_noon_spectral(params)
-        f_oracle = qfi_fidelity_estimate(noon_family(params), params.phi, args.delta)
+        f_oracle = qfi_noon_oracle(params, args.delta)
         residual = abs(f_closed - f_spectral)
         print(f"F_closed = {format_number(f_closed)}")
         print(f"F_spectral = {format_number(f_spectral)}")

@@ -22,8 +22,8 @@ from .discord import (
 )
 from .errors import InvalidInputError
 from .linalg import as_count, as_real, as_reals, as_seed, as_tolerance
-from .metrology import identity_sweep, qfi_fidelity_estimate
-from .states import DensityMatrix, PureBipartiteState, _schmidt_weights, noon_family
+from .metrology import identity_sweep, qfi_noon_oracle
+from .states import DensityMatrix, PureBipartiteState, _schmidt_weights
 from .tables import write_csv, write_sidecar
 
 _SIMPLEX_TOL = 1e-12
@@ -190,14 +190,13 @@ def write_fig4(n: int, t2_grid, path) -> Fig4Result:
 
 def write_qfi(n: int, t2_grid, phi: float, delta: float, tolerance: float, path) -> list:
     """Rows (t2, F_closed, F_oracle, DG, residual) of :func:`identity_sweep`
-    with the fidelity oracle at step ``delta``, written to the CSV once every
+    with :func:`qfi_noon_oracle` at step ``delta``, written to the CSV once every
     input has passed its check; the sidecar records n and phi as the sweep
-    coerced them, and ``tolerance``, against which the caller checks the rows.
-    DG is the sweep's; the oracle's dense :func:`noon_family` limits n to 1029."""
+    coerced them, and ``tolerance``, against which the caller checks the rows."""
     delta, tolerance = as_real(delta, "delta"), as_tolerance(tolerance)
     rows = []
     for t2, point, _, f, dg, residual in identity_sweep(n, t2_grid, phi):
-        rows.append((t2, f, qfi_fidelity_estimate(noon_family(point), point.phi, delta), dg, residual))
+        rows.append((t2, f, qfi_noon_oracle(point, delta), dg, residual))
     write_csv(path, ("t2", "F_closed", "F_oracle", "DG", "residual"), rows)
     write_sidecar(path, {
         "command": "qfi", "n": point.n, "phi": point.phi, "delta": delta,

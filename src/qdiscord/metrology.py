@@ -4,29 +4,25 @@ Three independent routes to the quantum Fisher information of the
 N-photon lossy state are provided (closed form, spectral construction,
 and a fidelity-based finite-difference oracle), together with the link
 between the Fisher information and the qubit-side discord of the state,
-and an entanglement monotone (negativity) for comparison. Like every
-other measure, the fidelity and the oracle take validated
-:class:`DensityMatrix` states and read their roots ``sqrt``.
+and an entanglement monotone (negativity) for comparison. All three take
+the channel parameters, and the spectral route and the oracle read the
+block-form :class:`NoonProbe`. The generic fidelity and
+:func:`qfi_fidelity_estimate` take validated :class:`DensityMatrix`
+states and read their roots ``sqrt``.
 
 :func:`identity_sweep` yields the residuals of F = DG * n^2 and sets no
 tolerance on them; the command line's ``--tol`` decides pass or fail.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .discord import _clamp_uncertainty, local_quantum_uncertainty
 from .errors import DimensionMismatchError, InvalidInputError
 from .linalg import _eigh, _partial_transpose, as_real, as_reals
-from .states import (
-    DensityMatrix,
-    NoonChannelParams,
-    NoonProbe,
-    _coherent_branch,
-    _require,
-    noon_eigenvalues,
-)
+from .states import DensityMatrix, NoonChannelParams, NoonProbe, _require
 
 
 def qfi_noon_closed(params: NoonChannelParams) -> float:
@@ -48,13 +44,16 @@ def qfi_noon_spectral(params: NoonChannelParams) -> float:
 
     Only the coherent-block eigenvector carries the phase; every other
     eigenvalue and eigenvector is phase independent, so the full spectral
-    expression collapses to lambda_1 times the pure-state Fisher
-    information of that eigenvector. Both factors are evaluated
-    numerically from the construction rather than from the closed form.
+    expression collapses to lambda_1 = (1 + T^n) / 2 times the pure-state
+    Fisher information of that eigenvector, (c, 1) on |0>_A |n>_B and
+    |n>_A |0>_B with c the :class:`NoonProbe` coherence, whose photon
+    numbers in arm B are (n, 0). Both factors are evaluated numerically
+    from the construction rather than from the closed form.
     """
-    lam1 = float(noon_eigenvalues(params)[0])
-    v = _coherent_branch(params)
-    n_b = np.tile(np.arange(params.n + 1), 2)  # photon number in arm B
+    c = NoonProbe(params).coherence
+    lam1 = 0.5 * (1.0 + params.transmittance ** params.n)
+    v = np.array([c, 1.0])
+    n_b = np.array([params.n, 0])
     norm = np.sqrt(np.vdot(v, v).real)
     u = v / norm
     du = 1j * n_b * v / norm  # d/dphi of e^(i n_B phi) u
@@ -72,7 +71,10 @@ def lqu_noon_closed(params: NoonChannelParams) -> float:
     sqrt((1 - T) / (1 + T)) and the true value is smaller, see
     :func:`local_quantum_uncertainty` for the exact optimum.
     """
-    tn = params.transmittance ** params.n
+    try:
+        tn = params.transmittance ** params.n
+    except OverflowError:  # n itself is past a double
+        raise InvalidInputError(f"photon number {params.n} is too large: n overflows a double") from None
     return 2.0 * tn / (1.0 + tn)
 
 
@@ -108,6 +110,14 @@ def uhlmann_fidelity(rho, sigma) -> float:
     return root_f ** 2
 
 
+def _as_step(delta) -> float:
+    """The finite-difference step ``delta`` as a real in (0, 0.1]."""
+    delta = as_real(delta, "delta")
+    if not 0.0 < delta <= 0.1:
+        raise InvalidInputError(f"delta must lie in (0, 0.1], got {delta}")
+    return delta
+
+
 def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> float:
     """Finite-difference Fisher-information estimate from state fidelity,
     for a family ``rho_of_phi`` that maps a phase to a DensityMatrix.
@@ -122,12 +132,28 @@ def qfi_fidelity_estimate(rho_of_phi, phi: float = 0.0, delta: float = 1e-3) -> 
     """
     if not callable(rho_of_phi):
         raise InvalidInputError("rho_of_phi must be callable")
-    delta = as_real(delta, "delta")
-    if not 0.0 < delta <= 0.1:
-        raise InvalidInputError(f"delta must lie in (0, 0.1], got {delta}")
+    delta = _as_step(delta)
     phi = as_real(phi, "phi")
     sa = _require(rho_of_phi(phi), DensityMatrix).sqrt
     sb = _require(rho_of_phi(phi + delta), DensityMatrix).sqrt
+    return 4.0 * _uhlmann_overlap(sa, sb)[1] / (delta * delta)
+
+
+def qfi_noon_oracle(params: NoonChannelParams, delta: float = 1e-3) -> float:
+    """:func:`qfi_fidelity_estimate` of the lossy family at ``params``, phi -> phi + delta,
+    from the two :meth:`NoonProbe.core_root` blocks alone: the loss rows do not depend on
+    phi, and fidelity is additive over a shared block decomposition (Jozsa, J. Mod. Opt.
+    41, 2315 (1994)), so they add exactly 0 to D^2. Still one numerical SVD, not the
+    closed form. The relative truncation is about (n delta)^2 / 12, over an absolute
+    roundoff floor of order eps^2 / delta^2; D^2 aliases once n delta reaches pi, so
+    n delta > 1 raises InvalidInputError.
+    """
+    delta = _as_step(delta)
+    sa = NoonProbe(params).core_root()
+    if params.n * delta > 1.0:
+        raise InvalidInputError(f"n * delta = {params.n * delta:.6g} is above 1: the truncation "
+                                "(n delta)^2 / 12 grows and aliases at pi; take a smaller --delta")
+    sb = NoonProbe(replace(params, phi=params.phi + delta)).core_root()
     return 4.0 * _uhlmann_overlap(sa, sb)[1] / (delta * delta)
 
 

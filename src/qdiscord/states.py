@@ -8,7 +8,7 @@ The density-matrix JSON interchange format is
 
 import cmath
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb, hypot, isfinite, sqrt
 
 import numpy as np
@@ -340,14 +340,12 @@ def _coherence(params: NoonChannelParams) -> complex:
     return (params.t ** params.n) * np.exp(1j * params.n * params.phi)
 
 
-def _coherent_branch(params: NoonChannelParams) -> np.ndarray:
-    """Unnormalised |n>_A |0>_B + t^n e^(i n phi) |0>_A |n>_B on the 2 x (n+1)
-    system, A outer: the part of the state that keeps the phase."""
-    n = params.n
-    v = np.zeros(2 * (n + 1), dtype=complex)
-    v[n + 1] = 1.0
-    v[n] = _coherence(params)
-    return v
+def _core(c: complex) -> tuple:
+    """(rho, root) on the core rows n, n + 1 of the state and of its exact root: (1/2) v v^dagger
+    and v v^dagger / sqrt(2 |v|^2) for v = (c, 1), the coherent branch |n>_A |0>_B + c |0>_A |n>_B."""
+    v = np.array([c, 1.0])
+    outer = np.outer(v, v.conj())
+    return 0.5 * outer, outer * (1.0 / sqrt(2.0 * (1.0 + abs(c) ** 2)))
 
 
 def noon_tripartite(params: NoonChannelParams) -> np.ndarray:
@@ -373,44 +371,21 @@ def noon_tripartite(params: NoonChannelParams) -> np.ndarray:
 def noon_lossy_density(params: NoonChannelParams) -> DensityMatrix:
     """System density matrix after the environment is discarded.
 
-    Half the projector on :func:`_coherent_branch` v (off-diagonal weight
+    The coherent core :func:`_core` on rows n, n + 1 (off-diagonal weight
     t^n e^(i n phi) / 2) plus the photon-loss mixture w_k on |0>_A |k>_B for
     k < n; equals the partial trace of :func:`noon_tripartite` over the
     environment. The two parts sit on disjoint rows, so the state's root is
-    exact without an eigendecomposition: sqrt(rho) = v v^dagger / (sqrt(2) |v|)
-    + diag(sqrt(w_k)), which validates the state (:class:`DensityMatrix`).
+    exact without an eigendecomposition: the core's root plus diag(sqrt(w_k)),
+    which validates the state (:class:`DensityMatrix`).
     """
     n = params.n
     weights = _loss_weights(params)
-    v = _coherent_branch(params)
-    outer = np.outer(v, v.conj())
-    rho = 0.5 * outer
-    root = outer * (1.0 / sqrt(2.0 * (1.0 + abs(v[n]) ** 2)))
-    diagonal = slice(0, n * (v.size + 1), v.size + 1)  # [k, k] for k < n, flat
-    rho.reshape(-1)[diagonal] += weights[:n]
-    root.reshape(-1)[diagonal] = np.sqrt(weights[:n])
+    rho = np.zeros((2 * (n + 1), 2 * (n + 1)), dtype=complex)
+    root = np.zeros_like(rho)
+    core, k = slice(n, n + 2), np.arange(n)
+    rho[core, core], root[core, core] = _core(_coherence(params))
+    rho[k, k], root[k, k] = weights[:n], np.sqrt(weights[:n])
     return DensityMatrix._from_root(rho, 2, n + 1, root)
-
-
-def noon_family(params: NoonChannelParams):
-    """The map phi -> lossy density matrix at ``params`` with only phi replaced.
-
-    This is the one-parameter family that :func:`qfi_fidelity_estimate`
-    differentiates.
-    """
-    return lambda phi: noon_lossy_density(replace(params, phi=phi))
-
-
-def noon_eigenvalues(params: NoonChannelParams) -> np.ndarray:
-    """Nonzero-or-structural spectrum of the lossy state, descending.
-
-    One eigenvalue (1 + T^n)/2 from the coherent block and one binomial
-    weight per lost-photon count; the remaining dim - (n+1) eigenvalues of
-    the full matrix are exact zeros and are not listed here.
-    """
-    weights = _loss_weights(params)
-    weights[-1] += 0.5  # the k = n weight joins the intact branch's 1/2
-    return np.sort(weights)[::-1]
 
 
 def _probe_weights(params: NoonChannelParams) -> tuple:
@@ -467,6 +442,11 @@ class NoonProbe:
         t[0, 0, 1, 1] = t[1, 1, 0, 0] = sqrt(self.w0 / s2)
         t[0, 1, 1, 0] = t[1, 0, 0, 1] = x / s2
         return t
+
+    def core_root(self) -> np.ndarray:
+        """The exact root's 2 x 2 core [[|c|^2, c], [c*, 1]] / s on rows n, n + 1, the one
+        block of the state that depends on phi; :func:`noon_lossy_density` embeds the same."""
+        return _core(self.coherence)[1]
 
     def negativity(self) -> float:
         """(||rho^(T_A)||_1 - Tr rho) / 2 = (hypot(w_0, |c|) - w_0) / 2, minus the lower

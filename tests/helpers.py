@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from itertools import permutations
 from math import comb
 from pathlib import Path
@@ -58,8 +59,10 @@ def noon_state(n, t2, phi=0.0):
 
 
 def noon_family(n, t2):
-    """phi -> DensityMatrix for the fidelity-based Fisher estimate."""
-    return qd.noon_family(qd.NoonChannelParams.from_transmittance(n, t2))
+    """phi -> dense lossy DensityMatrix, the family qd.qfi_fidelity_estimate
+    differentiates as the reference for qd.qfi_noon_oracle."""
+    params = qd.NoonChannelParams.from_transmittance(n, t2)
+    return lambda phi: qd.noon_lossy_density(replace(params, phi=phi))
 
 
 def single_photon_lqu(transmittance):
@@ -362,7 +365,7 @@ def outputs_under_core_types(script):
 
 #: CLI runs whose CSVs are hashed, without --out: fig1 and fig2 at the
 #: sizes CI reruns, fig4 at N = 10 and at N = 50 (a 2 x 2 coherent core
-#: in a 102 x 102 state), and the qfi grid.
+#: in a 102 x 102 state), and the qfi grid, whose oracle reads that core.
 PIPELINES = {
     "fig1": ["fig1", "--dimA", "3", "--s1", "0.1,0.3", "--s2", "0.2", "--samples", "2000"],
     "fig2": ["fig2", "--spectrum", "2,4,1", "--resolution", "200"],

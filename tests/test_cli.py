@@ -122,10 +122,10 @@ class TestDiscordCommand:
 
     @pytest.mark.parametrize("command, n, reason", [
         ("discord", PROBE_MAX_N + 1, "past TRACE_TOL / eps"),
-        ("qfi", 1100, "C(n, k) overflows a double"),
+        ("qfi", PROBE_MAX_N + 1, "past TRACE_TOL / eps"),
     ], ids=["discord", "qfi"])
     def test_large_photon_number_is_invalid_input(self, capsys, command, n, reason):
-        # discord --noon reads the block-form probe, qfi's spectral route the dense weights
+        # discord --noon and qfi's spectral route and oracle all read the block-form probe
         code, out, err = invoke(capsys, command, "--noon", f"N={n}", "t2=0.5")
         assert code == 2
         assert out == ""
@@ -181,6 +181,28 @@ class TestQfiCommand:
         code, out, err = invoke(capsys, "qfi", "--noon", f"N={n}", "t2=0.5")
         assert (code, out) == (2, "")
         assert err == f"error: photon number {n} is too large: 2 n^2 overflows a double\n"
+
+    @pytest.mark.parametrize("t2, tol", [("0.999", ()), ("0.999999", ("--tol", "1")), ("1", ("--tol", "1"))])
+    def test_runs_to_the_probe_limit(self, capsys, t2, tol):
+        # n delta = 0.45: the oracle is within its truncation (n delta)^2 / 12 of the
+        # closed form, over its eps^2 / delta^2 roundoff floor where F_Q is ~1e-184.
+        # Near T = 1, |closed - spectral| is ~n eps F_Q (0.35 at 0.999999), past the default tol.
+        delta = 1e-6
+        code, out, err = invoke(capsys, "qfi", "--noon", f"N={PROBE_MAX_N}", f"t2={t2}",
+                                "--delta", str(delta), *tol)
+        assert (code, err) == (0, "")
+        closed, oracle = value_after(out, "F_closed = "), value_after(out, "F_oracle = ")
+        floor = 4.0 * np.finfo(float).eps ** 2 / delta ** 2
+        assert abs(oracle - closed) <= (PROBE_MAX_N * delta) ** 2 / 12 * closed + floor
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["point", "grid"])
+    def test_step_past_one_over_n_is_invalid_input(self, capsys, tmp_path, grid):
+        path = tmp_path / "sweep.csv"
+        argv = ("--grid", "3", "--out", str(path)) if grid else ("t2=0.5",)
+        code, out, err = invoke(capsys, "qfi", "--noon", "N=2000", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n * delta = 2 is above 1")
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_writes_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -286,8 +286,8 @@ class TestWriteQfi:
 #: recorded on (x86-64 with AVX-512, OpenBLAS 0.3.31). No BLAS or LAPACK
 #: call reaches fig1's or fig2's bytes; fig4 runs from the probe's block
 #: form, whose one LAPACK call, the eigvalsh of a diagonal 3 x 3 matrix,
-#: returns its entries; qfi takes its oracle's dense states and fidelity
-#: through LAPACK. Each has one hash under every core type tried.
+#: returns its entries; qfi's oracle takes the SVD of the probe's 2 x 2 core
+#: roots through LAPACK. Each has one hash under every core type tried.
 #: numpy's own loops (log1p, cos, sin, einsum) may round differently in
 #: another version.
 PIPELINE_SHA256 = {

@@ -33,6 +33,7 @@ from helpers import (
     forceable_core_types,
     loop_haar_unitary,
     loop_partial_trace,
+    noon_family,
     outputs_under_core_types,
     random_density_array,
     scalar_normals,
@@ -505,7 +506,7 @@ class TestAsReal:
             as_reals(values, "xs", 2)
 
 
-_PHASE_FAMILY = qd.noon_family(qd.NoonChannelParams.from_transmittance(2, 0.5))
+_PHASE_FAMILY = noon_family(2, 0.5)
 
 #: Every entry point that takes a real or a sequence of reals from a caller,
 #: with a bool, a numeric string, an int beyond a double, and a scalar or
@@ -558,6 +559,10 @@ NON_REAL_INPUTS = [
     ("fidelity-phi-bool", "phi", lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, True)),
     ("fidelity-phi-string", "phi", lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, "0.0")),
     ("fidelity-phi-huge", "phi", lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, 10**400)),
+    ("oracle-delta-bool", "delta",
+     lambda: qd.qfi_noon_oracle(qd.NoonChannelParams.from_transmittance(2, 0.5), True)),
+    ("oracle-delta-string", "delta",
+     lambda: qd.qfi_noon_oracle(qd.NoonChannelParams.from_transmittance(2, 0.5), "0.001")),
 ]
 
 

@@ -55,6 +55,16 @@ class TestClosedForms:
         with pytest.raises(InvalidInputError, match="too large"):
             qd.qfi_noon_closed(qd.NoonChannelParams.from_transmittance(n + 1, 1.0))
 
+    @pytest.mark.parametrize("n", [10**155, 2**1100], ids=["1e155", "2^1100"])
+    def test_discord_candidate_past_a_double(self, n):
+        # T^n used to raise the builtin OverflowError once n itself passes a double
+        params = qd.NoonChannelParams.from_transmittance(n, 0.5)
+        if n < sys.float_info.max:
+            assert qd.lqu_noon_closed(params) == 0.0
+        else:
+            with pytest.raises(InvalidInputError, match=rf"photon number {n} is too large: n overflows"):
+                qd.lqu_noon_closed(params)
+
     def test_spectral_route_agrees(self):
         for n in range(1, 11):
             for t2 in (0.1, 0.4, 0.75, 0.95):
@@ -220,6 +230,8 @@ class TestFisherEstimate:
         for delta in (0.0, -1e-3, 0.2):
             with pytest.raises(InvalidInputError, match="delta"):
                 qd.qfi_fidelity_estimate(family, delta=delta)
+            with pytest.raises(InvalidInputError, match="delta"):
+                qd.qfi_noon_oracle(qd.NoonChannelParams.from_transmittance(2, 0.5), delta)
 
     def test_family_changing_size_is_rejected(self):
         def family(phi):
@@ -232,6 +244,46 @@ class TestFisherEstimate:
         _, rho = noon_state(2, 0.5)
         with pytest.raises(InvalidInputError, match="callable"):
             qd.qfi_fidelity_estimate(rho)
+
+
+class TestProbeOracle:
+    """qfi_noon_oracle, from the two 2 x 2 core roots, against the dense oracle."""
+
+    def test_matches_the_dense_oracle(self):
+        for n in (1, 2, 3, 5, 10, 20, 50, 100, 200):
+            for t2 in np.linspace(0.0, 1.0, 21):
+                for phi in (0.0, 0.7):
+                    params = qd.NoonChannelParams.from_transmittance(n, t2, phi)
+                    dense = qd.qfi_fidelity_estimate(noon_family(n, t2), phi)
+                    assert abs(qd.qfi_noon_oracle(params) - dense) <= 1e-12 * dense + 1e-23, (n, t2, phi)
+
+    @pytest.mark.parametrize("n", [1, 5, 50])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_core_root_is_the_dense_roots_core(self, n, phi):
+        for t2 in (0.0, 0.3, 0.9, 1.0):
+            params = qd.NoonChannelParams.from_transmittance(n, t2, phi)
+            dense = qd.noon_lossy_density(params).sqrt[n:n + 2, n:n + 2]
+            assert np.array_equal(qd.NoonProbe(params).core_root(), dense), t2
+
+    def test_truncation_at_one_step_per_photon_number(self):
+        # n delta = 1: the relative truncation stays below (n delta)^2 / 12
+        for n, t2 in ((1000, 0.99999), (1000, 0.999), (100_000, 1.0)):
+            params = qd.NoonChannelParams.from_transmittance(n, t2)
+            closed = qd.qfi_noon_closed(params)
+            estimate = qd.qfi_noon_oracle(params, 1.0 / n)
+            assert abs(estimate - closed) <= closed / 12 + 1e-23, (n, t2)
+
+    @pytest.mark.parametrize("n, delta", [(1001, 1e-3), (2000, 1e-3), (100_001, 1e-5)])
+    def test_step_past_one_over_n_is_invalid_input(self, n, delta):
+        params = qd.NoonChannelParams.from_transmittance(n, 0.5)
+        with pytest.raises(InvalidInputError, match=r"n \* delta = .* is above 1.*smaller --delta"):
+            qd.qfi_noon_oracle(params, delta)
+
+    def test_past_the_probe_limit_is_invalid_input(self):
+        params = qd.NoonChannelParams.from_transmittance(qd.states.PROBE_MAX_N + 1, 0.5)
+        for route in (qd.qfi_noon_spectral, qd.qfi_noon_oracle):
+            with pytest.raises(InvalidInputError, match="past TRACE_TOL / eps"):
+                route(params)
 
 
 class TestNegativity:

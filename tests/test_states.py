@@ -391,7 +391,7 @@ class TestNoonLossyDensity:
 
     def test_eigenvalues_match_structural_spectrum(self):
         params, rho = noon(5, 0.35)
-        listed = np.sort(qd.noon_eigenvalues(params))
+        listed = np.sort(loop_eigenvalues(params))
         dense = np.linalg.eigvalsh(rho.matrix)
         assert abs(listed.sum() - 1.0) < 1e-12
         # the dense spectrum is the structural one padded with exact zeros
@@ -401,21 +401,20 @@ class TestNoonLossyDensity:
     def test_purity_matches_structural_spectrum(self):
         for n, t2 in ((1, 0.3), (4, 0.6), (9, 0.95)):
             params, rho = noon(n, t2)
-            lam = qd.noon_eigenvalues(params)
+            lam = loop_eigenvalues(params)
             assert abs(rho.purity() - np.sum(lam ** 2)) < 1e-12
 
-    def test_density_and_eigenvalues_equal_loop_reference(self):
+    def test_density_equals_loop_reference(self):
         for params in PROBE_POINTS:
             rho = qd.noon_lossy_density(params).matrix
             assert np.array_equal(rho, loop_lossy_density(params)), params
-            assert np.array_equal(qd.noon_eigenvalues(params), loop_eigenvalues(params)), params
 
     def test_large_photon_number_is_invalid_input(self):
         # C(n, n/2) passes the largest double from n = 1030 on
         below = qd.NoonChannelParams.from_transmittance(1029, 0.5)
-        assert abs(qd.noon_eigenvalues(below).sum() - 1.0) < 1e-12
+        assert abs(qd.states._loss_weights(below).sum() - 0.5) < 1e-12  # the half-weights
         params = qd.NoonChannelParams.from_transmittance(1030, 0.5)
-        for builder in (qd.noon_lossy_density, qd.noon_eigenvalues, qd.noon_tripartite):
+        for builder in (qd.noon_lossy_density, qd.noon_tripartite):
             with pytest.raises(InvalidInputError, match="photon number 1030 is too large"):
                 builder(params)
         assert qd.qfi_noon_closed(params) == pytest.approx(1030**2 * 2 * 0.5**1030)
