@@ -393,19 +393,25 @@ def local_quantum_uncertainty(rho) -> float:
     of the best unit Bloch direction. From the block traces T of a
     DensityMatrix or a NoonProbe, the trace is sum T_abba and
     W_ij = sum s_i[b,c] s_j[d,a] T_abcd. Only defined for dim_a = 2, where
-    the minimization is exact.
+    the minimization is exact. The value is :func:`_lqu` of the one state.
     """
     rho = _require(rho, DensityMatrix, NoonProbe)
     if rho.dim_a != 2:
         raise DimensionMismatchError(
             f"closed form requires dim_a = 2, got dim_a = {rho.dim_a}"
         )
-    t = rho.block_traces()
-    # W is real symmetric; its top eigenvalue needs no eigenvectors.
-    w = np.einsum("ibc,jda,abcd->ij", _PAULIS, _PAULIS, t).real
-    top = np.linalg.eigvalsh(w)[-1]
-    val = float(np.einsum("abba->", t).real - top)
-    return _clamp_uncertainty(val, "local quantum uncertainty")
+    return _lqu(rho.block_traces())
+
+
+def _lqu(t: np.ndarray):
+    """Clamped :func:`local_quantum_uncertainty` of each state in a stack (..., 2, 2, 2, 2)
+    of block traces, a float for one state. einsum sums in an order set by the memory layout,
+    so T is taken C-contiguous; then each entry has the bits of its state alone, as eigvalsh
+    (W is real symmetric; its top eigenvalue needs no eigenvectors) solves matrix by matrix."""
+    t = np.ascontiguousarray(t)
+    w = np.einsum("ibc,jda,...abcd->...ij", _PAULIS, _PAULIS, t).real
+    top = np.linalg.eigvalsh(w)[..., -1]
+    return _clamp_uncertainty(np.einsum("...abba->...", t).real - top, "local quantum uncertainty")
 
 
 def geometric_discord_qubit(rho) -> float:

@@ -3,8 +3,8 @@
 All routines work on complex numpy arrays and are meant for the matrix
 sizes that show up in this package (products of subsystem dimensions up
 to a few dozen). Every Hermitian matrix is decomposed by one ``eigh`` of
-its Hermitian part (:func:`_eigh`), whatever its structure, save the LQU's
-real 3x3 Pauli correlation matrix, whose top eigenvalue comes from ``eigvalsh``.
+its Hermitian part (:func:`_eigh`), whatever its structure; the negativity's partial
+transpose and the LQU's real 3x3 Pauli matrix take eigenvalues alone, from ``eigvalsh``.
 The Hermiticity, positivity and square-root tolerances live here; each other
 tolerance sits with the one module that checks it.
 """
@@ -156,12 +156,12 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def _eigh(m: np.ndarray, name: str = "matrix") -> tuple:
-    """(w, v), w ascending and column v[:, j] for w[j]: the one ``np.linalg.eigh``
-    of every Hermitian matrix here, taken of :func:`_hermitian_part` of a square
-    ``m``, which is not checked. Convergence failures raise :class:`EigensolverError`."""
+def _eigh(m: np.ndarray, name: str = "matrix", vectors: bool = True):
+    """(w, v), w ascending and column v[:, j] for w[j] (w alone, from ``eigvalsh``, without
+    ``vectors``): the one ``np.linalg.eigh`` of every Hermitian matrix here, taken of the
+    :func:`_hermitian_part` of a square ``m``, unchecked. Failures raise :class:`EigensolverError`."""
     try:
-        return np.linalg.eigh(_hermitian_part(m))
+        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(_hermitian_part(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise EigensolverError(f"eigendecomposition of {name} failed: {exc}") from exc
 

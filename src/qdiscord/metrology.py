@@ -10,8 +10,8 @@ block-form :class:`NoonProbe`. The generic fidelity and
 :func:`qfi_fidelity_estimate` take validated :class:`DensityMatrix`
 states and read their roots ``sqrt``.
 
-:func:`identity_sweep` yields the residuals of F = DG * n^2 and sets no
-tolerance on them; the command line's ``--tol`` decides pass or fail.
+:func:`identity_sweep` yields the residuals of F = DG * n^2, with DG from one stacked LQU
+kernel per block of grid points; it sets no tolerance, the command line's ``--tol`` does.
 """
 
 import sys
@@ -19,10 +19,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .discord import _clamp_uncertainty, local_quantum_uncertainty
+from .discord import _clamp_uncertainty, _lqu
 from .errors import DimensionMismatchError, InvalidInputError
 from .linalg import _eigh, _partial_transpose, as_real, as_reals
-from .states import DensityMatrix, NoonChannelParams, NoonProbe, _require
+from .states import DensityMatrix, NoonChannelParams, NoonProbe, _probe_traces, _require
 
 
 def qfi_noon_closed(params: NoonChannelParams) -> float:
@@ -161,13 +161,13 @@ def negativity(rho: DensityMatrix) -> float:
     """Entanglement negativity, (||rho^(T_A)||_1 - Tr rho) / 2; rho^(T_B) = rho^(T_A)^T.
 
     The trace norm is the sum of |eigenvalue| of the Hermitian part of the
-    partial transpose, from one dense :func:`_eigh`; :meth:`NoonProbe.negativity`
+    partial transpose, eigenvalues only, from :func:`_eigh`; :meth:`NoonProbe.negativity`
     gives the lossy probe's in closed form. The state's own trace, not 1, so a
     trace within TRACE_TOL of 1 never pushes the value below zero:
     ||X||_1 >= |Tr X| for Hermitian X.
     """
     rho = _require(rho, DensityMatrix)
-    w, _ = _eigh(_partial_transpose(rho.matrix, rho.dim_a, rho.dim_b), "partial transpose")
+    w = _eigh(_partial_transpose(rho.matrix, rho.dim_a, rho.dim_b), "partial transpose", vectors=False)
     norm = np.abs(w).sum()
     val = 0.5 * (norm - rho.matrix.trace().real)
     return _clamp_uncertainty(val, "negativity")
@@ -177,23 +177,27 @@ def negativity(rho: DensityMatrix) -> float:
 # Fisher-information / discord identity
 # ---------------------------------------------------------------------------
 
+#: Grid points per stacked LQU call of :func:`identity_sweep`, which bounds its memory.
+_SWEEP_BLOCK = 1024
+
 
 def identity_sweep(n: int, t2_grid, phi: float = 0.0):
     """Yield (t2, params, probe, F, DG, |F - DG * n^2|) over a transmittance grid.
 
-    ``probe`` is the lossy state as a :class:`NoonProbe`, with no dense matrix.
-    F is the closed-form Fisher information and DG the probe's
-    :func:`local_quantum_uncertainty`, from its block traces (not the
-    closed-form candidate), so each residual is a real cross-route
-    comparison: roundoff for n >= 2, the gap to the exact single-photon LQU at
-    n = 1. The phase ``phi`` is a local unitary on B: F ignores it, DG to roundoff.
+    ``probe`` is the lossy state as a :class:`NoonProbe`, with no dense matrix. F is the
+    closed-form Fisher information and DG the probe's :func:`local_quantum_uncertainty` from its
+    block traces (not the closed-form candidate), so each residual is a real cross-route check:
+    roundoff for n >= 2, the gap to the exact single-photon LQU at n = 1. The phase ``phi`` is a
+    local unitary on B: F ignores it, DG to roundoff. Each block of ``_SWEEP_BLOCK`` points is
+    validated whole before its first row, and takes its DGs from one stacked LQU kernel call.
     """
     grid = as_reals(t2_grid, "t2 grid", 0)
     if not grid:
         raise InvalidInputError("the t2 grid is empty")
-    for t2 in grid:
-        params = NoonChannelParams.from_transmittance(n, t2, phi)
-        probe = NoonProbe(params)
-        f = qfi_noon_closed(params)
-        dg = local_quantum_uncertainty(probe)
-        yield t2, params, probe, f, dg, abs(f - dg * params.n * params.n)
+    for start in range(0, len(grid), _SWEEP_BLOCK):
+        block = grid[start:start + _SWEEP_BLOCK]
+        probes = [NoonProbe(NoonChannelParams.from_transmittance(n, t2, phi)) for t2 in block]
+        w0, loss, x = np.array([(p.w0, p.loss_total, abs(p.coherence) ** 2) for p in probes]).T
+        for t2, probe, dg in zip(block, probes, _lqu(_probe_traces(w0, loss, x)).tolist()):
+            f = qfi_noon_closed(probe.params)
+            yield t2, probe.params, probe, f, dg, abs(f - dg * probe.params.n * probe.params.n)

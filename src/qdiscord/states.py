@@ -398,6 +398,17 @@ def _probe_weights(params: NoonChannelParams) -> tuple:
     return 0.5 * rr ** n, 0.5 * (s ** n * (1.0 + n * e / s) - tt ** n)
 
 
+def _probe_traces(w0, loss, x) -> np.ndarray:
+    """:meth:`NoonProbe.block_traces` (..., 2, 2, 2, 2) from w_0, the loss total and x = |c|^2,
+    floats or equal-length arrays, by +, *, / and sqrt alone: correctly rounded at any SIMD level."""
+    s2 = 2.0 * (1.0 + x)
+    t = np.zeros(np.shape(x) + (2, 2, 2, 2))
+    t[..., 0, 0, 0, 0], t[..., 1, 1, 1, 1] = loss + x * x / s2, 1.0 / s2
+    t[..., 0, 0, 1, 1] = t[..., 1, 1, 0, 0] = np.sqrt(w0 / s2)
+    t[..., 0, 1, 1, 0] = t[..., 1, 0, 0, 1] = x / s2
+    return t
+
+
 @dataclass(frozen=True)
 class NoonProbe:
     """The state :func:`noon_lossy_density` builds, in block form and with no array:
@@ -435,13 +446,7 @@ class NoonProbe:
         """:meth:`DensityMatrix.block_traces` in O(1), from the exact root diag(sqrt(w_k))
         + [[|c|^2, c], [c*, 1]] / s, s^2 = 2 (1 + |c|^2), whose blocks S_00 =
         diag(sqrt(w_k), |c|^2 / s), S_11 = E_00 / s, S_01 = c E_n0 / s = S_10^dagger."""
-        x = abs(self.coherence) ** 2
-        s2 = 2.0 * (1.0 + x)
-        t = np.zeros((2, 2, 2, 2))
-        t[0, 0, 0, 0], t[1, 1, 1, 1] = self.loss_total + x * x / s2, 1.0 / s2
-        t[0, 0, 1, 1] = t[1, 1, 0, 0] = sqrt(self.w0 / s2)
-        t[0, 1, 1, 0] = t[1, 0, 0, 1] = x / s2
-        return t
+        return _probe_traces(self.w0, self.loss_total, abs(self.coherence) ** 2)
 
     def core_root(self) -> np.ndarray:
         """The exact root's 2 x 2 core [[|c|^2, c], [c*, 1]] / s on rows n, n + 1, the one

@@ -349,18 +349,38 @@ def forceable_core_types():
     return [core for core, need in CORE_TYPE_FLAGS.items() if need <= flags]
 
 
-def outputs_under_core_types(script):
-    """Set of the stripped stdouts of ``python -c script``, run once under
-    each of forceable_core_types() with the package and this directory (so
-    ``helpers``) on PYTHONPATH."""
+def simd_dispatch_levels():
+    """NPY_DISABLE_CPU_FEATURES values, one per SIMD dispatch level of numpy this
+    CPU runs: nothing disabled, then ever longer suffixes of the dispatched targets
+    it supports, up to all of them, which leaves numpy's baseline. Baseline targets
+    are never named (numpy refuses to disable them), and names come from numpy, as
+    it ignores unknown ones silently."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [name for name in umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(name) and name not in umath.__cpu_baseline__]
+    return [" ".join(targets[k:]) for k in range(len(targets), -1, -1)]
+
+
+def outputs_under(script, variable, values):
+    """Set of the stripped stdouts of ``python -c script``, run once with the
+    environment variable ``variable`` set to each of ``values``, with the
+    package and this directory (so ``helpers``) on PYTHONPATH."""
     path = os.pathsep.join([str(Path(qd.__file__).resolve().parents[1]), str(Path(__file__).parent)])
     outputs = set()
-    for core in forceable_core_types():
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core)
+    for value in values:
+        env = dict(os.environ, PYTHONPATH=path, **{variable: value})
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         outputs.add(result.stdout.strip())
     return outputs
+
+
+def outputs_under_core_types(script):
+    """:func:`outputs_under` each of forceable_core_types() as OPENBLAS_CORETYPE."""
+    return outputs_under(script, "OPENBLAS_CORETYPE", forceable_core_types())
 
 
 #: CLI runs whose CSVs are hashed, without --out: fig1 and fig2 at the

@@ -10,8 +10,9 @@ from qdiscord.errors import (
     InvalidInputError,
     NotPSDError,
 )
-from qdiscord.discord import _clamp_uncertainty, _form_uncertainties, _hermitian_form
+from qdiscord.discord import _clamp_uncertainty, _form_uncertainties, _hermitian_form, _lqu
 from qdiscord.linalg import _haar_stack, _seeded_normals
+from qdiscord.states import _probe_traces
 
 from helpers import (
     bell_state,
@@ -514,6 +515,31 @@ class TestQubitClosedForms:
         )
         assert bounds.minimum >= lqu - 1e-9
         assert bounds.maximum >= bounds.minimum
+
+
+class TestStackedLqu:
+    """The LQU kernel over a stack of block traces, entry by entry, against
+    local_quantum_uncertainty of each state alone, to the last bit."""
+
+    @staticmethod
+    def assert_entries_are_the_single_states(stack, states):
+        singles = [qd.local_quantum_uncertainty(state).hex() for state in states]
+        for part in (slice(0, 1), slice(None), slice(None, None, -1)):
+            assert [v.hex() for v in _lqu(stack[part]).tolist()] == singles[part], part
+
+    def test_dense_states(self):
+        # DensityMatrix.block_traces need not be C-contiguous, as a stack is.
+        rng = np.random.default_rng(53)
+        states = [random_state(2, dim_b, rng, rank)
+                  for dim_b in (1, 2, 3, 5, 8, 13) for rank in (1, 2, None)] * 3
+        self.assert_entries_are_the_single_states(np.stack([s.block_traces() for s in states]), states)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_probes(self, phi):
+        probes = [qd.NoonProbe(qd.NoonChannelParams.from_transmittance(n, t2, phi))
+                  for n in (1, 2, 10, 1030, qd.states.PROBE_MAX_N) for t2 in np.linspace(0.0, 1.0, 21)]
+        w0, loss, x = np.array([(p.w0, p.loss_total, abs(p.coherence) ** 2) for p in probes]).T
+        self.assert_entries_are_the_single_states(_probe_traces(w0, loss, x), probes)
 
 
 class TestSeedDerivation:

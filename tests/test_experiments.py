@@ -10,7 +10,14 @@ import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
 from qdiscord.experiments import write_qfi
 
-from helpers import forceable_core_types, loop_region_map, outputs_under_core_types, pipeline_hashes
+from helpers import (
+    forceable_core_types,
+    loop_region_map,
+    outputs_under,
+    outputs_under_core_types,
+    pipeline_hashes,
+    simd_dispatch_levels,
+)
 
 
 class TestFig1Config:
@@ -285,11 +292,13 @@ class TestWriteQfi:
 #: SHA-256 of each helpers.PIPELINES CSV, keyed by the numpy version it was
 #: recorded on (x86-64 with AVX-512, OpenBLAS 0.3.31). No BLAS or LAPACK
 #: call reaches fig1's or fig2's bytes; fig4 runs from the probe's block
-#: form, whose one LAPACK call, the eigvalsh of a diagonal 3 x 3 matrix,
-#: returns its entries; qfi's oracle takes the SVD of the probe's 2 x 2 core
-#: roots through LAPACK. Each has one hash under every core type tried.
-#: numpy's own loops (log1p, cos, sin, einsum) may round differently in
-#: another version.
+#: form, whose LAPACK call, one eigvalsh of a diagonal 3 x 3 matrix per grid
+#: point, stacked per block, returns its entries; qfi's oracle takes the SVD
+#: of the probe's 2 x 2 core roots through LAPACK. Each has one hash under
+#: every core type tried and under every SIMD dispatch level of numpy, from
+#: its X86_V2 baseline to AVX512_SPR: fig4 takes its powers on Python floats,
+#: so its arrays see only correctly rounded ufuncs and einsum. numpy's own
+#: loops (log1p, cos, sin, einsum) may round differently in another version.
 PIPELINE_SHA256 = {
     "2.4.6": {
         "fig1": "65d1b4051bef897424e29b9cfa967cfa6b2e04335399e54e6050ef74ec0b5734",
@@ -301,6 +310,10 @@ PIPELINE_SHA256 = {
 }
 
 
+#: A child's script: the pipeline hashes as one JSON line.
+PIPELINE_SCRIPT = "import json\nfrom helpers import pipeline_hashes\nprint(json.dumps(pipeline_hashes()))\n"
+
+
 class TestPipelineBytes:
     @pytest.mark.skipif(len(forceable_core_types()) < 2,
                         reason="no DYNAMIC_ARCH OpenBLAS with two core types this CPU runs")
@@ -309,8 +322,14 @@ class TestPipelineBytes:
         # make no BLAS call. What still goes through BLAS or LAPACK (the exact
         # roots' checks, the oracle's fidelity and the eigvalsh of the probe's
         # diagonal LQU matrix) gives the same bits under every kernel here.
-        script = "import json\nfrom helpers import pipeline_hashes\nprint(json.dumps(pipeline_hashes()))\n"
-        assert len(outputs_under_core_types(script)) == 1
+        assert len(outputs_under_core_types(PIPELINE_SCRIPT)) == 1
+
+    @pytest.mark.skipif(len(simd_dispatch_levels()) < 2,
+                        reason="no SIMD target above numpy's baseline is enabled on this CPU")
+    def test_one_hash_under_every_simd_dispatch_level(self):
+        # numpy picks each ufunc and einsum loop at import by the CPU; each
+        # child disables the top dispatched targets one more level down.
+        assert len(outputs_under(PIPELINE_SCRIPT, "NPY_DISABLE_CPU_FEATURES", simd_dispatch_levels())) == 1
 
     @pytest.mark.skipif(np.__version__ not in PIPELINE_SHA256,
                         reason=f"no pipeline hashes recorded for numpy {np.__version__}")

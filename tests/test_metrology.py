@@ -352,6 +352,21 @@ class TestIdentitySweep:
         with pytest.raises(InvalidInputError, match="empty"):
             list(qd.identity_sweep(2, []))
 
+    def test_grid_longer_than_a_block(self):
+        # Three stacked kernel calls, the last one short: every DG is the
+        # probe's own LQU to the last bit.
+        grid = np.linspace(0.0, 1.0, 2 * qd.metrology._SWEEP_BLOCK + 37)
+        rows = list(qd.identity_sweep(10, grid, 0.7))
+        assert [row[0] for row in rows] == grid.tolist()
+        for t2, _, probe, _, dg, _ in rows:
+            assert dg.hex() == qd.local_quantum_uncertainty(probe).hex(), t2
+
+    def test_invalid_late_point_raises_before_any_row(self):
+        # A block is validated whole before its first row is yielded.
+        sweep = qd.identity_sweep(2, [0.1, 0.5, 0.9, 1.5])
+        with pytest.raises(InvalidInputError, match="transmittance must lie in"):
+            next(sweep)
+
 
 class TestNoonProbe:
     """The block-form probe against the dense state it stands for."""
