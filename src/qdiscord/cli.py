@@ -14,7 +14,7 @@ Subcommands::
 
 States come either from ``--noon N=... t2=... [phi=...]`` or from
 ``--file rho.json``. Exit codes: 0 on success, 2 on invalid input, 3 when
-a checked identity misses its tolerance.
+a Fisher identity's residual exceeds ``--tol`` times n^2, the largest F.
 """
 
 import argparse
@@ -114,21 +114,21 @@ def _cmd_qfi(args) -> int:
             raise InvalidInputError("--out needs --grid")
         f_closed = qfi_noon_closed(params)
         f_spectral = qfi_noon_spectral(params)
-        f_oracle = qfi_noon_oracle(params, args.delta)
+        f_oracle = qfi_noon_oracle(params)
         residual = abs(f_closed - f_spectral)
         print(f"F_closed = {format_number(f_closed)}")
         print(f"F_spectral = {format_number(f_spectral)}")
         print(f"F_oracle = {format_number(f_oracle)}")
         print(f"|closed - spectral| = {format_number(residual)}")
-        return 0 if residual <= tol else 3
+        return 0 if residual <= tol * params.n ** 2 else 3
 
     if not args.out:
         raise InvalidInputError("--grid needs --out for the CSV")
-    rows = write_qfi(params.n, _t2_grid(args.grid), params.phi, args.delta, tol, args.out)
+    rows = write_qfi(params.n, _t2_grid(args.grid), params.phi, tol, args.out)
     max_residual = max(row[4] for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     print(f"max |F - DG*n^2| = {format_number(max_residual)}")
-    return 0 if max_residual <= tol else 3
+    return 0 if max_residual <= tol * params.n ** 2 else 3
 
 
 def _cmd_negativity(args) -> int:
@@ -175,7 +175,7 @@ def _cmd_fig4(args) -> int:
         f"slope F vs DG = {format_number(result.slope)}  "
         f"max |F - DG*n^2| = {format_number(result.max_residual)}"
     )
-    return 0 if result.max_residual <= tol else 3
+    return 0 if result.max_residual <= tol * args.N ** 2 else 3
 
 
 def _cmd_validate(args) -> int:
@@ -221,10 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qfi", help="Fisher-information routes for the lossy family")
     p.add_argument("--noon", nargs="+", required=True, metavar="KEY=VALUE",
                    help="lossy n-photon state, e.g. --noon N=10 t2=0.5")
-    p.add_argument("--delta", type=float, default=1e-3,
-                   help="finite-difference step of the fidelity oracle")
     p.add_argument("--tol", type=float, default=None,
-                   help="identity tolerance (default 1e-10 single point, 1e-9 grid)")
+                   help="identity tolerance, times n^2 (default 1e-10 single point, 1e-9 grid)")
     p.add_argument("--grid", type=int, default=None,
                    help="sweep t2 over this many grid points instead")
     p.add_argument("--out", help="CSV path for --grid mode")
@@ -254,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="photon number")
     p.add_argument("--grid", type=int, default=101, help="t2 grid points")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="tolerance on |F - DG*n^2|")
+                   help="tolerance on |F - DG*n^2| / n^2")
     p.add_argument("--out", required=True, help="CSV path")
     p.set_defaults(handler=_cmd_fig4)
 

@@ -4,7 +4,8 @@ the ``qfi --grid`` table.
 Each ``write_*`` function writes the CSV file plus a ``<csv>.json`` sidecar
 recording the exact configuration and package version; fig1, fig2 and fig4
 also have a ``run_*`` function returning the plain rows, and fig1 and fig2
-a frozen config. Identical configs give byte-identical files.
+a frozen config. Identical configs give byte-identical files. The qfi
+sidecar records the step the fidelity oracle derived from n; no caller sets it.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .discord import (
 )
 from .errors import InvalidInputError
 from .linalg import as_count, as_real, as_reals, as_seed, as_tolerance
-from .metrology import identity_sweep, qfi_noon_oracle
+from .metrology import _oracle_step, identity_sweep, qfi_noon_oracle
 from .states import DensityMatrix, PureBipartiteState, _schmidt_weights
 from .tables import write_csv, write_sidecar
 
@@ -188,18 +189,19 @@ def write_fig4(n: int, t2_grid, path) -> Fig4Result:
     return result
 
 
-def write_qfi(n: int, t2_grid, phi: float, delta: float, tolerance: float, path) -> list:
+def write_qfi(n: int, t2_grid, phi: float, tolerance: float, path) -> list:
     """Rows (t2, F_closed, F_oracle, DG, residual) of :func:`identity_sweep`
-    with :func:`qfi_noon_oracle` at step ``delta``, written to the CSV once every
-    input has passed its check; the sidecar records n and phi as the sweep
-    coerced them, and ``tolerance``, against which the caller checks the rows."""
-    delta, tolerance = as_real(delta, "delta"), as_tolerance(tolerance)
+    with :func:`qfi_noon_oracle`, written to the CSV once every input has passed
+    its check; the sidecar records n and phi as the sweep coerced them, the
+    oracle's step ``delta``, and ``tolerance``, against which the caller checks
+    the residuals over n^2."""
+    tolerance = as_tolerance(tolerance)
     rows = []
     for t2, point, _, f, dg, residual in identity_sweep(n, t2_grid, phi):
-        rows.append((t2, f, qfi_noon_oracle(point, delta), dg, residual))
+        rows.append((t2, f, qfi_noon_oracle(point), dg, residual))
     write_csv(path, ("t2", "F_closed", "F_oracle", "DG", "residual"), rows)
     write_sidecar(path, {
-        "command": "qfi", "n": point.n, "phi": point.phi, "delta": delta,
+        "command": "qfi", "n": point.n, "phi": point.phi, "delta": _oracle_step(point.n),
         "tolerance": tolerance, "t2_grid": [row[0] for row in rows],
     })
     return rows

@@ -182,27 +182,53 @@ class TestQfiCommand:
         assert (code, out) == (2, "")
         assert err == f"error: photon number {n} is too large: 2 n^2 overflows a double\n"
 
-    @pytest.mark.parametrize("t2, tol", [("0.999", ()), ("0.999999", ("--tol", "1")), ("1", ("--tol", "1"))])
+    @pytest.mark.parametrize("t2, tol", [("0.999", ()), ("0.999999", ("--tol", "1e-11")), ("1", ("--tol", "1e-11"))])
     def test_runs_to_the_probe_limit(self, capsys, t2, tol):
-        # n delta = 0.45: the oracle is within its truncation (n delta)^2 / 12 of the
-        # closed form, over its eps^2 / delta^2 roundoff floor where F_Q is ~1e-184.
-        # Near T = 1, |closed - spectral| is ~n eps F_Q (0.35 at 0.999999), past the default tol.
-        delta = 1e-6
-        code, out, err = invoke(capsys, "qfi", "--noon", f"N={PROBE_MAX_N}", f"t2={t2}",
-                                "--delta", str(delta), *tol)
+        # The derived step keeps n delta = 0.01: the oracle is within its truncation
+        # (n delta)^2 / 12 of the closed form, over its eps^2 / delta^2 roundoff floor where
+        # F_Q is ~1e-184. Near T = 1, |closed - spectral| is ~n eps F_Q (0.35 at 0.999999),
+        # yet below 1e-11 n^2, the scale of F.
+        delta = 1e-2 / PROBE_MAX_N
+        code, out, err = invoke(capsys, "qfi", "--noon", f"N={PROBE_MAX_N}", f"t2={t2}", *tol)
         assert (code, err) == (0, "")
         closed, oracle = value_after(out, "F_closed = "), value_after(out, "F_oracle = ")
         floor = 4.0 * np.finfo(float).eps ** 2 / delta ** 2
-        assert abs(oracle - closed) <= (PROBE_MAX_N * delta) ** 2 / 12 * closed + floor
+        assert abs(oracle - closed) <= 8.4e-6 * closed + floor
 
     @pytest.mark.parametrize("grid", [False, True], ids=["point", "grid"])
-    def test_step_past_one_over_n_is_invalid_input(self, capsys, tmp_path, grid):
+    def test_runs_past_a_thousand_photons(self, capsys, tmp_path, grid):
+        # The derived step keeps n delta = 0.01 past n = 1000, far from aliasing at pi.
         path = tmp_path / "sweep.csv"
         argv = ("--grid", "3", "--out", str(path)) if grid else ("t2=0.5",)
-        code, out, err = invoke(capsys, "qfi", "--noon", "N=2000", *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: n * delta = 2 is above 1")
-        assert list(tmp_path.iterdir()) == []
+        code, _, err = invoke(capsys, "qfi", "--noon", "N=2000", *argv)
+        assert (code, err) == (0, "")
+
+    def test_delta_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["qfi", "--noon", "N=2", "t2=0.5", "--delta", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta" in capsys.readouterr().err
+
+    def test_single_point_tolerance_scales_with_n_squared(self, capsys, monkeypatch):
+        # |closed - spectral| = 5.8e-10 here, roundoff on F ~ 1e6
+        code, out, _ = invoke(capsys, "qfi", "--noon", "N=1000", "t2=0.9999")
+        assert code == 0
+        assert value_after(out, "|closed - spectral| = ") > 1e-10
+        for miss, expected in ((0.5e-10, 0), (2e-10, 3)):
+            monkeypatch.setattr(cli, "qfi_noon_spectral",
+                                lambda params, miss=miss: qd.qfi_noon_closed(params) + miss * params.n ** 2)
+            assert invoke(capsys, "qfi", "--noon", "N=1000", "t2=0.9999")[0] == expected
+
+    @pytest.mark.parametrize("command", [
+        ("qfi", "--noon", "N=1000", "--grid", "11"), ("fig4", "--N", "1000", "--grid", "11"),
+    ], ids=["qfi", "fig4"])
+    def test_grid_tolerance_scales_with_n_squared(self, capsys, tmp_path, monkeypatch, command):
+        # a DG off by 2e-9 puts F - DG n^2 past the default 1e-9 n^2; one off by 0.5e-9 does not
+        lqu = qd.metrology._lqu
+        for miss, expected in ((0.0, 0), (0.5e-9, 0), (2e-9, 3)):
+            monkeypatch.setattr(qd.metrology, "_lqu", lambda traces, miss=miss: lqu(traces) + miss)
+            path = tmp_path / f"{miss}.csv"
+            assert invoke(capsys, *command, "--out", str(path))[0] == expected, miss
 
     def test_grid_writes_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -219,17 +245,17 @@ class TestQfiCommand:
         runs = []
         for name in ("a.csv", "b.csv"):
             path = tmp_path / name
-            argv = ("qfi", "--noon", "N=3", "phi=0.25", "--grid", "5",
-                    "--delta", "0.002", "--tol", "1e-8", "--out", str(path))
+            argv = ("qfi", "--noon", "N=30", "phi=0.25", "--grid", "5",
+                    "--tol", "1e-8", "--out", str(path))
             assert invoke(capsys, *argv)[0] == 0
             runs.append(Path(f"{path}.json").read_bytes())
         assert runs[0] == runs[1]
         meta = json.loads(runs[0])
         assert meta == {
             "command": "qfi",
-            "n": 3,
+            "n": 30,
             "phi": 0.25,
-            "delta": 0.002,
+            "delta": 1e-2 / 30,  # the oracle's step, derived from n
             "tolerance": 1e-8,
             "t2_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
             "version": qd.__version__,
@@ -427,6 +453,13 @@ class TestFigureCommands:
         assert out == ""
         assert err.startswith("error: tolerance must be finite and >= 0")
         assert not path.exists()
+
+    def test_fig4_tolerance_scales_with_n_squared(self, capsys, tmp_path):
+        # max |F - DG*n^2| = 8e-9, roundoff on F ~ 1e8
+        path = tmp_path / "fig4.csv"
+        code, out, err = invoke(capsys, "fig4", "--N", "10000", "--grid", "1001", "--out", str(path))
+        assert (code, err) == (0, "")
+        assert float(out.split("max |F - DG*n^2| = ")[1]) > 1e-9
 
     def test_fig4_single_photon_flags_failure(self, capsys, tmp_path):
         path = tmp_path / "fig4.csv"

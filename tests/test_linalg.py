@@ -559,10 +559,6 @@ NON_REAL_INPUTS = [
     ("fidelity-phi-bool", "phi", lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, True)),
     ("fidelity-phi-string", "phi", lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, "0.0")),
     ("fidelity-phi-huge", "phi", lambda: qd.qfi_fidelity_estimate(_PHASE_FAMILY, 10**400)),
-    ("oracle-delta-bool", "delta",
-     lambda: qd.qfi_noon_oracle(qd.NoonChannelParams.from_transmittance(2, 0.5), True)),
-    ("oracle-delta-string", "delta",
-     lambda: qd.qfi_noon_oracle(qd.NoonChannelParams.from_transmittance(2, 0.5), "0.001")),
 ]
 
 
