@@ -352,10 +352,12 @@ def _assignment_costs(p: np.ndarray, spectrum: MeasurementSpectrum):
     order fixes the labels and must not change.
     """
     perms = np.array(list(permutations(range(spectrum.size))))
-    gaps = spectrum.gap_squared_matrix()
-    cost = np.zeros((len(perms), len(p)))
-    for j, k in combinations(range(spectrum.size), 2):
-        cost += gaps[perms[:, j], perms[:, k]][:, None] * p[:, j] * p[:, k]
+    gaps, rows = spectrum.gap_squared_matrix(), np.ascontiguousarray(p.T)
+    cost, term = np.zeros((len(perms), len(p))), np.empty((len(perms), len(p)))
+    for j, k in combinations(range(spectrum.size), 2):  # in place: no fresh (m!, len(p)) temporaries
+        np.multiply(gaps[perms[:, j], perms[:, k]][:, None], rows[j], out=term)
+        term *= rows[k]
+        cost += term
     return perms, cost
 
 

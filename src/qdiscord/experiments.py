@@ -133,7 +133,7 @@ def run_fig2(config: Fig2Config) -> list:
     perms, cost = _assignment_costs(p, config.spectrum)
     labels = ["".join(str(i) for i in perm) for perm in perms.tolist()]
     best = np.argmin(cost, axis=0).tolist()
-    return list(zip(s1.tolist(), s2.tolist(), (labels[b] for b in best)))
+    return list(zip(s1.tolist(), s2.tolist(), map(labels.__getitem__, best)))
 
 
 def write_fig2(config: Fig2Config, path) -> list:

@@ -16,14 +16,13 @@ kernel per block of grid points; it sets no tolerance, the command line's ``--to
 """
 
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .discord import _clamp_uncertainty, _lqu
 from .errors import DimensionMismatchError, InvalidInputError
 from .linalg import _eigh, _partial_transpose, as_real, as_reals
-from .states import DensityMatrix, NoonChannelParams, NoonProbe, _probe_traces, _require
+from .states import DensityMatrix, NoonChannelParams, NoonProbe, _core, _probe_traces, _require
 
 
 def qfi_noon_closed(params: NoonChannelParams) -> float:
@@ -141,17 +140,18 @@ def _oracle_step(n: int) -> float:
 
 def qfi_noon_oracle(params: NoonChannelParams) -> float:
     """:func:`qfi_fidelity_estimate` of the lossy family at ``params``, phi -> phi + delta,
-    from the two :meth:`NoonProbe.core_root` blocks alone: the loss rows do not depend on
-    phi, and fidelity is additive over a shared block decomposition (Jozsa, J. Mod. Opt.
-    41, 2315 (1994)), so they add exactly 0 to D^2. Still one numerical SVD, not the
-    closed form. The step delta = min(1e-3, 1e-2 / n) keeps n delta <= 0.01, so the
+    from the two 2 x 2 core roots alone: the loss rows do not depend on phi, and fidelity
+    is additive over a shared block decomposition (Jozsa, J. Mod. Opt. 41, 2315 (1994)),
+    so they add exactly 0 to D^2. The second root is the core at c e^(i n delta), with c
+    the probe's coherence at phi, so the phase step is n delta to a few ulps at any phi;
+    fl(phi + delta) - phi is off delta by up to ulp(phi) / 2. Still one numerical SVD, not
+    the closed form. The step delta = min(1e-3, 1e-2 / n) keeps n delta <= 0.01, so the
     relative truncation (n delta)^2 / 12 stays below (0.01)^2 / 12 ~ 8.4e-6 at every n,
     over an absolute roundoff floor of order eps^2 / delta^2.
     """
-    sa = NoonProbe(params).core_root()
-    delta = _oracle_step(params.n)
-    sb = NoonProbe(replace(params, phi=params.phi + delta)).core_root()
-    return 4.0 * _uhlmann_overlap(sa, sb)[1] / (delta * delta)
+    c, delta = NoonProbe(params).coherence, _oracle_step(params.n)
+    sb = _core(c * np.exp(1j * params.n * delta))[1]
+    return 4.0 * _uhlmann_overlap(_core(c)[1], sb)[1] / (delta * delta)
 
 
 def negativity(rho: DensityMatrix) -> float:

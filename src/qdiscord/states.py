@@ -35,6 +35,8 @@ NORM_TOL = 1e-12
 
 #: NoonProbe's photon-number limit, TRACE_TOL / eps: see its docstring.
 PROBE_MAX_N = int(TRACE_TOL / np.finfo(float).eps)
+#: n from which NoonChannelParams skips its finite n * phi check: past a double, n fails every n limit.
+_HUGE_N = 2**1023
 
 #: Schmidt weights in [-WEIGHT_NEGATIVE_TOL, 0) are roundoff and clipped to
 #: zero; the weights must sum to 1 within WEIGHT_SUM_TOL.
@@ -301,8 +303,7 @@ class NoonChannelParams:
         t, r, phi = as_number(self.t, "t"), as_number(self.r, "r"), as_real(self.phi, "phi")
         if not (cmath.isfinite(t) and cmath.isfinite(r) and isfinite(phi)):
             raise InvalidInputError(f"t, r and phi must be finite, got {t}, {r}, {phi}")
-        # n * phi is the coherent branch's phase; an n beyond a double fails every n limit
-        if self.n < 2**1023 and not isfinite(self.n * phi):
+        if self.n < _HUGE_N and not isfinite(self.n * phi):
             raise InvalidInputError(f"n * phi must be finite, got {self.n} * {phi}")
         total = abs(t) ** 2 + abs(r) ** 2
         if abs(total - 1.0) > NORM_TOL:

@@ -13,13 +13,13 @@ configuration is byte-identical. One per-type rule renders every cell:
 template and one ``%``: the template holds a directive per cell, chosen by
 that cell's type, so mixed types within a column still follow the rule.
 
-Equal float cells are formatted once: a block whose cells are all exact
-``float`` or ``str`` and mostly repeat (fig2's grid values and labels)
-formats each distinct cell once and reuses its text, so its bytes follow
-the same per-type rule. Cells that compare equal but print differently
-never share a text: ``-0.0`` and ``0.0`` are formatted cell by cell, and
-cells of different types (``1`` and ``1.0``, ``np.float32(0.5)`` and
-``0.5``) send their block through the per-cell template.
+Equal float cells are formatted once per file: a block whose cells are all
+exact ``float`` or ``str`` and mostly repeat (fig2's grid values and labels)
+reads their texts from one memo per file, started afresh once it holds over
+``_BLOCK_ROWS`` texts, so its bytes follow the same per-type rule. Cells that
+compare equal but print differently never share a text: ``-0.0``, ``0.0``
+and NaN are formatted cell by cell, and cells of different types (``1`` and
+``1.0``, ``np.float32(0.5)`` and ``0.5``) take the per-cell template.
 """
 
 import json
@@ -55,12 +55,13 @@ def format_number(value) -> str:
 
 
 class _CellTexts(dict):
-    """Text of each distinct cell of one block, by :func:`format_number` on
-    first use. A zero is never stored, as ``0.0 == -0.0`` would share it."""
+    """Text of each distinct cell of a file, by :func:`format_number` on first
+    use. A zero is never stored, as ``0.0 == -0.0`` would share it, nor a NaN,
+    which no later cell equals."""
 
     def __missing__(self, cell):
         text = format_number(cell)
-        if cell:
+        if cell and cell == cell:
             self[cell] = text
         return text
 
@@ -76,7 +77,7 @@ def write_csv(path, header, rows) -> None:
     if not width:
         raise DimensionMismatchError("a CSV header needs at least one column")
     inner, last = {}, {}  # cell type -> directive + "," (inner cell) or + "\n" (row end)
-    rows = iter(rows)
+    rows, memo = iter(rows), _CellTexts()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         while block := list(islice(rows, _BLOCK_ROWS)):
@@ -87,14 +88,15 @@ def write_csv(path, header, rows) -> None:
                     f"got rows of {sorted(lengths - {width})} cells"
                 )
             cells = tuple(chain.from_iterable(block))
-            kinds = list(map(type, cells))
-            seen = set(kinds)
-            if seen <= _SHARED_KINDS and 2 * len(set(cells)) < len(cells):
-                # Mostly repeats: one text per distinct cell, the rule's text.
-                texts = map(_CellTexts().__getitem__, cells)
+            # Mostly repeats: one text per distinct cell of the file, the rule's text. The
+            # type test stops at the first cell of another type, such as fig1's int seed.
+            if _SHARED_KINDS.issuperset(map(type, cells)) and 2 * len(set(cells)) < len(cells):
+                memo = memo if len(memo) <= _BLOCK_ROWS else _CellTexts()  # bounded
+                texts = map(memo.__getitem__, cells)
                 fh.write("\n".join(map(",".join, zip(*[texts] * width))) + "\n")
                 continue
-            for kind in seen.difference(inner):
+            kinds = list(map(type, cells))
+            for kind in set(kinds).difference(inner):
                 directive = _cell_format(kind)
                 inner[kind], last[kind] = directive + ",", directive + "\n"
             template = list(map(inner.__getitem__, kinds))

@@ -1,3 +1,4 @@
+from itertools import combinations, permutations
 from math import sqrt
 
 import numpy as np
@@ -10,7 +11,13 @@ from qdiscord.errors import (
     InvalidInputError,
     NotPSDError,
 )
-from qdiscord.discord import _clamp_uncertainty, _form_uncertainties, _hermitian_form, _lqu
+from qdiscord.discord import (
+    _assignment_costs,
+    _clamp_uncertainty,
+    _form_uncertainties,
+    _hermitian_form,
+    _lqu,
+)
 from qdiscord.linalg import _haar_stack, _seeded_normals
 from qdiscord.states import _probe_traces
 
@@ -375,6 +382,35 @@ class TestPureClosedForms:
                 result = qd.min_uncertainty_assignment(p, spectrum)
                 expected = loop_assignment(p, spectrum.values)
                 assert (result.value, result.assignment) == expected
+
+    def test_assignment_costs_equal_the_broadcast_expression(self):
+        # The in-place accumulation must give every cost bit for bit as the expression it
+        # replaced, fresh temporaries and all, or argmin could break ties differently.
+        def broadcast_costs(p, spectrum):
+            perms = np.array(list(permutations(range(spectrum.size))))
+            gaps = spectrum.gap_squared_matrix()
+            cost = np.zeros((len(perms), len(p)))
+            for j, k in combinations(range(spectrum.size), 2):
+                cost += gaps[perms[:, j], perms[:, k]][:, None] * p[:, j] * p[:, k]
+            return perms, cost
+
+        rng = np.random.default_rng(36)
+        grid = np.linspace(0.0, 1.0, 200)
+        s1, s2 = (axis.ravel() for axis in np.meshgrid(grid, grid, indexing="ij"))
+        inside = s1 + s2 <= 1.0 + 1e-12
+        fig2 = np.stack([s1[inside], s2[inside], np.maximum(1.0 - s1[inside] - s2[inside], 0.0)], axis=1)
+        edges = np.array([(s, 1.0 - s, 0.0) for s in grid] + [(0.0, s, 1.0 - s) for s in grid]
+                         + [(1.0, 0.0, 0.0), (0.5, 0.0, 0.5)])
+        cases = [(fig2, (2, 4, 1)), (fig2, (4, 3, 2)), (edges, (2, 4, 1)), (edges, (4, 3, 2))]
+        for m in (2, 3, 4, 5):
+            cases.append((np.full((1, m), 1.0 / m), 3.0 * rng.standard_normal(m)))
+            cases.append((rng.dirichlet(np.ones(m), 500), 3.0 * rng.standard_normal(m)))
+        for p, values in cases:
+            spectrum = qd.MeasurementSpectrum(values)
+            perms, cost = _assignment_costs(p, spectrum)
+            ref_perms, ref_cost = broadcast_costs(p, spectrum)
+            assert np.array_equal(perms, ref_perms) and np.array_equal(cost, ref_cost), values
+            assert np.array_equal(np.argmin(cost, axis=0), np.argmin(ref_cost, axis=0))
 
     def test_assignment_frozen_example(self):
         result = qd.min_uncertainty_assignment([0.7, 0.2, 0.1], (2, 4, 1))

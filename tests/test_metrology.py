@@ -249,13 +249,21 @@ class TestProbeOracle:
     closed form, at its step delta = min(1e-3, 1e-2 / n)."""
 
     def test_matches_the_dense_oracle(self):
+        # Both oracles take the phase step n delta exactly. The dense reference's second state is
+        # its first under the local unitary exp(i delta n_B), with n_B arm B's photon number;
+        # the family at fl(phi + delta) would be off that step by up to ulp(phi) / 2 (5.5e-13
+        # of it at phi = 0.7 and delta = 1e-4), an error the probe oracle does not make.
         for n in (1, 2, 3, 5, 10, 20, 50, 100, 200):
             delta = min(1e-3, 1e-2 / n)
             floor = 1e-23 * (1e-3 / delta) ** 2  # the eps^2 / delta^2 roundoff floor, 1e-23 at 1e-3
+            phase = np.exp(1j * delta * (np.arange(2 * (n + 1)) % (n + 1)))
+            turn = np.outer(phase, phase.conj())  # U X U^dagger = X * turn for the diagonal U
             for t2 in np.linspace(0.0, 1.0, 21):
                 for phi in (0.0, 0.7):
                     params = qd.NoonChannelParams.from_transmittance(n, t2, phi)
-                    dense = qd.qfi_fidelity_estimate(noon_family(n, t2), phi, delta)
+                    rho = qd.noon_lossy_density(params)
+                    turned = qd.DensityMatrix._from_root(rho.matrix * turn, 2, n + 1, rho.sqrt * turn)
+                    dense = qd.qfi_fidelity_estimate(lambda x: rho if x == phi else turned, phi, delta)
                     assert abs(qd.qfi_noon_oracle(params) - dense) <= 1e-12 * dense + floor, (n, t2, phi)
 
     @pytest.mark.parametrize("n", [1, 5, 50])
@@ -271,13 +279,29 @@ class TestProbeOracle:
         # n delta <= 0.01, so the relative truncation (n delta)^2 / 12 stays below 8.4e-6,
         # tight at n = 1000. Where F_Q is below it the oracle reads its roundoff floor:
         # up to 4 eps^2 / delta^2 under the AVX-512 OpenBLAS kernel, about 16 under Nehalem's.
+        # The phase step is n delta at any phi, so the bound holds at large |phi| too.
         delta = min(1e-3, 1e-2 / n)
         floor = 64.0 * np.finfo(float).eps ** 2 / delta ** 2
         for t2 in np.linspace(0.0, 1.0, 101):
-            for phi in (0.0, 0.7):
+            for phi in (0.0, 0.7, 100.0, 1e4):
                 params = qd.NoonChannelParams.from_transmittance(n, t2, phi)
                 closed = qd.qfi_noon_closed(params)
                 assert abs(qd.qfi_noon_oracle(params) - closed) <= 8.4e-6 * closed + floor, (t2, phi)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 11, 50, 200, 1000, 10**4, 10**5, qd.states.PROBE_MAX_N])
+    def test_matches_its_own_closed_form(self, n):
+        # In exact arithmetic the two core roots lie D^2 = 4 x sin^2(n delta / 2) / ((1 + x) +
+        # |1 + x e^(i n delta)|) apart, x = T^n = |c|^2, at every phi: the oracle reads 4 D^2 /
+        # delta^2. Measured worst: 3.7e-13 relative, or 0.37 of this bound, over this grid.
+        delta = min(1e-3, 1e-2 / n)
+        floor = 64.0 * np.finfo(float).eps ** 2 / delta ** 2
+        for t2 in np.linspace(0.0, 1.0, 101):
+            x = t2 ** n
+            d2 = 4.0 * x * np.sin(n * delta / 2) ** 2 / ((1.0 + x) + abs(1.0 + x * np.exp(1j * n * delta)))
+            for phi in (0.0, 0.7, 100.0, 1e4):
+                params = qd.NoonChannelParams.from_transmittance(n, t2, phi)
+                closed = 4.0 * d2 / delta ** 2
+                assert abs(qd.qfi_noon_oracle(params) - closed) <= 1e-12 * closed + floor, (t2, phi)
 
     def test_past_the_probe_limit_is_invalid_input(self):
         params = qd.NoonChannelParams.from_transmittance(qd.states.PROBE_MAX_N + 1, 0.5)

@@ -155,8 +155,36 @@ class TestSharedTexts:
         rows = self.rows(2 * _BLOCK_ROWS + 123)
         calls = self.counting_format(monkeypatch)
         assert first_difference(tmp_path, self.HEADER, rows) is None
-        # Each block formats its distinct cells, its zeros and its NaNs.
-        assert 0 < len(calls) < len(rows) * len(self.HEADER) / 2
+        # The file formats each distinct nonzero cell once, over its three blocks, and each
+        # zero and NaN cell on its own.
+        cells = [cell for row in rows for cell in row]
+        distinct = {cell for cell in cells if cell and cell == cell}
+        assert len(calls) == len(distinct) + sum(1 for cell in cells if not cell or cell != cell)
+
+    @pytest.mark.parametrize("first, later", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_signed_zeros_keep_their_text_across_blocks(self, tmp_path, first, later):
+        # Each zero appears in one block only, so a memo kept for the file must not
+        # hand the first block's zero text to the later block's.
+        rows = [(first, 0.5, "x")] * _BLOCK_ROWS + [(later, 0.5, "x")] * _BLOCK_ROWS
+        assert first_difference(tmp_path, ("a", "b", "c"), rows) is None
+
+    def test_memo_is_bounded(self, tmp_path, monkeypatch):
+        # Slowly drifting values: each block mostly repeats, but no value comes back in a
+        # later block, so a memo that never started afresh would grow with the file.
+        memos = []
+
+        class Recorded(tables._CellTexts):
+            def __init__(self):
+                memos.append(self)
+
+        monkeypatch.setattr(tables, "_CellTexts", Recorded)
+        rows = [(i // 4 * 1e-3, "x", float("nan")) for i in range(10 * _BLOCK_ROWS)]
+        assert first_difference(tmp_path, ("a", "b", "c"), rows) is None
+        assert len(memos) > 1
+        # Over _BLOCK_ROWS texts it starts afresh, so it holds at most one block's distinct
+        # cells more: 1,025 here, as no NaN is stored.
+        assert max(map(len, memos)) <= _BLOCK_ROWS + 1025
+        assert all(cell == cell for memo in memos for cell in memo)
 
     @pytest.mark.parametrize(
         "cell",
@@ -166,8 +194,9 @@ class TestSharedTexts:
     )
     def test_other_cell_types_keep_their_own_text(self, tmp_path, cell):
         # One cell of another type, equal to a float of the block (the row
-        # holds 16777216.0 and 2.0**53; 1e12 and 0.0 recur), in the second
-        # block: that block takes the per-cell template.
+        # holds 16777216.0 and 2.0**53; 1e12 and 0.0 recur), in the second of
+        # three blocks: that block takes the per-cell template, while the shared
+        # blocks on either side read one memo that holds the equal float's text.
         rows = self.rows(2 * _BLOCK_ROWS + 123)
         rows[_BLOCK_ROWS + 7] = (cell, *rows[_BLOCK_ROWS + 7][1:])
         assert first_difference(tmp_path, self.HEADER, rows) is None
