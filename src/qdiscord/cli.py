@@ -142,25 +142,15 @@ def _cmd_negativity(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    config = Fig1Config(
-        dim_a=args.dimA,
-        s1_grid=_parse_float_list(args.s1),
-        s2=args.s2,
-        spectrum=_parse_spectrum(args.spectrum),
-        samples=args.samples,
-        seed=args.seed,
-    )
+    config = Fig1Config(dim_a=args.dimA, s1_grid=_parse_float_list(args.s1), s2=args.s2,
+                        spectrum=_parse_spectrum(args.spectrum), samples=args.samples, seed=args.seed)
     rows = write_fig1(config, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_fig2(args) -> int:
-    config = Fig2Config(
-        spectrum=_parse_spectrum(args.spectrum),
-        resolution=args.resolution,
-    )
-    rows = write_fig2(config, args.out)
+    rows = write_fig2(Fig2Config(_parse_spectrum(args.spectrum), args.resolution), args.out)
     labels = sorted({row[2] for row in rows})
     print(f"wrote {len(rows)} rows to {args.out}")
     print(f"assignments: {' '.join(labels)}")

@@ -25,7 +25,7 @@ from .errors import InvalidInputError
 from .linalg import as_count, as_real, as_reals, as_seed, as_tolerance
 from .metrology import _oracle_step, identity_sweep, qfi_noon_oracle
 from .states import DensityMatrix, PureBipartiteState, _schmidt_weights
-from .tables import write_csv, write_sidecar
+from .tables import Coded, Columns, write_csv, write_sidecar
 
 _SIMPLEX_TOL = 1e-12
 
@@ -119,28 +119,31 @@ class Fig2Config:
         return {"command": "fig2", **vars(self), "spectrum": list(self.spectrum.values)}
 
 
+def _fig2_table(config: Fig2Config) -> Columns:
+    """The rows of :func:`run_fig2` as columns coded by grid and label index."""
+    grid = np.linspace(0.0, 1.0, config.resolution)
+    i, j = np.nonzero(grid[:, None] + grid <= 1.0 + _SIMPLEX_TOL)  # simplex points, row-major
+    s1, s2 = grid[i], grid[j]
+    p = np.stack([s1, s2, np.maximum(1.0 - s1 - s2, 0.0)], axis=1)
+    perms, cost = _assignment_costs(p, config.spectrum)
+    labels = ["".join(map(str, perm)) for perm in perms.tolist()]
+    best, values = np.argmin(cost, axis=0).tolist(), grid.tolist()
+    return Columns(Coded(i.tolist(), values), Coded(j.tolist(), values), Coded(best, labels))
+
+
 def run_fig2(config: Fig2Config) -> list:
     """Rows (s1, s2, label); label is the optimal assignment as digits.
 
     Digit j of the label is the spectrum index assigned to weight slot j,
     e.g. "021" places values (v0, v2, v1) on (s1, s2, s3).
     """
-    grid = np.linspace(0.0, 1.0, config.resolution)
-    s1, s2 = np.meshgrid(grid, grid, indexing="ij")
-    inside = s1 + s2 <= 1.0 + _SIMPLEX_TOL
-    s1, s2 = s1[inside], s2[inside]
-    p = np.stack([s1, s2, np.maximum(1.0 - s1 - s2, 0.0)], axis=1)
-    perms, cost = _assignment_costs(p, config.spectrum)
-    labels = ["".join(str(i) for i in perm) for perm in perms.tolist()]
-    best = np.argmin(cost, axis=0).tolist()
-    return list(zip(s1.tolist(), s2.tolist(), map(labels.__getitem__, best)))
+    return list(_fig2_table(config))
 
 
 def write_fig2(config: Fig2Config, path) -> list:
-    rows = run_fig2(config)
-    write_csv(path, ("s1", "s2", "assignment"), rows)
+    write_csv(path, ("s1", "s2", "assignment"), table := _fig2_table(config))
     write_sidecar(path, config.to_dict())
-    return rows
+    return list(table)
 
 
 class Fig4Result(NamedTuple):
@@ -178,14 +181,9 @@ def run_fig4(n: int, t2_grid) -> Fig4Result:
 def write_fig4(n: int, t2_grid, path) -> Fig4Result:
     result = run_fig4(n, t2_grid)
     write_csv(path, ("t2", "F", "DG", "negativity"), result.rows)
-    write_sidecar(
-        path,
-        {
-            "command": "fig4",
-            "n": as_count(n, "photon number"),
-            "t2_grid": [row[0] for row in result.rows],
-        },
-    )
+    write_sidecar(path, {
+        "command": "fig4", "n": as_count(n, "photon number"), "t2_grid": [row[0] for row in result.rows],
+    })
     return result
 
 

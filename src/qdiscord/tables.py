@@ -13,13 +13,9 @@ configuration is byte-identical. One per-type rule renders every cell:
 template and one ``%``: the template holds a directive per cell, chosen by
 that cell's type, so mixed types within a column still follow the rule.
 
-Equal float cells are formatted once per file: a block whose cells are all
-exact ``float`` or ``str`` and mostly repeat (fig2's grid values and labels)
-reads their texts from one memo per file, started afresh once it holds over
-``_BLOCK_ROWS`` texts, so its bytes follow the same per-type rule. Cells that
-compare equal but print differently never share a text: ``-0.0``, ``0.0``
-and NaN are formatted cell by cell, and cells of different types (``1`` and
-``1.0``, ``np.float32(0.5)`` and ``0.5``) take the per-cell template.
+A :class:`Columns` table whose columns are all :class:`Coded` (fig2's grid
+values and labels) formats each listed value once, by the same rule, and joins
+its lines from those texts: ``-0.0``, ``0.0`` and NaN listed apart print apart.
 """
 
 import json
@@ -38,9 +34,6 @@ _FLOAT_CELL = f"%.{SIGNIFICANT_DIGITS}g"
 #: never held in memory as one string.
 _BLOCK_ROWS = 4096
 
-#: Cell types whose equal values always print alike, zeros apart.
-_SHARED_KINDS = frozenset({float, str})
-
 
 def _cell_format(kind: type) -> str:
     """The ``%`` directive for cells of type ``kind``."""
@@ -54,33 +47,59 @@ def format_number(value) -> str:
     return _cell_format(type(value)) % (value,)
 
 
-class _CellTexts(dict):
-    """Text of each distinct cell of a file, by :func:`format_number` on first
-    use. A zero is never stored, as ``0.0 == -0.0`` would share it, nor a NaN,
-    which no later cell equals."""
+class Coded:
+    """A table column whose cell r is ``values[codes[r]]``, for int codes."""
 
-    def __missing__(self, cell):
-        text = format_number(cell)
-        if cell and cell == cell:
-            self[cell] = text
-        return text
+    def __init__(self, codes, values):
+        self.codes, self.values = codes, values
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes)
+
+
+class Columns:
+    """A table given column by column, each :class:`Coded` or a plain sequence
+    of cells: ``len`` is its row count, and iterating gives its rows."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self):
+        return min(map(len, self.columns), default=0)
+
+    def __iter__(self):
+        return zip(*self.columns)
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header line plus one comma-joined line per row.
+    """Write a header line plus one comma-joined line per row of ``rows``, an
+    iterable of rows or a :class:`Columns` table (one whose columns are all
+    coded is joined from one text per listed value).
 
-    Every row must have one cell per header column; a row of another length,
-    or an empty header, raises :class:`DimensionMismatchError`, the header
-    before the file is opened.
+    An empty header, a table of other than ``len(header)`` equal-length columns,
+    or a row of other than ``len(header)`` cells raises
+    :class:`DimensionMismatchError`, all but the last before the file is opened.
     """
     width = len(header)
     if not width:
         raise DimensionMismatchError("a CSV header needs at least one column")
+    if isinstance(rows, Columns) and (lengths := list(map(len, rows.columns))) != lengths[:1] * width:
+        raise DimensionMismatchError(f"a table needs {width} equal-length columns, got lengths {lengths}")
+    if coded := isinstance(rows, Columns) and all(isinstance(c, Coded) for c in rows.columns):
+        # One text per listed value; each line is joined from its cells' texts.
+        texts = [map(list(map(format_number, c.values)).__getitem__, c.codes) for c in rows.columns]
+        rows = map(",".join, zip(*texts))
     inner, last = {}, {}  # cell type -> directive + "," (inner cell) or + "\n" (row end)
-    rows, memo = iter(rows), _CellTexts()
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         while block := list(islice(rows, _BLOCK_ROWS)):
+            if coded:
+                fh.write("\n".join(block) + "\n")
+                continue
             lengths = set(map(len, block))
             if lengths != {width}:
                 raise DimensionMismatchError(
@@ -88,13 +107,6 @@ def write_csv(path, header, rows) -> None:
                     f"got rows of {sorted(lengths - {width})} cells"
                 )
             cells = tuple(chain.from_iterable(block))
-            # Mostly repeats: one text per distinct cell of the file, the rule's text. The
-            # type test stops at the first cell of another type, such as fig1's int seed.
-            if _SHARED_KINDS.issuperset(map(type, cells)) and 2 * len(set(cells)) < len(cells):
-                memo = memo if len(memo) <= _BLOCK_ROWS else _CellTexts()  # bounded
-                texts = map(memo.__getitem__, cells)
-                fh.write("\n".join(map(",".join, zip(*[texts] * width))) + "\n")
-                continue
             kinds = list(map(type, cells))
             for kind in set(kinds).difference(inner):
                 directive = _cell_format(kind)

@@ -176,6 +176,18 @@ class TestRunFig2:
         sidecar = json.loads((tmp_path / "fig2.csv.json").read_text())
         assert sidecar["resolution"] == 4
 
+    @pytest.mark.parametrize("resolution", [2, 3, 200])
+    @pytest.mark.parametrize("spectrum", [(2, 4, 1), (4, 3, 2)])
+    def test_write_returns_the_rows_of_run(self, tmp_path, spectrum, resolution):
+        # write_fig2 takes its rows from the coded table it writes, and run_fig2 from the
+        # same _fig2_table: equal values of equal types, in a plain list of tuples.
+        config = qd.Fig2Config(spectrum, resolution)
+        written, run = qd.write_fig2(config, tmp_path / "fig2.csv"), qd.run_fig2(config)
+        assert type(written) is type(run) is list
+        assert written == run
+        assert [tuple(map(type, row)) for row in written] == [(float, float, str)] * len(run)
+        assert {type(row) for row in written} == {tuple}
+
     def test_csv_bytes_are_pinned(self, tmp_path):
         # fig2 is elementwise arithmetic only, so its bytes do not depend on
         # the BLAS build; a change to the CSV writer that moves a byte fails here.

@@ -5,7 +5,7 @@ import pytest
 
 from qdiscord import tables
 from qdiscord.errors import DimensionMismatchError
-from qdiscord.tables import _BLOCK_ROWS, format_number, write_csv
+from qdiscord.tables import _BLOCK_ROWS, Coded, Columns, format_number, write_csv
 
 
 def written(tmp_path, rows, header=("a", "b")):
@@ -120,8 +120,8 @@ def first_difference(tmp_path, header, rows):
 
 
 class TestSharedTexts:
-    """A block of exact floats and strs that mostly repeat formats each
-    distinct cell once; its bytes must equal the per-cell rule's."""
+    """A table of coded columns formats each listed value once; its bytes must
+    equal the per-cell rule's on the same rows."""
 
     HEADER = ("a", "b", "c", "d")
     # Equal under == but printed differently, or printed alike but unequal.
@@ -134,12 +134,12 @@ class TestSharedTexts:
     ]
 
     @staticmethod
-    def rows(count):
-        # Repeats cross _BLOCK_ROWS and end in a partial block; NaNs are fresh
-        # objects, so they never hit the memo by identity.
+    def table(count, *extra):
+        # Column k lists the pattern's k-th cells plus ``extra``; rows cycle through the
+        # pattern across _BLOCK_ROWS and end in a partial block.
         pattern = TestSharedTexts.PATTERN
-        return [tuple(float("nan") if c != c else c for c in pattern[i % len(pattern)])
-                for i in range(count)]
+        codes = [i % len(pattern) for i in range(count)]
+        return Columns(*(Coded(codes, [row[k] for row in pattern] + list(extra)) for k in range(4)))
 
     def counting_format(self, monkeypatch):
         calls = []
@@ -152,39 +152,20 @@ class TestSharedTexts:
         return calls
 
     def test_repeated_floats_and_strs_share_texts(self, tmp_path, monkeypatch):
-        rows = self.rows(2 * _BLOCK_ROWS + 123)
+        table = self.table(2 * _BLOCK_ROWS + 123)
         calls = self.counting_format(monkeypatch)
-        assert first_difference(tmp_path, self.HEADER, rows) is None
-        # The file formats each distinct nonzero cell once, over its three blocks, and each
-        # zero and NaN cell on its own.
-        cells = [cell for row in rows for cell in row]
-        distinct = {cell for cell in cells if cell and cell == cell}
-        assert len(calls) == len(distinct) + sum(1 for cell in cells if not cell or cell != cell)
+        assert first_difference(tmp_path, self.HEADER, table) is None
+        # One call per listed value, zeros and NaNs included, over the file's three blocks.
+        assert len(calls) == sum(len(column.values) for column in table.columns)
 
     @pytest.mark.parametrize("first, later", [(-0.0, 0.0), (0.0, -0.0)])
     def test_signed_zeros_keep_their_text_across_blocks(self, tmp_path, first, later):
-        # Each zero appears in one block only, so a memo kept for the file must not
-        # hand the first block's zero text to the later block's.
-        rows = [(first, 0.5, "x")] * _BLOCK_ROWS + [(later, 0.5, "x")] * _BLOCK_ROWS
-        assert first_difference(tmp_path, ("a", "b", "c"), rows) is None
-
-    def test_memo_is_bounded(self, tmp_path, monkeypatch):
-        # Slowly drifting values: each block mostly repeats, but no value comes back in a
-        # later block, so a memo that never started afresh would grow with the file.
-        memos = []
-
-        class Recorded(tables._CellTexts):
-            def __init__(self):
-                memos.append(self)
-
-        monkeypatch.setattr(tables, "_CellTexts", Recorded)
-        rows = [(i // 4 * 1e-3, "x", float("nan")) for i in range(10 * _BLOCK_ROWS)]
-        assert first_difference(tmp_path, ("a", "b", "c"), rows) is None
-        assert len(memos) > 1
-        # Over _BLOCK_ROWS texts it starts afresh, so it holds at most one block's distinct
-        # cells more: 1,025 here, as no NaN is stored.
-        assert max(map(len, memos)) <= _BLOCK_ROWS + 1025
-        assert all(cell == cell for memo in memos for cell in memo)
+        # Equal values listed apart: each keeps its own text on either side of a block edge.
+        codes = [0] * _BLOCK_ROWS + [1] * _BLOCK_ROWS
+        table = Columns(Coded(codes, [first, later]), [0.5] * len(codes), Coded(codes, ["x", "y"]))
+        assert first_difference(tmp_path, ("a", "b", "c"), table) is None
+        table = Columns(Coded(codes, [first, later]), Coded(codes, [0.5, 0.5]), Coded(codes, ["x", "x"]))
+        assert first_difference(tmp_path, ("a", "b", "c"), table) is None
 
     @pytest.mark.parametrize(
         "cell",
@@ -193,13 +174,12 @@ class TestSharedTexts:
         ids=repr,
     )
     def test_other_cell_types_keep_their_own_text(self, tmp_path, cell):
-        # One cell of another type, equal to a float of the block (the row
-        # holds 16777216.0 and 2.0**53; 1e12 and 0.0 recur), in the second of
-        # three blocks: that block takes the per-cell template, while the shared
-        # blocks on either side read one memo that holds the equal float's text.
-        rows = self.rows(2 * _BLOCK_ROWS + 123)
-        rows[_BLOCK_ROWS + 7] = (cell, *rows[_BLOCK_ROWS + 7][1:])
-        assert first_difference(tmp_path, self.HEADER, rows) is None
+        # One value of another type, equal to a float listed beside it (16777216.0 and
+        # 2.0**53; 1e12 and 0.0 recur), listed in every column and coded in one row of
+        # the second of three blocks (the columns share their codes).
+        table = self.table(2 * _BLOCK_ROWS + 123, cell)
+        table.columns[0].codes[_BLOCK_ROWS + 7] = len(self.PATTERN)
+        assert first_difference(tmp_path, self.HEADER, table) is None
 
     def test_mostly_distinct_floats_take_the_template(self, tmp_path, monkeypatch):
         rows = [(i / 7, -i / 9, 0.5, 0.25) for i in range(101)]
@@ -209,13 +189,64 @@ class TestSharedTexts:
 
     @pytest.mark.parametrize("cell", [True, np.bool_(False)], ids=repr)
     def test_bool_in_a_shared_block_raises(self, tmp_path, cell):
-        rows = self.rows(_BLOCK_ROWS + 123)
-        rows[_BLOCK_ROWS + 5] = (*rows[_BLOCK_ROWS + 5][:3], cell)
         with pytest.raises(TypeError, match="booleans"):
-            written(tmp_path, rows, self.HEADER)
+            written(tmp_path, self.table(_BLOCK_ROWS + 123, cell), self.HEADER)
 
     def test_short_row_in_a_shared_block_raises(self, tmp_path):
-        rows = self.rows(_BLOCK_ROWS + 123)
+        rows = list(self.table(_BLOCK_ROWS + 123))
         rows[_BLOCK_ROWS + 5] = rows[_BLOCK_ROWS + 5][:3]
         with pytest.raises(DimensionMismatchError, match="needs 4 cells"):
             written(tmp_path, rows, self.HEADER)
+
+
+class TestColumns:
+    # Every case of TestCellRules but the bools, with -0.0 and 0.0 listed apart.
+    VALUES = [0, -7, 2**64, 12345678901234567, np.int64(-9223372036854775808),
+              0.1, 1 / 3, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+              1e22, np.float64(2 / 3), np.float32(0.1), "012", "a%sb", None]
+
+    @staticmethod
+    def codes(seed, count=2 * _BLOCK_ROWS + 123):
+        # Seeded codes over every value, with -0.0 (index 7) ending the first block and
+        # 0.0 (index 8) starting the second.
+        codes = np.random.default_rng(seed).integers(len(TestColumns.VALUES), size=count).tolist()
+        codes[_BLOCK_ROWS - 1:_BLOCK_ROWS + 1] = [7, 8]
+        return codes
+
+    def test_coded_and_plain_columns_write_the_bytes_of_rows(self, tmp_path):
+        values, header = self.VALUES, ("a", "b", "c")
+        cells = [[values[k] for k in self.codes(seed)] for seed in (1, 2, 3)]
+        coded = [Coded(self.codes(seed), values) for seed in (1, 2, 3)]
+        rows = list(zip(*cells))
+        for table in (Columns(*coded), Columns(coded[0], coded[1], cells[2]),
+                      Columns(cells[0], coded[1], coded[2])):
+            assert len(table) == len(rows) and list(table) == rows
+            assert first_difference(tmp_path, header, table) is None
+            assert written(tmp_path, table, header) == written(tmp_path, rows, header)
+
+    def test_empty_table_writes_only_the_header(self, tmp_path):
+        assert len(Columns(Coded([], [0.5]), [])) == 0
+        assert written(tmp_path, Columns(Coded([], [0.5]), [])) == "a,b\n"
+
+    @pytest.mark.parametrize("cell", [True, False, np.bool_(True)], ids=repr)
+    def test_bool_among_values_raises(self, tmp_path, cell):
+        # Formatted once whether or not a code refers to it.
+        for codes in ([0, 1, 0], [0, 0, 0]):
+            with pytest.raises(TypeError, match="booleans"):
+                written(tmp_path, Columns(Coded(codes, [0.5, cell]), Coded(codes, ["x", "y"])))
+
+    def test_unequal_columns_raise_before_opening(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for columns in ((Coded([0, 0], [1.0]), Coded([0], ["x"])), (Coded([0, 0], [1.0]), [1, 2, 3]),
+                        ([1, 2], [1])):
+            with pytest.raises(DimensionMismatchError, match="needs 2 equal-length columns"):
+                write_csv(path, ("a", "b"), Columns(*columns))
+            assert not path.exists()
+
+    def test_column_count_other_than_the_header_raises_before_opening(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for header in (("a",), ("a", "b", "c")):
+            for table in (Columns(Coded([0], [1.0]), Coded([0], ["x"])), Columns([1.0], ["x"])):
+                with pytest.raises(DimensionMismatchError, match="needs [13] equal-length columns"):
+                    write_csv(path, header, table)
+                assert not path.exists()
