@@ -69,7 +69,6 @@ from .states import (
     StateReport,
     load_density,
     noon_lossy_density,
-    noon_tripartite,
     save_density,
     schmidt_decompose,
     validation_report,

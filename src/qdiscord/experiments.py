@@ -1,15 +1,10 @@
 """Deterministic dataset pipelines behind the package's three figures and
-the ``qfi --grid`` table.
-
-Each ``write_*`` function writes the CSV file plus a ``<csv>.json`` sidecar
-recording the exact configuration and package version; fig1, fig2 and fig4
-also have a ``run_*`` function returning the plain rows, and fig1 and fig2
-a frozen config. Identical configs give byte-identical files. The qfi
-sidecar records the step the fidelity oracle derived from n; no caller sets it.
+the ``qfi --grid`` table. Each ``write_*`` writes its rows as a
+:class:`~qdiscord.tables.Columns` table plus a ``<csv>.json`` sidecar of
+the exact configuration, so identical configs give byte-identical files.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -78,25 +73,31 @@ class Fig1Config:
         return {"command": "fig1", **vars(self), "spectrum": list(self.spectrum.values)}
 
 
+def _fig1_table(config: Fig1Config) -> Columns:
+    """The rows of :func:`run_fig1` as columns, s1 coded by grid index."""
+    point_seeds = derive_child_seeds(config.seed, len(config.s1_grid))
+    scans = [
+        scan_uncertainty(
+            DensityMatrix.from_pure(PureBipartiteState.from_probabilities(config.probabilities(s1))),
+            config.spectrum, config.samples, point_seed,
+        )
+        for s1, point_seed in zip(config.s1_grid, point_seeds.tolist())
+    ]
+    codes = np.repeat(np.arange(len(scans)), config.samples).tolist()
+    seeds, q, u = (np.concatenate([getattr(scan, name) for scan in scans]).tolist()
+                   for name in ("seeds", "q_values", "u_values"))
+    return Columns(Coded(codes, config.s1_grid), seeds, q, u)
+
+
 def run_fig1(config: Fig1Config) -> list:
     """Rows (s1, basis seed, Q, U), one per sampled measurement."""
-    point_seeds = derive_child_seeds(config.seed, len(config.s1_grid))
-    rows = []
-    for s1, point_seed in zip(config.s1_grid, point_seeds.tolist()):
-        state = PureBipartiteState.from_probabilities(config.probabilities(s1))
-        rho = DensityMatrix.from_pure(state)
-        scan = scan_uncertainty(rho, config.spectrum, config.samples, point_seed)
-        rows.extend(zip(
-            repeat(s1), scan.seeds.tolist(), scan.q_values.tolist(), scan.u_values.tolist()
-        ))
-    return rows
+    return list(_fig1_table(config))
 
 
 def write_fig1(config: Fig1Config, path) -> list:
-    rows = run_fig1(config)
-    write_csv(path, ("s1", "seed", "Q", "U"), rows)
+    write_csv(path, ("s1", "seed", "Q", "U"), table := _fig1_table(config))
     write_sidecar(path, config.to_dict())
-    return rows
+    return list(table)
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def run_fig4(n: int, t2_grid) -> Fig4Result:
 
 def write_fig4(n: int, t2_grid, path) -> Fig4Result:
     result = run_fig4(n, t2_grid)
-    write_csv(path, ("t2", "F", "DG", "negativity"), result.rows)
+    write_csv(path, ("t2", "F", "DG", "negativity"), Columns(*zip(*result.rows)))
     write_sidecar(path, {
         "command": "fig4", "n": as_count(n, "photon number"), "t2_grid": [row[0] for row in result.rows],
     })
@@ -197,7 +198,7 @@ def write_qfi(n: int, t2_grid, phi: float, tolerance: float, path) -> list:
     rows = []
     for t2, point, _, f, dg, residual in identity_sweep(n, t2_grid, phi):
         rows.append((t2, f, qfi_noon_oracle(point), dg, residual))
-    write_csv(path, ("t2", "F_closed", "F_oracle", "DG", "residual"), rows)
+    write_csv(path, ("t2", "F_closed", "F_oracle", "DG", "residual"), Columns(*zip(*rows)))
     write_sidecar(path, {
         "command": "qfi", "n": point.n, "phi": point.phi, "delta": _oracle_step(point.n),
         "tolerance": tolerance, "t2_grid": [row[0] for row in rows],

@@ -349,35 +349,15 @@ def _core(c: complex) -> tuple:
     return 0.5 * outer, outer * (1.0 / sqrt(2.0 * (1.0 + abs(c) ** 2)))
 
 
-def noon_tripartite(params: NoonChannelParams) -> np.ndarray:
-    """Amplitude tensor of the purified lossy state, shape (2, n+1, n+1).
-
-    Axis 0 is the two-level label of arm A with basis order (|0>_A, |n>_A),
-    axis 1 the surviving photon number in arm B, axis 2 the photon number
-    absorbed by the environment. The intact branch is (1/sqrt(2))
-    |n>_A |0>_B |0>_E; the lossy branch spreads over
-    (1/sqrt(2)) sqrt(C(n,k)) t^k r^(n-k) e^(i k phi) |0>_A |k>_B |n-k>_E,
-    the phase entering once per photon that survives the lossy arm.
-    """
-    n = params.n
-    weights = _loss_weights(params)
-    k = np.arange(n + 1)
-    phase = k * (params.phi + np.angle(params.t)) + (n - k) * np.angle(params.r)
-    amp = np.zeros((2, n + 1, n + 1), dtype=complex)
-    amp[1, 0, 0] = 1.0 / sqrt(2.0)
-    amp[0, k, n - k] = np.sqrt(weights) * np.exp(1j * phase)
-    return amp
-
-
 def noon_lossy_density(params: NoonChannelParams) -> DensityMatrix:
     """System density matrix after the environment is discarded.
 
     The coherent core :func:`_core` on rows n, n + 1 (off-diagonal weight
     t^n e^(i n phi) / 2) plus the photon-loss mixture w_k on |0>_A |k>_B for
-    k < n; equals the partial trace of :func:`noon_tripartite` over the
-    environment. The two parts sit on disjoint rows, so the state's root is
-    exact without an eigendecomposition: the core's root plus diag(sqrt(w_k)),
-    which validates the state (:class:`DensityMatrix`).
+    k < n; equals the purified three-part state traced over the environment.
+    The two parts sit on disjoint rows, so the state's root is exact without
+    an eigendecomposition: the core's root plus diag(sqrt(w_k)), which
+    validates the state (:class:`DensityMatrix`).
     """
     n = params.n
     weights = _loss_weights(params)

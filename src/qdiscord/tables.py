@@ -2,20 +2,13 @@
 
 Files are written with LF newlines so that a repeated run with the same
 configuration is byte-identical. One per-type rule renders every cell:
+``bool`` and ``np.bool_`` raise :class:`TypeError`, floats (``np.float64``
+too) print at 12 significant digits (``%.12g``: ``-0``, ``nan``, ``inf``),
+and any other cell prints through ``str``, so integers print verbatim.
 
-* ``bool`` and ``np.bool_`` are rejected with :class:`TypeError`;
-* ``float`` and its subclasses (``np.float64`` included) print at 12
-  significant digits (``%.12g``: ``-0``, ``nan``, ``inf``);
-* any other cell prints through ``str``, so Python and numpy integers
-  print verbatim.
-
-:func:`write_csv` formats a block of up to ``_BLOCK_ROWS`` rows with one
-template and one ``%``: the template holds a directive per cell, chosen by
-that cell's type, so mixed types within a column still follow the rule.
-
-A :class:`Columns` table whose columns are all :class:`Coded` (fig2's grid
-values and labels) formats each listed value once, by the same rule, and joins
-its lines from those texts: ``-0.0``, ``0.0`` and NaN listed apart print apart.
+A table is a :class:`Columns` of :class:`Coded` columns, whose listed values
+are formatted once each (``-0.0`` and ``0.0`` listed apart print apart), and
+plain ones, formatted ``_BLOCK_ROWS`` cells at a time by each cell's type.
 """
 
 import json
@@ -30,8 +23,8 @@ SIGNIFICANT_DIGITS = 12
 
 _FLOAT_CELL = f"%.{SIGNIFICANT_DIGITS}g"
 
-#: Rows formatted per ``%`` and ``write``; bounded so a large table is
-#: never held in memory as one string.
+#: Cells formatted per ``%`` and lines per ``write``; bounded so a large
+#: table is never held in memory as one string.
 _BLOCK_ROWS = 4096
 
 
@@ -62,58 +55,65 @@ class Coded:
 
 class Columns:
     """A table given column by column, each :class:`Coded` or a plain sequence
-    of cells: ``len`` is its row count, and iterating gives its rows."""
+    of cells: ``len`` is its row count, and iterating gives its rows. Columns of
+    unequal length raise :class:`DimensionMismatchError`."""
 
     def __init__(self, *columns):
-        self.columns = columns
+        lengths = list(map(len, columns))
+        if lengths != lengths[:1] * len(columns):
+            raise DimensionMismatchError(f"a table's columns need equal lengths, got {lengths}")
+        self.columns, self._rows = columns, lengths[0] if lengths else 0
 
     def __len__(self):
-        return min(map(len, self.columns), default=0)
+        return self._rows
 
     def __iter__(self):
         return zip(*self.columns)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header line plus one comma-joined line per row of ``rows``, an
-    iterable of rows or a :class:`Columns` table (one whose columns are all
-    coded is joined from one text per listed value).
+def _texts(cells) -> list:
+    """The texts of ``cells`` by the per-type rule, from one template and one ``%``.
+    A text holding a line break raises :class:`ValueError`."""
+    cells = tuple(cells)
+    if not cells:
+        return []
+    kinds = list(map(type, cells))
+    directives = {kind: _cell_format(kind) for kind in set(kinds)}
+    texts = ("\n".join(map(directives.__getitem__, kinds)) % cells).split("\n")
+    if len(texts) != len(cells):
+        raise ValueError("a table cell's text holds a line break")
+    return texts
 
-    An empty header, a table of other than ``len(header)`` equal-length columns,
-    or a row of other than ``len(header)`` cells raises
-    :class:`DimensionMismatchError`, all but the last before the file is opened.
+
+def _column_texts(column):
+    """An iterator over a column's cell texts: a coded column's values are
+    formatted here, once each; a plain column's cells ``_BLOCK_ROWS`` at a time."""
+    if isinstance(column, Coded):
+        return map(_texts(column.values).__getitem__, column.codes)
+    cells = iter(column)
+    return chain.from_iterable(iter(lambda: _texts(islice(cells, _BLOCK_ROWS)), []))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line plus one comma-joined line per row of ``rows``, a
+    :class:`Columns` table; anything else raises :class:`TypeError`.
+
+    An empty header, or a table of other than ``len(header)`` columns, raises
+    :class:`DimensionMismatchError` before the file is opened; a cell whose
+    text holds a line break, which would split its row, raises :class:`ValueError`.
     """
+    if not isinstance(rows, Columns):
+        raise TypeError(f"write_csv takes a Columns table, got {type(rows).__name__}")
     width = len(header)
     if not width:
         raise DimensionMismatchError("a CSV header needs at least one column")
-    if isinstance(rows, Columns) and (lengths := list(map(len, rows.columns))) != lengths[:1] * width:
-        raise DimensionMismatchError(f"a table needs {width} equal-length columns, got lengths {lengths}")
-    if coded := isinstance(rows, Columns) and all(isinstance(c, Coded) for c in rows.columns):
-        # One text per listed value; each line is joined from its cells' texts.
-        texts = [map(list(map(format_number, c.values)).__getitem__, c.codes) for c in rows.columns]
-        rows = map(",".join, zip(*texts))
-    inner, last = {}, {}  # cell type -> directive + "," (inner cell) or + "\n" (row end)
-    rows = iter(rows)
+    if len(rows.columns) != width:
+        raise DimensionMismatchError(f"a {width}-column header needs {width} columns, got {len(rows.columns)}")
+    lines = map(",".join, zip(*map(_column_texts, rows.columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            if coded:
-                fh.write("\n".join(block) + "\n")
-                continue
-            lengths = set(map(len, block))
-            if lengths != {width}:
-                raise DimensionMismatchError(
-                    f"every row needs {width} cells, one per header column; "
-                    f"got rows of {sorted(lengths - {width})} cells"
-                )
-            cells = tuple(chain.from_iterable(block))
-            kinds = list(map(type, cells))
-            for kind in set(kinds).difference(inner):
-                directive = _cell_format(kind)
-                inner[kind], last[kind] = directive + ",", directive + "\n"
-            template = list(map(inner.__getitem__, kinds))
-            template[width - 1::width] = map(last.__getitem__, kinds[width - 1::width])
-            fh.write("".join(template) % cells)
+        while block := list(islice(lines, _BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")
 
 
 def write_sidecar(csv_path, payload: dict) -> str:

@@ -26,7 +26,7 @@ import numpy as np
 import qdiscord as qd
 from qdiscord.cli import main as cli_main
 
-from helpers import noon_family, random_pure, random_state, single_photon_lqu, uncertainty_term
+from helpers import loop_tripartite, noon_family, random_pure, random_state, single_photon_lqu, uncertainty_term
 
 GRID_T2 = tuple(float(t2) for t2 in np.linspace(0.0, 1.0, 11))
 GRID_N = tuple(range(1, 11))
@@ -247,7 +247,7 @@ def test_criterion_09_density_matches_traced_purification():
         for t2 in GRID_T2:
             for phi in (0.0, 0.9):
                 params = qd.NoonChannelParams.from_transmittance(n, t2, phi)
-                amp = qd.noon_tripartite(params).reshape(-1)
+                amp = loop_tripartite(params).reshape(-1)
                 traced = qd.partial_trace(
                     np.outer(amp, amp.conj()), (2, n + 1, n + 1), (0, 1)
                 )

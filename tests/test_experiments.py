@@ -9,6 +9,7 @@ import pytest
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
 from qdiscord.experiments import write_qfi
+from qdiscord.tables import format_number
 
 from helpers import (
     forceable_core_types,
@@ -293,6 +294,35 @@ class TestWriteQfi:
         with pytest.raises(InvalidInputError, match="tolerance"):
             write_qfi(2, (0.5, 1.0), 0.0, tolerance, tmp_path / "qfi.csv")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPipelineLines:
+    """Each pipeline's CSV line r is its returned row r through the per-cell rule,
+    whatever columns the pipeline hands the writer; each table crosses a block."""
+
+    @staticmethod
+    def assert_lines(path, header, rows):
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == header and lines[-1] == "" and len(lines) == len(rows) + 2
+        assert lines[1:-1] == [",".join(map(format_number, row)) for row in rows]
+
+    def test_fig1(self, tmp_path):
+        config = qd.Fig1Config(3, (0.1, 0.3), s2=0.2, samples=2100)
+        rows = qd.write_fig1(config, tmp_path / "fig1.csv")
+        assert len(rows) == 4200 and rows == qd.run_fig1(config)
+        self.assert_lines(tmp_path / "fig1.csv", "s1,seed,Q,U", rows)
+
+    def test_fig2(self, tmp_path):
+        rows = qd.write_fig2(qd.Fig2Config((2, 4, 1), 100), tmp_path / "fig2.csv")
+        self.assert_lines(tmp_path / "fig2.csv", "s1,s2,assignment", rows)
+
+    def test_fig4(self, tmp_path):
+        result = qd.write_fig4(50, np.linspace(0.0, 1.0, 4097), tmp_path / "fig4.csv")
+        self.assert_lines(tmp_path / "fig4.csv", "t2,F,DG,negativity", result.rows)
+
+    def test_qfi(self, tmp_path):
+        rows = write_qfi(10, np.linspace(0.0, 1.0, 4097), 0.0, 1e-9, tmp_path / "qfi.csv")
+        self.assert_lines(tmp_path / "qfi.csv", "t2,F_closed,F_oracle,DG,residual", rows)
 
 
 #: SHA-256 of each helpers.PIPELINES CSV, keyed by the numpy version it was

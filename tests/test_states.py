@@ -328,36 +328,34 @@ class TestNoonChannelParams:
 
 
 class TestNoonTripartite:
+    """The purification reference (helpers.loop_tripartite) that the dense
+    density is traced from in test_matches_partial_trace_of_tripartite."""
+
     def test_lossless_limit(self):
         p = qd.NoonChannelParams.from_transmittance(3, 1.0, 0.4)
-        amp = qd.noon_tripartite(p)
+        amp = loop_tripartite(p)
         assert abs(amp[1, 0, 0] - 1 / sqrt(2)) < 1e-12
         assert abs(amp[0, 3, 0] - np.exp(3j * 0.4) / sqrt(2)) < 1e-12
         assert np.count_nonzero(np.abs(amp) > 1e-15) == 2
 
     def test_all_loss_limit_has_no_phase(self):
         p = qd.NoonChannelParams.from_transmittance(3, 0.0, 0.9)
-        amp = qd.noon_tripartite(p)
+        amp = loop_tripartite(p)
         assert abs(amp[1, 0, 0] - 1 / sqrt(2)) < 1e-12
         assert abs(amp[0, 0, 3] - 1 / sqrt(2)) < 1e-12
         assert np.count_nonzero(np.abs(amp) > 1e-15) == 2
 
     def test_binomial_amplitudes(self):
         p = qd.NoonChannelParams.from_transmittance(2, 0.5)
-        amp = qd.noon_tripartite(p)
+        amp = loop_tripartite(p)
         lossy = [abs(amp[0, k, 2 - k]) for k in range(3)]
         assert np.allclose(lossy, [0.3536, 0.5, 0.3536], atol=5e-5)
 
     def test_unit_norm(self):
         for n, t2 in ((1, 0.3), (4, 0.8), (7, 0.05)):
             p = qd.NoonChannelParams.from_transmittance(n, t2, 0.7)
-            amp = qd.noon_tripartite(p)
+            amp = loop_tripartite(p)
             assert abs(np.linalg.norm(amp.reshape(-1)) - 1.0) < 1e-12
-
-    def test_matches_loop_reference(self):
-        for params in PROBE_POINTS:
-            dev = np.max(np.abs(qd.noon_tripartite(params) - loop_tripartite(params)))
-            assert dev < 1e-15, params
 
 
 class TestNoonLossyDensity:
@@ -383,7 +381,7 @@ class TestNoonLossyDensity:
     def test_matches_partial_trace_of_tripartite(self):
         for n, t2, phi in ((1, 0.5, 0.0), (3, 0.2, 1.1), (6, 0.85, -0.4)):
             params = qd.NoonChannelParams.from_transmittance(n, t2, phi)
-            amp = qd.noon_tripartite(params).reshape(-1)
+            amp = loop_tripartite(params).reshape(-1)
             full = np.outer(amp, amp.conj())
             reduced = qd.partial_trace(full, (2, n + 1, n + 1), (0, 1))
             dev = np.max(np.abs(reduced - qd.noon_lossy_density(params).matrix))
@@ -414,9 +412,8 @@ class TestNoonLossyDensity:
         below = qd.NoonChannelParams.from_transmittance(1029, 0.5)
         assert abs(qd.states._loss_weights(below).sum() - 0.5) < 1e-12  # the half-weights
         params = qd.NoonChannelParams.from_transmittance(1030, 0.5)
-        for builder in (qd.noon_lossy_density, qd.noon_tripartite):
-            with pytest.raises(InvalidInputError, match="photon number 1030 is too large"):
-                builder(params)
+        with pytest.raises(InvalidInputError, match="photon number 1030 is too large"):
+            qd.noon_lossy_density(params)
         assert qd.qfi_noon_closed(params) == pytest.approx(1030**2 * 2 * 0.5**1030)
 
     def test_root_matches_closed_form(self):

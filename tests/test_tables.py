@@ -8,10 +8,30 @@ from qdiscord.errors import DimensionMismatchError
 from qdiscord.tables import _BLOCK_ROWS, Coded, Columns, format_number, write_csv
 
 
-def written(tmp_path, rows, header=("a", "b")):
+def table_of(rows, width=None):
+    """The rows as a table of plain columns; ``width`` columns when there are no rows."""
+    return Columns(*zip(*rows)) if rows else Columns(*([()] * width))
+
+
+def written(tmp_path, table, header=("a", "b")):
     path = tmp_path / "t.csv"
-    write_csv(path, header, rows)
+    write_csv(path, header, table)
     return path.read_bytes().decode("utf-8")
+
+
+def first_difference(tmp_path, header, table):
+    """First (line number, written, expected) where ``write_csv`` differs
+    from a per-cell ``format_number`` reference on the table's rows, or None.
+    Large tables are not compared with a bare ``==``, whose failure report
+    diffs them whole."""
+    lines = [",".join(header)] + [",".join(map(format_number, row)) for row in table] + [""]
+    got = written(tmp_path, table, header).split("\n")
+    return next(((i, a, b) for i, (a, b) in enumerate(zip_longest(got, lines)) if a != b), None)
+
+
+def as_plain_and_coded(cell):
+    """One cell as a one-row plain column and as a one-row coded column."""
+    return Columns([cell]), Columns(Coded([0], [cell]))
 
 
 class TestCellRules:
@@ -19,15 +39,17 @@ class TestCellRules:
     def test_bool_cell_raises(self, tmp_path, cell):
         with pytest.raises(TypeError, match="booleans"):
             format_number(cell)
-        with pytest.raises(TypeError, match="booleans"):
-            written(tmp_path, [(1, cell)])
+        for table in (Columns([1], [cell]), Columns([1], Coded([0], [cell]))):
+            with pytest.raises(TypeError, match="booleans"):
+                written(tmp_path, table)
 
     @pytest.mark.parametrize("cell", [np.bool_(True), np.bool_(False)])
     def test_numpy_bool_cell_raises(self, tmp_path, cell):
         with pytest.raises(TypeError, match="booleans"):
             format_number(cell)
-        with pytest.raises(TypeError, match="booleans"):
-            written(tmp_path, [(1, 0.5), (cell, 0.5)])
+        for table in (Columns([1, cell], [0.5, 0.5]), Columns(Coded([0, 1], [1, cell]), [0.5, 0.5])):
+            with pytest.raises(TypeError, match="booleans"):
+                written(tmp_path, table)
 
     @pytest.mark.parametrize(
         "cell, text",
@@ -37,7 +59,8 @@ class TestCellRules:
     )
     def test_ints_print_verbatim(self, tmp_path, cell, text):
         assert format_number(cell) == text
-        assert written(tmp_path, [(cell,)], ("a",)) == f"a\n{text}\n"
+        for table in as_plain_and_coded(cell):
+            assert written(tmp_path, table, ("a",)) == f"a\n{text}\n"
 
     @pytest.mark.parametrize(
         "cell, text",
@@ -48,54 +71,56 @@ class TestCellRules:
     )
     def test_floats_print_at_twelve_digits(self, tmp_path, cell, text):
         assert format_number(cell) == text
-        assert written(tmp_path, [(cell,)], ("a",)) == f"a\n{text}\n"
+        for table in as_plain_and_coded(cell):
+            assert written(tmp_path, table, ("a",)) == f"a\n{text}\n"
 
     def test_other_cells_print_through_str(self, tmp_path):
-        cells = ("012", "a%sb", np.float32(0.1), None)
+        cells = ("012", "a%sb", np.float32(0.1), None, (1, 2))
+        header, line = ("a", "b", "c", "d", "e"), ",".join(map(str, cells))
         assert [format_number(c) for c in cells] == [str(c) for c in cells]
-        assert written(tmp_path, [cells], ("a", "b", "c", "d")) == "a,b,c,d\n" + ",".join(map(str, cells)) + "\n"
+        for table in (Columns(*([c] for c in cells)), Columns(*(Coded([0], [c]) for c in cells))):
+            assert written(tmp_path, table, header) == "a,b,c,d,e\n" + line + "\n"
 
 
 class TestWriteCsv:
-    def test_row_containers(self, tmp_path):
-        expected = "a,b\n1,0.5\n2,0.25\n"
-        assert written(tmp_path, [[1, 0.5], [2, 0.25]]) == expected
-        assert written(tmp_path, ((1, 0.5), (2, 0.25))) == expected
-        assert written(tmp_path, zip([1, 2], [0.5, 0.25])) == expected
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 0.5], [2, 0.25]], ((1, 0.5), (2, 0.25)), zip([1, 2], [0.5, 0.25]), iter(()), []],
+        ids=["lists", "tuples", "zip", "iterator", "empty"],
+    )
+    def test_row_input_raises_before_opening(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        with pytest.raises(TypeError, match="Columns"):
+            write_csv(path, ("a", "b"), rows)
+        assert not path.exists()
 
     def test_empty_rows_write_only_the_header(self, tmp_path):
-        assert written(tmp_path, []) == "a,b\n"
-        assert written(tmp_path, iter(())) == "a,b\n"
+        assert written(tmp_path, Columns([], [])) == "a,b\n"
+        assert written(tmp_path, Columns(Coded([], [0.5]), [])) == "a,b\n"
 
     def test_line_endings_are_lf(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ("a",), [(1,), (2,)])
+        write_csv(path, ("a",), Columns([1, 2]))
         assert path.read_bytes() == b"a\n1\n2\n"
 
     def test_mixed_column_types_match_per_cell_format(self, tmp_path):
         rows = [(1, 2.5, "x"), (1.5, 2, "y"), (np.int64(3), np.float64(0.1), 4),
                 (2**70, -0.0, 1e-300), (1, 2.5, "z")]
-        lines = written(tmp_path, rows, ("a", "b", "c")).split("\n")
+        lines = written(tmp_path, table_of(rows), ("a", "b", "c")).split("\n")
         assert lines[0] == "a,b,c"
         assert lines[1:] == [",".join(map(format_number, row)) for row in rows] + [""]
 
     def test_rows_span_several_blocks(self, tmp_path):
         rows = [(i, i / 7) for i in range(10_000)]
-        lines = written(tmp_path, rows).split("\n")
+        lines = written(tmp_path, table_of(rows)).split("\n")
         assert len(lines) == len(rows) + 2
         assert lines[1:-1] == [",".join(map(format_number, row)) for row in rows]
 
-    def test_ragged_rows_raise(self, tmp_path):
-        with pytest.raises(DimensionMismatchError, match="needs 3 cells"):
-            written(tmp_path, [(1, 2.0, 3), (1, 2.0), (1, 2.0, 3, 4)], ("a", "b", "c"))
-        with pytest.raises(DimensionMismatchError, match="needs 2 cells"):
-            written(tmp_path, [(1, 2.0)] * _BLOCK_ROWS + [(1, 2.0, 3)])
-
     def test_empty_header_raises_before_opening(self, tmp_path):
         path = tmp_path / "t.csv"
-        for rows in ([], [(), ()]):
+        for table in (Columns(), Columns([]), Columns([1.0], ["x"])):
             with pytest.raises(DimensionMismatchError, match="header"):
-                write_csv(path, (), rows)
+                write_csv(path, (), table)
             assert not path.exists()
 
     def test_type_signature_changes_mid_block_and_at_block_boundary(self, tmp_path):
@@ -105,23 +130,37 @@ class TestWriteCsv:
         rows += [(i / 3, np.int64(i), i) for i in range(1000, _BLOCK_ROWS)]
         rows += [(np.float64(i), str(i), np.float32(i) / 3) for i in range(_BLOCK_ROWS, 5000)]
         rows += [(i, -i / 9, None) for i in range(5000, 9000)]
-        lines = written(tmp_path, rows, ("a", "b", "c")).split("\n")
+        lines = written(tmp_path, table_of(rows), ("a", "b", "c")).split("\n")
         assert len(lines) == len(rows) + 2
         assert lines[1:-1] == [",".join(map(format_number, row)) for row in rows]
 
+    @pytest.mark.parametrize("count", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+    def test_block_edges(self, tmp_path, count):
+        # Plain columns of one and of mixed types beside a coded one, each
+        # cell distinct from its neighbours, so a row shifted at an edge shows.
+        values = [i / 7 for i in range(11)] + ["x", -0.0, 3]
+        table = Columns(
+            [i / 3 for i in range(count)],
+            [i if i % 5 else -i / 9 for i in range(count)],
+            Coded([i % len(values) for i in range(count)], values),
+        )
+        assert len(table) == count
+        assert first_difference(tmp_path, ("a", "b", "c"), table) is None
+        assert written(tmp_path, table, ("a", "b", "c")).count("\n") == count + 1
 
-def first_difference(tmp_path, header, rows):
-    """First (line number, written, expected) where ``write_csv`` differs
-    from a per-cell ``format_number`` reference, or None. Large tables are
-    not compared with a bare ``==``, whose failure report diffs them whole."""
-    lines = [",".join(header)] + [",".join(map(format_number, row)) for row in rows] + [""]
-    got = written(tmp_path, rows, header).split("\n")
-    return next(((i, a, b) for i, (a, b) in enumerate(zip_longest(got, lines)) if a != b), None)
+    @pytest.mark.parametrize("cell", ["a\nb", "\n", "x\n"], ids=repr)
+    def test_line_break_cell_raises(self, tmp_path, cell):
+        # Alone, at a block's last row and among a coded column's values.
+        plain = [0.5] * (_BLOCK_ROWS - 1) + [cell]
+        for table in (Columns([cell]), Columns([1] * _BLOCK_ROWS, plain),
+                      Columns([1, 2], Coded([0, 0], ["y", cell]))):
+            with pytest.raises(ValueError, match="line break"):
+                written(tmp_path, table, ("a",) * len(table.columns))
 
 
 class TestSharedTexts:
-    """A table of coded columns formats each listed value once; its bytes must
-    equal the per-cell rule's on the same rows."""
+    """A coded column formats each listed value once; its bytes must equal
+    the per-cell rule's on the same rows."""
 
     HEADER = ("a", "b", "c", "d")
     # Equal under == but printed differently, or printed alike but unequal.
@@ -143,20 +182,22 @@ class TestSharedTexts:
 
     def counting_format(self, monkeypatch):
         calls = []
+        cell_format = tables._cell_format
 
-        def counted(value):
-            calls.append(value)
-            return format_number(value)
+        def counted(kind):
+            calls.append(kind)
+            return cell_format(kind)
 
-        monkeypatch.setattr(tables, "format_number", counted)
+        monkeypatch.setattr(tables, "_cell_format", counted)
         return calls
 
     def test_repeated_floats_and_strs_share_texts(self, tmp_path, monkeypatch):
         table = self.table(2 * _BLOCK_ROWS + 123)
         calls = self.counting_format(monkeypatch)
+        assert written(tmp_path, table, self.HEADER).count("\n") == len(table) + 1
+        # One directive per type listed in each column, over the file's three blocks.
+        assert len(calls) == sum(len(set(map(type, column.values))) for column in table.columns)
         assert first_difference(tmp_path, self.HEADER, table) is None
-        # One call per listed value, zeros and NaNs included, over the file's three blocks.
-        assert len(calls) == sum(len(column.values) for column in table.columns)
 
     @pytest.mark.parametrize("first, later", [(-0.0, 0.0), (0.0, -0.0)])
     def test_signed_zeros_keep_their_text_across_blocks(self, tmp_path, first, later):
@@ -182,21 +223,17 @@ class TestSharedTexts:
         assert first_difference(tmp_path, self.HEADER, table) is None
 
     def test_mostly_distinct_floats_take_the_template(self, tmp_path, monkeypatch):
-        rows = [(i / 7, -i / 9, 0.5, 0.25) for i in range(101)]
+        # Plain columns are formatted by type, once per type and block, never cell by cell.
+        table = table_of([(i / 7, -i / 9, 0.5, 0.25) for i in range(101)])
         calls = self.counting_format(monkeypatch)
-        assert first_difference(tmp_path, self.HEADER, rows) is None
-        assert calls == []
+        assert written(tmp_path, table, self.HEADER).count("\n") == 102
+        assert calls == [float] * 4
+        assert first_difference(tmp_path, self.HEADER, table) is None
 
     @pytest.mark.parametrize("cell", [True, np.bool_(False)], ids=repr)
     def test_bool_in_a_shared_block_raises(self, tmp_path, cell):
         with pytest.raises(TypeError, match="booleans"):
             written(tmp_path, self.table(_BLOCK_ROWS + 123, cell), self.HEADER)
-
-    def test_short_row_in_a_shared_block_raises(self, tmp_path):
-        rows = list(self.table(_BLOCK_ROWS + 123))
-        rows[_BLOCK_ROWS + 5] = rows[_BLOCK_ROWS + 5][:3]
-        with pytest.raises(DimensionMismatchError, match="needs 4 cells"):
-            written(tmp_path, rows, self.HEADER)
 
 
 class TestColumns:
@@ -218,35 +255,39 @@ class TestColumns:
         cells = [[values[k] for k in self.codes(seed)] for seed in (1, 2, 3)]
         coded = [Coded(self.codes(seed), values) for seed in (1, 2, 3)]
         rows = list(zip(*cells))
+        expected = written(tmp_path, Columns(*cells), header)
         for table in (Columns(*coded), Columns(coded[0], coded[1], cells[2]),
                       Columns(cells[0], coded[1], coded[2])):
             assert len(table) == len(rows) and list(table) == rows
             assert first_difference(tmp_path, header, table) is None
-            assert written(tmp_path, table, header) == written(tmp_path, rows, header)
+            assert written(tmp_path, table, header) == expected
 
     def test_empty_table_writes_only_the_header(self, tmp_path):
         assert len(Columns(Coded([], [0.5]), [])) == 0
+        assert len(Columns()) == 0
         assert written(tmp_path, Columns(Coded([], [0.5]), [])) == "a,b\n"
 
     @pytest.mark.parametrize("cell", [True, False, np.bool_(True)], ids=repr)
     def test_bool_among_values_raises(self, tmp_path, cell):
-        # Formatted once whether or not a code refers to it.
-        for codes in ([0, 1, 0], [0, 0, 0]):
-            with pytest.raises(TypeError, match="booleans"):
-                written(tmp_path, Columns(Coded(codes, [0.5, cell]), Coded(codes, ["x", "y"])))
-
-    def test_unequal_columns_raise_before_opening(self, tmp_path):
+        # Formatted once whether or not a code refers to it, before the file is opened.
         path = tmp_path / "t.csv"
+        for codes in ([0, 1, 0], [0, 0, 0]):
+            for second in (Coded(codes, ["x", "y"]), [1, 2, 3]):
+                with pytest.raises(TypeError, match="booleans"):
+                    write_csv(path, ("a", "b"), Columns(Coded(codes, [0.5, cell]), second))
+                assert not path.exists()
+
+    def test_unequal_columns_raise_before_opening(self):
         for columns in ((Coded([0, 0], [1.0]), Coded([0], ["x"])), (Coded([0, 0], [1.0]), [1, 2, 3]),
-                        ([1, 2], [1])):
-            with pytest.raises(DimensionMismatchError, match="needs 2 equal-length columns"):
-                write_csv(path, ("a", "b"), Columns(*columns))
-            assert not path.exists()
+                        ([1, 2], [1]), ([], [1]), ([1], [1], [])):
+            with pytest.raises(DimensionMismatchError, match="equal lengths"):
+                Columns(*columns)
 
     def test_column_count_other_than_the_header_raises_before_opening(self, tmp_path):
         path = tmp_path / "t.csv"
         for header in (("a",), ("a", "b", "c")):
-            for table in (Columns(Coded([0], [1.0]), Coded([0], ["x"])), Columns([1.0], ["x"])):
-                with pytest.raises(DimensionMismatchError, match="needs [13] equal-length columns"):
+            for table in (Columns(Coded([0], [1.0]), Coded([0], ["x"])), Columns([1.0], ["x"]),
+                          Columns([], [])):
+                with pytest.raises(DimensionMismatchError, match=f"{len(header)}-column header needs"):
                     write_csv(path, header, table)
                 assert not path.exists()
