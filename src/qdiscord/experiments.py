@@ -2,6 +2,8 @@
 the ``qfi --grid`` table. Each ``write_*`` writes its rows as a
 :class:`~qdiscord.tables.Columns` table plus a ``<csv>.json`` sidecar of
 the exact configuration, so identical configs give byte-identical files.
+``run_fig1``, ``run_fig2`` and their writers return that table: row tuples
+with ``len``, iteration and int indexing.
 """
 
 from dataclasses import dataclass
@@ -73,8 +75,9 @@ class Fig1Config:
         return {"command": "fig1", **vars(self), "spectrum": list(self.spectrum.values)}
 
 
-def _fig1_table(config: Fig1Config) -> Columns:
-    """The rows of :func:`run_fig1` as columns, s1 coded by grid index."""
+def run_fig1(config: Fig1Config) -> Columns:
+    """Rows (s1, basis seed, Q, U), one per sampled measurement, as a
+    :class:`~qdiscord.tables.Columns` table with s1 coded by grid index."""
     point_seeds = derive_child_seeds(config.seed, len(config.s1_grid))
     scans = [
         scan_uncertainty(
@@ -89,15 +92,11 @@ def _fig1_table(config: Fig1Config) -> Columns:
     return Columns(Coded(codes, config.s1_grid), seeds, q, u)
 
 
-def run_fig1(config: Fig1Config) -> list:
-    """Rows (s1, basis seed, Q, U), one per sampled measurement."""
-    return list(_fig1_table(config))
-
-
-def write_fig1(config: Fig1Config, path) -> list:
-    write_csv(path, ("s1", "seed", "Q", "U"), table := _fig1_table(config))
+def write_fig1(config: Fig1Config, path) -> Columns:
+    """Write the table of :func:`run_fig1` to ``path`` and its sidecar; returns the table."""
+    write_csv(path, ("s1", "seed", "Q", "U"), table := run_fig1(config))
     write_sidecar(path, config.to_dict())
-    return list(table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,13 @@ class Fig2Config:
         return {"command": "fig2", **vars(self), "spectrum": list(self.spectrum.values)}
 
 
-def _fig2_table(config: Fig2Config) -> Columns:
-    """The rows of :func:`run_fig2` as columns coded by grid and label index."""
+def run_fig2(config: Fig2Config) -> Columns:
+    """Rows (s1, s2, label) as a :class:`~qdiscord.tables.Columns` table coded
+    by grid and label index; label is the optimal assignment as digits.
+
+    Digit j of the label is the spectrum index assigned to weight slot j,
+    e.g. "021" places values (v0, v2, v1) on (s1, s2, s3).
+    """
     grid = np.linspace(0.0, 1.0, config.resolution)
     i, j = np.nonzero(grid[:, None] + grid <= 1.0 + _SIMPLEX_TOL)  # simplex points, row-major
     s1, s2 = grid[i], grid[j]
@@ -132,19 +136,11 @@ def _fig2_table(config: Fig2Config) -> Columns:
     return Columns(Coded(i.tolist(), values), Coded(j.tolist(), values), Coded(best, labels))
 
 
-def run_fig2(config: Fig2Config) -> list:
-    """Rows (s1, s2, label); label is the optimal assignment as digits.
-
-    Digit j of the label is the spectrum index assigned to weight slot j,
-    e.g. "021" places values (v0, v2, v1) on (s1, s2, s3).
-    """
-    return list(_fig2_table(config))
-
-
-def write_fig2(config: Fig2Config, path) -> list:
-    write_csv(path, ("s1", "s2", "assignment"), table := _fig2_table(config))
+def write_fig2(config: Fig2Config, path) -> Columns:
+    """Write the table of :func:`run_fig2` to ``path`` and its sidecar; returns the table."""
+    write_csv(path, ("s1", "s2", "assignment"), table := run_fig2(config))
     write_sidecar(path, config.to_dict())
-    return list(table)
+    return table
 
 
 class Fig4Result(NamedTuple):

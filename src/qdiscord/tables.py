@@ -12,7 +12,9 @@ plain ones, formatted ``_BLOCK_ROWS`` cells at a time by each cell's type.
 """
 
 import json
+import os
 from itertools import chain, islice
+from operator import index
 
 import numpy as np
 
@@ -52,11 +54,15 @@ class Coded:
     def __iter__(self):
         return map(self.values.__getitem__, self.codes)
 
+    def __getitem__(self, r):
+        return self.values[self.codes[r]]
+
 
 class Columns:
-    """A table given column by column, each :class:`Coded` or a plain sequence
-    of cells: ``len`` is its row count, and iterating gives its rows. Columns of
-    unequal length raise :class:`DimensionMismatchError`."""
+    """A table given column by column, each :class:`Coded` or a plain sequence of
+    cells: ``len`` is its row count, iterating gives its rows, and ``table[r]`` is
+    row r, negative r from the end (:class:`IndexError` past either end, :class:`TypeError`
+    for a slice). Unequal columns raise :class:`DimensionMismatchError`."""
 
     def __init__(self, *columns):
         lengths = list(map(len, columns))
@@ -69,6 +75,10 @@ class Columns:
 
     def __iter__(self):
         return zip(*self.columns)
+
+    def __getitem__(self, r):
+        r = range(self._rows)[index(r)]
+        return tuple(column[r] for column in self.columns)
 
 
 def _texts(cells) -> list:
@@ -101,6 +111,8 @@ def write_csv(path, header, rows) -> None:
     An empty header, or a table of other than ``len(header)`` columns, raises
     :class:`DimensionMismatchError` before the file is opened; a cell whose
     text holds a line break, which would split its row, raises :class:`ValueError`.
+    Whatever raises once the file is open first removes it, if it is a regular
+    file and not a link, so no partial CSV is left.
     """
     if not isinstance(rows, Columns):
         raise TypeError(f"write_csv takes a Columns table, got {type(rows).__name__}")
@@ -110,10 +122,16 @@ def write_csv(path, header, rows) -> None:
     if len(rows.columns) != width:
         raise DimensionMismatchError(f"a {width}-column header needs {width} columns, got {len(rows.columns)}")
     lines = map(",".join, zip(*map(_column_texts, rows.columns)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        while block := list(islice(lines, _BLOCK_ROWS)):
-            fh.write("\n".join(block) + "\n")
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            while block := list(islice(lines, _BLOCK_ROWS)):
+                fh.write("\n".join(block) + "\n")
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):  # never a device, pipe or link
+            os.remove(path)
+        raise
 
 
 def write_sidecar(csv_path, payload: dict) -> str:

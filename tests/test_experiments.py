@@ -9,7 +9,7 @@ import pytest
 import qdiscord as qd
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
 from qdiscord.experiments import write_qfi
-from qdiscord.tables import format_number
+from qdiscord.tables import Columns, format_number
 
 from helpers import (
     forceable_core_types,
@@ -79,14 +79,14 @@ class TestFig1Config:
 class TestRunFig1:
     def test_row_layout(self):
         config = qd.Fig1Config(2, (0.3, 0.7), samples=5, seed=1)
-        rows = qd.run_fig1(config)
+        rows = list(qd.run_fig1(config))
         assert len(rows) == 10
         assert [row[0] for row in rows[:5]] == [0.3] * 5
         assert [row[0] for row in rows[5:]] == [0.7] * 5
 
     def test_deterministic(self):
         config = qd.Fig1Config(2, (0.4,), samples=6, seed=2)
-        assert qd.run_fig1(config) == qd.run_fig1(config)
+        assert list(qd.run_fig1(config)) == list(qd.run_fig1(config))
 
     def test_rows_rebuild_from_recorded_seeds(self):
         config = qd.Fig1Config(2, (0.35,), samples=4, seed=3)
@@ -161,7 +161,7 @@ class TestRunFig2:
         # in the summed costs decides the label
         values = qd.MeasurementSpectrum(spectrum).values
         rows = qd.run_fig2(qd.Fig2Config(spectrum, 200))
-        assert rows == loop_region_map(values, 200)
+        assert list(rows) == loop_region_map(values, 200)
 
     def test_frozen_interior_label(self):
         rows = dict(((round(s1, 3), round(s2, 3)), label) for s1, s2, label in
@@ -180,12 +180,12 @@ class TestRunFig2:
     @pytest.mark.parametrize("resolution", [2, 3, 200])
     @pytest.mark.parametrize("spectrum", [(2, 4, 1), (4, 3, 2)])
     def test_write_returns_the_rows_of_run(self, tmp_path, spectrum, resolution):
-        # write_fig2 takes its rows from the coded table it writes, and run_fig2 from the
-        # same _fig2_table: equal values of equal types, in a plain list of tuples.
+        # write_fig2 returns the coded table it writes, built as run_fig2 builds it:
+        # rows of equal values of equal types.
         config = qd.Fig2Config(spectrum, resolution)
         written, run = qd.write_fig2(config, tmp_path / "fig2.csv"), qd.run_fig2(config)
-        assert type(written) is type(run) is list
-        assert written == run
+        assert type(written) is type(run) is Columns
+        assert list(written) == list(run)
         assert [tuple(map(type, row)) for row in written] == [(float, float, str)] * len(run)
         assert {type(row) for row in written} == {tuple}
 
@@ -309,7 +309,7 @@ class TestPipelineLines:
     def test_fig1(self, tmp_path):
         config = qd.Fig1Config(3, (0.1, 0.3), s2=0.2, samples=2100)
         rows = qd.write_fig1(config, tmp_path / "fig1.csv")
-        assert len(rows) == 4200 and rows == qd.run_fig1(config)
+        assert len(rows) == 4200 and list(rows) == list(qd.run_fig1(config))
         self.assert_lines(tmp_path / "fig1.csv", "s1,seed,Q,U", rows)
 
     def test_fig2(self, tmp_path):

@@ -1,3 +1,4 @@
+import operator
 from itertools import zip_longest
 
 import numpy as np
@@ -148,6 +149,21 @@ class TestWriteCsv:
         assert first_difference(tmp_path, ("a", "b", "c"), table) is None
         assert written(tmp_path, table, ("a", "b", "c")).count("\n") == count + 1
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # The line break sits in the second block, formatted after the first was written.
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="line break"):
+            write_csv(path, ("a",), Columns([1.0] * 5000 + ["a\nb"]))
+        assert not path.exists()
+
+    def test_failed_write_keeps_a_link(self, tmp_path):
+        # An --out path such as /dev/stdout is a link: the writer removes only regular files.
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target)
+        with pytest.raises(ValueError, match="line break"):
+            write_csv(link, ("a",), Columns([1.0] * 5000 + ["a\nb"]))
+        assert link.is_symlink() and target.exists()
+
     @pytest.mark.parametrize("cell", ["a\nb", "\n", "x\n"], ids=repr)
     def test_line_break_cell_raises(self, tmp_path, cell):
         # Alone, at a block's last row and among a coded column's values.
@@ -156,6 +172,7 @@ class TestWriteCsv:
                       Columns([1, 2], Coded([0, 0], ["y", cell]))):
             with pytest.raises(ValueError, match="line break"):
                 written(tmp_path, table, ("a",) * len(table.columns))
+            assert not (tmp_path / "t.csv").exists()
 
 
 class TestSharedTexts:
@@ -291,3 +308,49 @@ class TestColumns:
                 with pytest.raises(DimensionMismatchError, match=f"{len(header)}-column header needs"):
                     write_csv(path, header, table)
                 assert not path.exists()
+
+
+class TestRowIndexing:
+    """``table[r]`` is row r of ``list(table)``, cell for cell and type for type."""
+
+    COUNT = _BLOCK_ROWS + 3
+    VALUES = [0.5, -0.0, 0.0, 3, "x", np.int64(7), np.float64(0.25), None]
+
+    @classmethod
+    def tables(cls):
+        codes = [i * 5 % len(cls.VALUES) for i in range(cls.COUNT)]
+        coded = [Coded(codes, cls.VALUES), Coded(codes[::-1], cls.VALUES)]
+        plain = [[i / 7 for i in range(cls.COUNT)], tuple(i if i % 3 else str(i) for i in range(cls.COUNT))]
+        return {"coded": Columns(*coded), "plain": Columns(*plain), "mixed": Columns(coded[0], plain[0], coded[1])}
+
+    @pytest.mark.parametrize("kind", ["coded", "plain", "mixed"])
+    def test_rows_match_iteration(self, kind):
+        table = self.tables()[kind]
+        rows = list(table)
+        for r in range(-len(rows), len(rows)):
+            row = table[r]
+            assert type(row) is tuple and row == rows[r], r
+            # the same cell objects: types match, and -0.0 and 0.0 stay apart
+            assert all(map(operator.is_, row, rows[r])), r
+        assert table[np.int64(-1)] == rows[-1]
+
+    @pytest.mark.parametrize("kind", ["coded", "plain", "mixed"])
+    def test_index_past_the_end_raises(self, kind):
+        table = self.tables()[kind]
+        for r in (self.COUNT, -self.COUNT - 1, 10**20):
+            with pytest.raises(IndexError):
+                table[r]
+
+    @pytest.mark.parametrize("kind", ["coded", "plain", "mixed"])
+    def test_slice_and_other_indices_raise(self, kind):
+        table = self.tables()[kind]
+        for r in (slice(0, 2), slice(None), 1.0, "1", None):
+            with pytest.raises(TypeError):
+                table[r]
+
+    def test_empty_tables_have_no_rows(self):
+        for table in (Columns(), Columns([], Coded([], [0.5]))):
+            with pytest.raises(IndexError):
+                table[0]
+            with pytest.raises(TypeError):
+                table[:]
