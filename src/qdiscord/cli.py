@@ -125,7 +125,7 @@ def _cmd_qfi(args) -> int:
     if not args.out:
         raise InvalidInputError("--grid needs --out for the CSV")
     rows = write_qfi(params.n, _t2_grid(args.grid), params.phi, tol, args.out)
-    max_residual = max(row[4] for row in rows)
+    max_residual = max(rows.columns[4])
     print(f"wrote {len(rows)} rows to {args.out}")
     print(f"max |F - DG*n^2| = {format_number(max_residual)}")
     return 0 if max_residual <= tol * params.n ** 2 else 3
@@ -151,7 +151,7 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_fig2(args) -> int:
     rows = write_fig2(Fig2Config(_parse_spectrum(args.spectrum), args.resolution), args.out)
-    labels = sorted({row[2] for row in rows})
+    labels = sorted(set(rows.columns[2]))
     print(f"wrote {len(rows)} rows to {args.out}")
     print(f"assignments: {' '.join(labels)}")
     return 0

@@ -1,9 +1,10 @@
 """Deterministic dataset pipelines behind the package's three figures and
-the ``qfi --grid`` table. Each ``write_*`` writes its rows as a
-:class:`~qdiscord.tables.Columns` table plus a ``<csv>.json`` sidecar of
-the exact configuration, so identical configs give byte-identical files.
-``run_fig1``, ``run_fig2`` and their writers return that table: row tuples
-with ``len``, iteration and int indexing.
+the ``qfi --grid`` table. Each pipeline builds its rows once as a
+:class:`~qdiscord.tables.Columns` table, and each ``write_*`` writes that
+table plus a ``<csv>.json`` sidecar of the exact configuration, so identical
+configs give byte-identical files. Every writer returns the table it wrote
+(``write_fig4`` as its result's ``rows``): row tuples with ``len``, iteration
+and int indexing, and its cells column by column in ``columns``.
 """
 
 from dataclasses import dataclass
@@ -144,15 +145,16 @@ def write_fig2(config: Fig2Config, path) -> Columns:
 
 
 class Fig4Result(NamedTuple):
-    """Fisher-information / discord / negativity sweep over transmittance."""
+    """Fisher-information / discord / negativity sweep over transmittance;
+    ``rows`` is the :class:`~qdiscord.tables.Columns` table written."""
 
-    rows: list
+    rows: Columns
     slope: float
     max_residual: float
 
 
 def run_fig4(n: int, t2_grid) -> Fig4Result:
-    """Rows (t2, F, DG, negativity) plus the fitted F-vs-DG slope.
+    """Rows (t2, F, DG, negativity) as a :class:`~qdiscord.tables.Columns` table, and the F-vs-DG slope.
 
     DG and the negativity come from the lossy state's block form
     (:class:`NoonProbe`), never a dense matrix. The slope of F against DG
@@ -160,43 +162,42 @@ def run_fig4(n: int, t2_grid) -> Fig4Result:
     pointwise deviation from it on the grid. A grid on which every DG is
     equal leaves the slope undefined and raises :class:`InvalidInputError`.
     """
-    points = [
-        (t2, f, dg, probe.negativity(), residual)
-        for t2, _, probe, f, dg, residual in identity_sweep(n, t2_grid)
-    ]
-    if len(points) < 2:
-        raise InvalidInputError(f"t2 grid must have length >= 2, got {len(points)}")
-    _, f_values, dg_values, _, residuals = zip(*points)
-    if min(dg_values) == max(dg_values):
-        raise InvalidInputError(
-            "t2 grid needs at least two distinct DG values to fit the F-vs-DG slope"
-        )
-    slope = float(np.polyfit(dg_values, f_values, 1)[0])
-    return Fig4Result([point[:4] for point in points], slope, max(residuals))
+    t2s, fs, dgs, negativities, residuals = columns = [], [], [], [], []
+    for t2, _, probe, f, dg, residual in identity_sweep(n, t2_grid):
+        for column, cell in zip(columns, (t2, f, dg, probe.negativity(), residual)):
+            column.append(cell)
+    if len(t2s) < 2:
+        raise InvalidInputError(f"t2 grid must have length >= 2, got {len(t2s)}")
+    if min(dgs) == max(dgs):
+        raise InvalidInputError("t2 grid needs at least two distinct DG values to fit the F-vs-DG slope")
+    slope = float(np.polyfit(dgs, fs, 1)[0])
+    return Fig4Result(Columns(t2s, fs, dgs, negativities), slope, max(residuals))
 
 
 def write_fig4(n: int, t2_grid, path) -> Fig4Result:
+    """Write the table of :func:`run_fig4` to ``path`` and its sidecar; returns the result."""
     result = run_fig4(n, t2_grid)
-    write_csv(path, ("t2", "F", "DG", "negativity"), Columns(*zip(*result.rows)))
+    write_csv(path, ("t2", "F", "DG", "negativity"), result.rows)
     write_sidecar(path, {
-        "command": "fig4", "n": as_count(n, "photon number"), "t2_grid": [row[0] for row in result.rows],
+        "command": "fig4", "n": as_count(n, "photon number"), "t2_grid": result.rows.columns[0],
     })
     return result
 
 
-def write_qfi(n: int, t2_grid, phi: float, tolerance: float, path) -> list:
-    """Rows (t2, F_closed, F_oracle, DG, residual) of :func:`identity_sweep`
-    with :func:`qfi_noon_oracle`, written to the CSV once every input has passed
-    its check; the sidecar records n and phi as the sweep coerced them, the
-    oracle's step ``delta``, and ``tolerance``, against which the caller checks
-    the residuals over n^2."""
+def write_qfi(n: int, t2_grid, phi: float, tolerance: float, path) -> Columns:
+    """Rows (t2, F_closed, F_oracle, DG, residual) of :func:`identity_sweep` with
+    :func:`qfi_noon_oracle`, built point by point as a :class:`~qdiscord.tables.Columns`
+    table, written to the CSV once every input has passed its check, and returned.
+    The sidecar records n and phi as the sweep coerced them, the oracle's step
+    ``delta``, and ``tolerance``, against which the caller checks the residuals over n^2."""
     tolerance = as_tolerance(tolerance)
-    rows = []
+    columns = [], [], [], [], []
     for t2, point, _, f, dg, residual in identity_sweep(n, t2_grid, phi):
-        rows.append((t2, f, qfi_noon_oracle(point), dg, residual))
-    write_csv(path, ("t2", "F_closed", "F_oracle", "DG", "residual"), Columns(*zip(*rows)))
+        for column, cell in zip(columns, (t2, f, qfi_noon_oracle(point), dg, residual)):
+            column.append(cell)
+    write_csv(path, ("t2", "F_closed", "F_oracle", "DG", "residual"), table := Columns(*columns))
     write_sidecar(path, {
         "command": "qfi", "n": point.n, "phi": point.phi, "delta": _oracle_step(point.n),
-        "tolerance": tolerance, "t2_grid": [row[0] for row in rows],
+        "tolerance": tolerance, "t2_grid": columns[0],
     })
-    return rows
+    return table

@@ -9,6 +9,7 @@ The Hermiticity, positivity and square-root tolerances live here; each other
 tolerance sits with the one module that checks it.
 """
 
+import sys
 from math import prod
 from typing import Sequence
 
@@ -106,9 +107,10 @@ def as_reals(values, name: str, minimum: int = 1) -> list:
 
 def as_count(value, name: str, minimum: int = 1) -> int:
     """Coerce a count, dimension, seed or index to a Python int >= ``minimum``:
-    an :func:`as_real` with an integral value, such as 2 or 2.0. Any other
-    value raises :class:`InvalidInputError` naming the input."""
-    if type(value) is not int:  # plain ints skip the type checks
+    an :func:`as_real` with an integral value, such as 2 or 2.0, kept exact.
+    Any other value, an int beyond a double too, raises :class:`InvalidInputError`
+    naming the input."""
+    if type(value) is not int or abs(value) > sys.float_info.max:  # plain ints in range skip the type checks
         if not as_real(value, name).is_integer():
             raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         value = int(value)

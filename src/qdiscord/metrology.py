@@ -33,7 +33,7 @@ def qfi_noon_closed(params: NoonChannelParams) -> float:
     coherence as T -> 0.
     """
     n = params.n
-    if 2 * n * n > sys.float_info.max:  # before the power, which fails from n = 2**1024
+    if 2 * n * n > sys.float_info.max:  # before n * n * 2.0, which overflows
         raise InvalidInputError(f"photon number {n} is too large: 2 n^2 overflows a double")
     tn = params.transmittance ** n
     return n * n * 2.0 * tn / (1.0 + tn)
@@ -71,10 +71,7 @@ def lqu_noon_closed(params: NoonChannelParams) -> float:
     sqrt((1 - T) / (1 + T)) and the true value is smaller, see
     :func:`local_quantum_uncertainty` for the exact optimum.
     """
-    try:
-        tn = params.transmittance ** params.n
-    except OverflowError:  # n itself is past a double
-        raise InvalidInputError(f"photon number {params.n} is too large: n overflows a double") from None
+    tn = params.transmittance ** params.n
     return 2.0 * tn / (1.0 + tn)
 
 

@@ -1,3 +1,3 @@
 """Single source of the package version, for code, run metadata and pyproject.toml."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

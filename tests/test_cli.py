@@ -175,12 +175,16 @@ class TestQfiCommand:
         assert value_after(out, "F_oracle = ") == pytest.approx(4.0, rel=1e-3)
         assert value_after(out, "|closed - spectral| = ") < 1e-10
 
-    @pytest.mark.parametrize("n", [10**155, 2**1100], ids=["1e155", "2^1100"])
-    def test_photon_number_past_a_double_is_invalid_input(self, capsys, n):
-        # 2 n^2 in the closed form used to raise OverflowError, exit 1 with a traceback
+    @pytest.mark.parametrize("n, message", [
+        (10**155, f"photon number {10**155} is too large: 2 n^2 overflows a double"),
+        (2**1100, "photon number must be finite, got an int beyond a double"),
+    ], ids=["1e155", "2^1100"])
+    def test_photon_number_past_a_double_is_invalid_input(self, capsys, n, message):
+        # 2 n^2 in the closed form used to raise OverflowError, exit 1 with a traceback;
+        # an n past a double fails as the params' photon number
         code, out, err = invoke(capsys, "qfi", "--noon", f"N={n}", "t2=0.5")
         assert (code, out) == (2, "")
-        assert err == f"error: photon number {n} is too large: 2 n^2 overflows a double\n"
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("t2, tol", [("0.999", ()), ("0.999999", ("--tol", "1e-11")), ("1", ("--tol", "1e-11"))])
     def test_runs_to_the_probe_limit(self, capsys, t2, tol):
@@ -240,6 +244,15 @@ class TestQfiCommand:
         lines = path.read_text().splitlines()
         assert lines[0] == "t2,F_closed,F_oracle,DG,residual"
         assert len(lines) == 6
+
+    @pytest.mark.skipif(np.__version__ != "2.4.6",
+                        reason="recorded on numpy 2.4.6; DG passes numpy's einsum, which may round otherwise")
+    def test_grid_stdout_is_pinned(self, capsys, tmp_path):
+        # the whole stdout, recorded before the command read its residuals from the table's column
+        path = tmp_path / "qfi.csv"
+        code, out, err = invoke(capsys, "qfi", "--noon", "N=10", "--grid", "11", "--out", str(path))
+        assert (code, err) == (0, "")
+        assert out == f"wrote 11 rows to {path}\nmax |F - DG*n^2| = 1.75762182586e-14\n"
 
     def test_grid_writes_stable_sidecar(self, capsys, tmp_path):
         runs = []
@@ -420,6 +433,15 @@ class TestFigureCommands:
         labels = out.split("assignments: ", 1)[1].split()
         assert "021" in labels
         assert all(sorted(label) == ["0", "1", "2"] for label in labels)
+
+    def test_fig2_stdout_is_pinned(self, capsys, tmp_path):
+        # the whole stdout, recorded before the command read its labels from the table's column
+        path = tmp_path / "fig2.csv"
+        code, out, err = invoke(
+            capsys, "fig2", "--spectrum", "2,4,1", "--resolution", "200", "--out", str(path),
+        )
+        assert (code, err) == (0, "")
+        assert out == f"wrote 20100 rows to {path}\nassignments: 012 021 102 120 201 210\n"
 
     def test_fig4_recovers_slope(self, capsys, tmp_path):
         path = tmp_path / "fig4.csv"

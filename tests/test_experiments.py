@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import qdiscord as qd
+from qdiscord import experiments
 from qdiscord.errors import DimensionMismatchError, InvalidInputError
 from qdiscord.experiments import write_qfi
-from qdiscord.tables import Columns, format_number
+from qdiscord.tables import Columns, format_number, write_csv
 
 from helpers import (
     forceable_core_types,
@@ -297,32 +298,50 @@ class TestWriteQfi:
 
 
 class TestPipelineLines:
-    """Each pipeline's CSV line r is its returned row r through the per-cell rule,
-    whatever columns the pipeline hands the writer; each table crosses a block."""
+    """Each writer returns the very :class:`Columns` table it handed to ``write_csv``
+    (``write_fig4`` as its result's ``rows``), with the rows of its ``run_*``; its CSV
+    line r is row r through the per-cell rule. Each table crosses a block."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        """The tables handed to ``write_csv``, in order."""
+        tables = []
+
+        def record(path, header, rows):
+            tables.append(rows)
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(experiments, "write_csv", record)
+        return tables
 
     @staticmethod
-    def assert_lines(path, header, rows):
+    def assert_lines(path, header, rows, written):
+        assert isinstance(rows, Columns) and len(written) == 1 and written[0] is rows
         lines = path.read_text(encoding="utf-8").split("\n")
         assert lines[0] == header and lines[-1] == "" and len(lines) == len(rows) + 2
         assert lines[1:-1] == [",".join(map(format_number, row)) for row in rows]
 
-    def test_fig1(self, tmp_path):
+    def test_fig1(self, tmp_path, written):
         config = qd.Fig1Config(3, (0.1, 0.3), s2=0.2, samples=2100)
         rows = qd.write_fig1(config, tmp_path / "fig1.csv")
         assert len(rows) == 4200 and list(rows) == list(qd.run_fig1(config))
-        self.assert_lines(tmp_path / "fig1.csv", "s1,seed,Q,U", rows)
+        self.assert_lines(tmp_path / "fig1.csv", "s1,seed,Q,U", rows, written)
 
-    def test_fig2(self, tmp_path):
-        rows = qd.write_fig2(qd.Fig2Config((2, 4, 1), 100), tmp_path / "fig2.csv")
-        self.assert_lines(tmp_path / "fig2.csv", "s1,s2,assignment", rows)
+    def test_fig2(self, tmp_path, written):
+        config = qd.Fig2Config((2, 4, 1), 100)
+        rows = qd.write_fig2(config, tmp_path / "fig2.csv")
+        assert list(rows) == list(qd.run_fig2(config))
+        self.assert_lines(tmp_path / "fig2.csv", "s1,s2,assignment", rows, written)
 
-    def test_fig4(self, tmp_path):
-        result = qd.write_fig4(50, np.linspace(0.0, 1.0, 4097), tmp_path / "fig4.csv")
-        self.assert_lines(tmp_path / "fig4.csv", "t2,F,DG,negativity", result.rows)
+    def test_fig4(self, tmp_path, written):
+        grid = np.linspace(0.0, 1.0, 4097)
+        result = qd.write_fig4(50, grid, tmp_path / "fig4.csv")
+        assert list(result.rows) == list(qd.run_fig4(50, grid).rows)
+        self.assert_lines(tmp_path / "fig4.csv", "t2,F,DG,negativity", result.rows, written)
 
-    def test_qfi(self, tmp_path):
+    def test_qfi(self, tmp_path, written):
         rows = write_qfi(10, np.linspace(0.0, 1.0, 4097), 0.0, 1e-9, tmp_path / "qfi.csv")
-        self.assert_lines(tmp_path / "qfi.csv", "t2,F_closed,F_oracle,DG,residual", rows)
+        self.assert_lines(tmp_path / "qfi.csv", "t2,F_closed,F_oracle,DG,residual", rows, written)
 
 
 #: SHA-256 of each helpers.PIPELINES CSV, keyed by the numpy version it was

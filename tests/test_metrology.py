@@ -16,6 +16,9 @@ from helpers import (
     single_photon_lqu,
 )
 
+#: What the params constructor raises for a photon number past a double.
+PAST_A_DOUBLE = "photon number must be finite, got an int beyond a double"
+
 
 def _pauli_direction(theta, azimuth):
     """n . sigma for the Bloch unit vector at polar angle theta."""
@@ -43,7 +46,11 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [10**155, 2**1100], ids=["1e155", "2^1100"])
     def test_fisher_information_past_a_double_is_invalid_input(self, n):
-        # raised before the power T^n, which itself overflows from n = 2**1024
+        # raised before the product n * n * 2.0, which overflows; no params hold an n past a double
+        if n > sys.float_info.max:
+            with pytest.raises(InvalidInputError, match=PAST_A_DOUBLE):
+                qd.NoonChannelParams.from_transmittance(n, 0.5)
+            return
         params = qd.NoonChannelParams.from_transmittance(n, 0.5)
         with pytest.raises(InvalidInputError, match=rf"photon number {n} is too large: 2 n\^2 overflows"):
             qd.qfi_noon_closed(params)
@@ -57,13 +64,14 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [10**155, 2**1100], ids=["1e155", "2^1100"])
     def test_discord_candidate_past_a_double(self, n):
-        # T^n used to raise the builtin OverflowError once n itself passes a double
-        params = qd.NoonChannelParams.from_transmittance(n, 0.5)
+        # T^n used to raise the builtin OverflowError once n itself passes a double;
+        # now no params hold such an n
         if n < sys.float_info.max:
+            params = qd.NoonChannelParams.from_transmittance(n, 0.5)
             assert qd.lqu_noon_closed(params) == 0.0
         else:
-            with pytest.raises(InvalidInputError, match=rf"photon number {n} is too large: n overflows"):
-                qd.lqu_noon_closed(params)
+            with pytest.raises(InvalidInputError, match=PAST_A_DOUBLE):
+                qd.NoonChannelParams.from_transmittance(n, 0.5)
 
     def test_spectral_route_agrees(self):
         for n in range(1, 11):
@@ -454,8 +462,12 @@ class TestNoonProbe:
 
     @pytest.mark.parametrize("n", [10**9, 10**20, 2**1100], ids=["1e9", "1e20", "2^1100"])
     def test_rejects_photon_numbers_far_past_its_limit(self, n):
-        # raised before any power: 10**9 would fail the trace check, and the
-        # other two would raise OverflowError from a float power of n
+        # raised before any power: 10**9 would fail the trace check, and 10**20
+        # would raise OverflowError from a float power of n; no params hold 2**1100
+        if n > sys.float_info.max:
+            with pytest.raises(InvalidInputError, match=PAST_A_DOUBLE):
+                qd.NoonChannelParams.from_transmittance(n, 0.5)
+            return
         params = qd.NoonChannelParams.from_transmittance(n, 0.5)
         with pytest.raises(InvalidInputError, match=f"photon number {n} is too large: past TRACE_TOL / eps"):
             qd.NoonProbe(params)

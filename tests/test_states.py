@@ -319,8 +319,9 @@ class TestNoonChannelParams:
                 qd.NoonChannelParams(*args)
         # the phase n * phi is what overflows, not phi
         assert qd.NoonChannelParams(1, 0.6, 0.8, 1e308).phi == 1e308
-        with pytest.raises(InvalidInputError, match="too large"):
-            qd.noon_lossy_density(qd.NoonChannelParams(2**1100, 0.6, 0.8, 1.0))
+        # an n past a double fails as a count before n * phi is formed
+        with pytest.raises(InvalidInputError, match="photon number must be finite, got an int beyond"):
+            qd.NoonChannelParams(2**1100, 0.6, 0.8, 1.0)
         with pytest.raises(InvalidInputError, match="finite"):
             qd.NoonChannelParams.from_transmittance(2, 0.5, phi=np.nan)
         with pytest.raises(InvalidInputError):
